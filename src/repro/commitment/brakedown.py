@@ -41,20 +41,24 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import CommitmentError
-from ..field.multilinear import eq_table
+from ..errors import CommitmentError, MerkleError
+from ..field import fast61 as _f61
+from ..field.fast61 import to_ints
 from ..field.prime_field import PrimeField
-from ..field.primes import MERSENNE61
-from ..kernels.dispatch import kernels_enabled
 from ..hashing.hashers import Hasher, get_hasher
 from ..hashing.transcript import Transcript
-from ..kernels.field_kernels import combine_rows, pack_vector
+from ..kernels.field_kernels import (
+    combine_rows,
+    eq_table,
+    eq_table_lanes,
+    pack_vector,
+    product_pair_sum,
+    vectorised,
+)
 from ..kernels.profile import stage as _stage
 from ..kernels.spec_cache import cached_encoder
-from ..kernels.field_kernels import eq_table_lanes
-from ..field import fast61 as _f61
 from ..merkle.multiproof import MerkleMultiProof, open_multi
-from ..merkle.proof import MerklePath
+from ..merkle.proof import MerklePath, compute_roots
 from ..merkle.tree import MerkleTree, build_forest
 from ..encoder.spielman import EncoderParams
 
@@ -98,10 +102,14 @@ class Commitment:
 
 @dataclass
 class ProverState:
-    """Everything the prover retains between commit and open."""
+    """Everything the prover retains between commit and open.
 
-    matrix: List[List[int]]  # R×C coefficient matrix
-    encoded: List[List[int]]  # R×(qC) codeword matrix U
+    ``matrix`` and ``encoded`` are 2-D ``uint64`` arrays on the
+    Mersenne-61 fast path and lists of int rows otherwise.
+    """
+
+    matrix: Sequence[Sequence[int]]  # R×C coefficient matrix
+    encoded: Sequence[Sequence[int]]  # R×(qC) codeword matrix U
     tree: MerkleTree
     params: PcsParams
 
@@ -113,14 +121,13 @@ class EncodedRows:
     Produced by :meth:`BrakedownPCS.encode_rows` and consumed by
     :meth:`BrakedownPCS.commit_encoded` — the boundary the pipelined
     executor schedules across, so proof *i+1* can be encoding while
-    proof *i* hashes.  ``codewords`` carries the fast path's uint64
-    matrix so the Merkle half packs leaves without a round-trip through
-    Python ints.
+    proof *i* hashes.  Same containers as :class:`ProverState`: the fast
+    path's ``uint64`` arrays go to the Merkle half (and on to the open
+    stage) without a round-trip through Python ints.
     """
 
-    matrix: List[List[int]]  # R×C coefficient matrix
-    encoded: List[List[int]]  # R×(qC) codeword matrix U
-    codewords: Optional["np.ndarray"] = None  # fast-path uint64 view of U
+    matrix: Sequence[Sequence[int]]  # R×C coefficient matrix
+    encoded: Sequence[Sequence[int]]  # R×(qC) codeword matrix U
 
 
 @dataclass
@@ -269,20 +276,20 @@ class BrakedownPCS:
             raise CommitmentError(
                 f"expected {expected} evaluations, got {len(evals)}"
             )
-        p = self.field.modulus
         cols = params.num_cols
+        if self._fast_path():
+            # The table is normalised once and reshaped, not copied; one
+            # 2-D SpMV sweep per encoder stage covers every row
+            # (bit-identical to per-row encode).
+            matrix = _f61.to_f61(evals).reshape(params.num_rows, cols)
+            with _stage("encode"):
+                return EncodedRows(matrix, self.encoder._encode_batch61(matrix))
+        p = self.field.modulus
+        evals = to_ints(evals)
         matrix = [
             [v % p for v in evals[r * cols : (r + 1) * cols]]
             for r in range(params.num_rows)
         ]
-        if self._fast_path():
-            # Batched fast path: one 2-D SpMV sweep per encoder stage
-            # (bit-identical to per-row encode).
-            with _stage("encode"):
-                cw = self.encoder._encode_batch61(
-                    np.asarray(matrix, dtype=np.uint64)
-                )
-            return EncodedRows(matrix=matrix, encoded=cw.tolist(), codewords=cw)
         with _stage("encode"):
             encoded = [self.encoder.encode(row) for row in matrix]
         return EncodedRows(matrix=matrix, encoded=encoded)
@@ -292,35 +299,40 @@ class BrakedownPCS:
     ) -> Tuple[Commitment, ProverState]:
         """The Merkle half of a commit: hash the codeword columns."""
         params = self.params
-        if rows.codewords is not None:
-            # Leaf packing straight out of the transposed codeword matrix
-            # (bit-identical to per-column pack_vector).
-            cw = rows.codewords
-            with _stage("merkle"):
-                raw = np.ascontiguousarray(cw.T).astype("<u8", copy=False).tobytes()
-                stride = 8 * params.num_rows
-                blocks = [
-                    raw[i * stride : (i + 1) * stride]
-                    for i in range(cw.shape[1])
-                ]
-                tree = MerkleTree(self.hasher.hash_many(blocks), self.hasher)
-        else:
-            with _stage("merkle"):
-                columns = list(zip(*rows.encoded))
+        with _stage("merkle"):
+            if isinstance(rows.encoded, np.ndarray):
+                leaves = self._column_leaves(rows.encoded[None])
+                tree = MerkleTree(leaves, self.hasher)
+            else:
                 tree = MerkleTree.from_field_vectors(
-                    self.field, columns, self.hasher
+                    self.field, list(zip(*rows.encoded)), self.hasher
                 )
         commitment = Commitment(root=tree.root, params=params)
         return commitment, ProverState(
             matrix=rows.matrix, encoded=rows.encoded, tree=tree, params=params
         )
 
-    def _fast_path(self) -> bool:
-        return (
-            kernels_enabled()
-            and self.field.modulus == MERSENNE61
-            and self.params.num_rows >= 2
+    def _column_leaves(self, codewords: "np.ndarray") -> List[bytes]:
+        """Leaf digests of every column of a ``[L, R, Q]`` codeword stack.
+
+        The stack is transposed to column-major and dumped with one
+        ``tobytes()`` (bit-identical to per-column ``pack_vector``), then
+        hashed with a single :meth:`Hasher.hash_many` call; lane ``l``
+        owns leaves ``l·Q … (l+1)·Q − 1``.
+        """
+        lanes, rows, q_len = codewords.shape
+        raw = (
+            np.ascontiguousarray(codewords.transpose(0, 2, 1))
+            .astype("<u8", copy=False)
+            .tobytes()
         )
+        stride = 8 * rows
+        return self.hasher.hash_many(
+            [raw[i * stride : (i + 1) * stride] for i in range(lanes * q_len)]
+        )
+
+    def _fast_path(self) -> bool:
+        return vectorised(self.field)
 
     # -- laned commit/open (S31) ----------------------------------------------
 
@@ -363,19 +375,9 @@ class BrakedownPCS:
         every lane's tree level in one batched dispatch per level.
         """
         params = self.params
-        lanes, rows, q_len = codewords.shape
+        lanes, _, q_len = codewords.shape
         with _stage("merkle"):
-            # [L, Q, R] → every lane's column-major bytes, one tobytes().
-            raw = (
-                np.ascontiguousarray(codewords.transpose(0, 2, 1))
-                .astype("<u8", copy=False)
-                .tobytes()
-            )
-            stride = 8 * rows
-            blocks = [
-                raw[i * stride : (i + 1) * stride] for i in range(lanes * q_len)
-            ]
-            leaves = self.hasher.hash_many(blocks)
+            leaves = self._column_leaves(codewords)
             trees = build_forest(
                 [leaves[lane * q_len : (lane + 1) * q_len] for lane in range(lanes)],
                 self.hasher,
@@ -389,12 +391,12 @@ class BrakedownPCS:
         """Materialize one lane of a :class:`LanedState` as a scalar state.
 
         Used when a single lane's proof must be re-driven through the
-        per-proof path (retries, diagnostics); the int conversion is
-        paid only then.
+        per-proof path (retries, diagnostics); the lane's arrays are
+        views, not copies.
         """
         return ProverState(
-            matrix=state.matrices[lane].tolist(),
-            encoded=state.codewords[lane].tolist(),
+            matrix=state.matrices[lane],
+            encoded=state.codewords[lane],
             tree=state.trees[lane],
             params=state.params,
         )
@@ -418,7 +420,7 @@ class BrakedownPCS:
         q_col = eq_table(self.field, z_lo)
         q_row = eq_table(self.field, z_hi)
         combined = combine_rows(self.field, state.matrix, q_row)
-        return self.field.dot(combined, q_col)
+        return product_pair_sum(self.field, combined, q_col)
 
     def evaluate_lanes(
         self, state: LanedState, points: Sequence[Sequence[int]]
@@ -433,7 +435,7 @@ class BrakedownPCS:
         q_cols = eq_table_lanes(self.field, [lo for lo, _ in splits])
         q_rows = eq_table_lanes(self.field, [hi for _, hi in splits])
         combined = combine_rows(self.field, state.matrices, q_rows)
-        return [int(v) for v in _f61.f61_rows_dot(combined, q_cols)]
+        return product_pair_sum(self.field, combined, q_cols)
 
     # -- open -------------------------------------------------------------------------
 
@@ -459,34 +461,44 @@ class BrakedownPCS:
         evaluation_row = combine_rows(field, state.matrix, q_row)
         transcript.absorb_field_vector(b"pcs/eval-row", field, evaluation_row)
 
-        # Column spot checks.
+        return self._finish_opening(
+            state.encoded, state.tree, transcript, proximity_row, evaluation_row
+        )
+
+    def _finish_opening(
+        self,
+        encoded: Sequence[Sequence[int]],
+        tree: MerkleTree,
+        transcript: Transcript,
+        proximity_row: Sequence[int],
+        evaluation_row: Sequence[int],
+    ) -> EvalProof:
+        """Draw the column spot checks and assemble the evaluation proof.
+
+        This is where values enter a proof object, whose schema is lists
+        of ints: the array-native path pays its O(√N) ``tolist`` here.
+        """
+        params = self.params
         indices = transcript.challenge_indices(
             b"pcs/columns", params.codeword_length, params.num_col_checks
         )
         opened = sorted(set(indices))
-        if params.compress_openings:
-            columns = [
-                ColumnOpening(
-                    index=j, values=[row[j] for row in state.encoded], path=None
-                )
-                for j in opened
-            ]
-            multiproof = open_multi(state.tree, opened)
+        if isinstance(encoded, np.ndarray):
+            col_values = encoded[:, opened].T.tolist()
         else:
-            columns = [
-                ColumnOpening(
-                    index=j,
-                    values=[row[j] for row in state.encoded],
-                    path=state.tree.open(j),
-                )
-                for j in opened
-            ]
-            multiproof = None
+            col_values = [[row[j] for row in encoded] for j in opened]
+        compress = params.compress_openings
+        columns = [
+            ColumnOpening(
+                index=j, values=values, path=None if compress else tree.open(j)
+            )
+            for j, values in zip(opened, col_values)
+        ]
         return EvalProof(
-            proximity_row=proximity_row,
-            evaluation_row=evaluation_row,
+            proximity_row=to_ints(proximity_row),
+            evaluation_row=to_ints(evaluation_row),
             columns=columns,
-            multiproof=multiproof,
+            multiproof=open_multi(tree, opened) if compress else None,
         )
 
     def open_lanes(
@@ -522,49 +534,28 @@ class BrakedownPCS:
             dtype=np.uint64,
         )
         proximity_rows = combine_rows(field, state.matrices, r_lanes)
-        prox_lists = [[int(v) for v in row] for row in proximity_rows]
         for lane in range(lanes):
             transcripts[lane].absorb_field_vector(
-                b"pcs/prox-row", field, prox_lists[lane]
+                b"pcs/prox-row", field, proximity_rows[lane]
             )
 
         q_rows = eq_table_lanes(field, [hi for _, hi in splits])
         evaluation_rows = combine_rows(field, state.matrices, q_rows)
-        eval_lists = [[int(v) for v in row] for row in evaluation_rows]
         for lane in range(lanes):
             transcripts[lane].absorb_field_vector(
-                b"pcs/eval-row", field, eval_lists[lane]
+                b"pcs/eval-row", field, evaluation_rows[lane]
             )
 
-        proofs = []
-        for lane in range(lanes):
-            indices = transcripts[lane].challenge_indices(
-                b"pcs/columns", params.codeword_length, params.num_col_checks
+        return [
+            self._finish_opening(
+                state.codewords[lane],
+                state.trees[lane],
+                transcripts[lane],
+                proximity_rows[lane],
+                evaluation_rows[lane],
             )
-            opened = sorted(set(indices))
-            col_values = state.codewords[lane][:, opened].T.tolist()
-            tree = state.trees[lane]
-            if params.compress_openings:
-                columns = [
-                    ColumnOpening(index=j, values=values, path=None)
-                    for j, values in zip(opened, col_values)
-                ]
-                multiproof = open_multi(tree, opened)
-            else:
-                columns = [
-                    ColumnOpening(index=j, values=values, path=tree.open(j))
-                    for j, values in zip(opened, col_values)
-                ]
-                multiproof = None
-            proofs.append(
-                EvalProof(
-                    proximity_row=prox_lists[lane],
-                    evaluation_row=eval_lists[lane],
-                    columns=columns,
-                    multiproof=multiproof,
-                )
-            )
-        return proofs
+            for lane in range(lanes)
+        ]
 
     # -- verify ---------------------------------------------------------------------------
 
@@ -645,14 +636,17 @@ class BrakedownPCS:
             if proof.multiproof is not None:
                 return False
             for opening, leaf in zip(proof.columns, expected_leaves):
-                if opening.path is None:
+                path = opening.path
+                if path is None or path.leaf != leaf or path.index != opening.index:
                     return False
-                if opening.path.leaf != leaf:
-                    return False
-                if opening.path.index != opening.index:
-                    return False
-                if not opening.path.verify(commitment.root, self.hasher):
-                    return False
+            try:
+                roots = compute_roots(
+                    [opening.path for opening in proof.columns], self.hasher
+                )
+            except MerkleError:  # paths of different depths
+                return False
+            if any(root != commitment.root for root in roots):
+                return False
 
         q_col = eq_table(field, z_lo)
         return field.dot(proof.evaluation_row, q_col) == value % field.modulus

@@ -20,15 +20,6 @@ from typing import List, Sequence, Tuple
 from ..errors import SumcheckError
 from ..field.prime_field import PrimeField
 from ..kernels import field_kernels as _kernels
-from ..kernels.dispatch import kernels_enabled
-
-try:
-    import numpy as _np
-
-    from ..field import fast61 as _f61
-except ImportError:  # pragma: no cover - numpy is part of the base image
-    _np = None
-    _f61 = None
 
 DEGREE = 3
 
@@ -50,32 +41,13 @@ class ConstraintSumcheckProver:
             raise SumcheckError(f"table length must be 2^n with n >= 1, got {length}")
         if not (len(az) == len(bz) == len(cz) == length):
             raise SumcheckError("all four tables must have equal length")
-        p = field.modulus
         self.field = field
         self.num_vars = n
-        state = None
-        if (
-            _f61 is not None
-            and kernels_enabled()
-            and p == _f61._P61_INT
-            and length >= 32
-        ):
-            # Array state: the four tables live as uint64 arrays for the
-            # whole sum-check, so rounds never convert list↔array.
-            try:
-                state = [
-                    _np.asarray(t, dtype=_np.uint64) for t in (eq_tab, az, bz, cz)
-                ]
-                state = [a % _f61.P61 if (a >= _f61.P61).any() else a for a in state]
-            except (OverflowError, TypeError, ValueError):
-                state = None  # negative / oversized entries: take the int path
-        if state is not None:
-            self._eq, self._az, self._bz, self._cz = state
-        else:
-            self._eq = [v % p for v in eq_tab]
-            self._az = [v % p for v in az]
-            self._bz = [v % p for v in bz]
-            self._cz = [v % p for v in cz]
+        # uint64 arrays on the Mersenne-61 fast path (adopted without a
+        # copy, so rounds never convert list↔array), int lists otherwise.
+        self._eq, self._az, self._bz, self._cz = _kernels.sumcheck_tables(
+            field, (eq_tab, az, bz, cz)
+        )
         self._round = 0
         self.claimed_sum = _kernels.constraint_claimed_sum(
             field, self._eq, self._az, self._bz, self._cz

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import CircuitError
 from ..field import fast61 as _f61
+from ..field.fast61 import to_ints
 from ..field.multilinear import eq_table
 from ..field.prime_field import PrimeField
-from ..field.primes import MERSENNE61
-from ..kernels.dispatch import kernels_enabled
+from ..kernels import field_kernels as _kernels
 
 SparseRow = List[Tuple[int, int]]
 
@@ -105,16 +107,25 @@ class R1CS:
 
     # -- evaluation -----------------------------------------------------------------
 
-    def pad_witness(self, z: Sequence[int]) -> List[int]:
+    def pad_witness(self, z: Sequence[int]) -> Sequence[int]:
+        """The witness reduced mod p and zero-padded to ``padded_vars``.
+
+        On the Mersenne-61 fast path this is where the witness becomes a
+        ``uint64`` array — the one conversion of a proof; every later
+        stage hands arrays on.  Other fields get a list of ints.
+        """
         if len(z) != self.num_vars:
             raise CircuitError(
                 f"witness length {len(z)} != num_vars {self.num_vars}"
             )
         p = self.field.modulus
-        if z[0] % p != 1:
+        if int(z[0]) % p != 1:
             raise CircuitError("witness[0] must be the constant 1")
-        padded = [v % p for v in z] + [0] * (self.padded_vars - len(z))
-        return padded
+        if self._use_f61():
+            padded = np.zeros(self.padded_vars, dtype=np.uint64)
+            padded[: self.num_vars] = _f61.to_f61(z)
+            return padded
+        return [v % p for v in to_ints(z)] + [0] * (self.padded_vars - len(z))
 
     def _matvec(self, rows: List[SparseRow], z: Sequence[int]) -> List[int]:
         p = self.field.modulus
@@ -127,10 +138,13 @@ class R1CS:
         return out
 
     def _f61_ops(self, transpose: bool) -> Tuple[_f61.F61SpMV, ...]:
-        """Cached vectorised edge sets for A, B, C (built on first use).
+        """Cached vectorised edge sets for A, B, C.
 
         ``transpose=False`` maps witness → constraints (matvec);
         ``transpose=True`` maps constraints → witness (row combination).
+        :meth:`prepare_f61` builds both at prover construction; a system
+        that skipped it (unpickled, or built under reference kernels)
+        builds on first use.
         """
         attr = "_f61_cols" if transpose else "_f61_rows"
         cached = getattr(self, attr, None)
@@ -154,22 +168,28 @@ class R1CS:
             setattr(self, attr, cached)
         return cached
 
+    def prepare_f61(self) -> None:
+        """Build both vectorised edge sets now (a set-up cost, not a
+        first-proof cost); a no-op off the Mersenne-61 fast path."""
+        if self._use_f61():
+            self._f61_ops(transpose=False)
+            self._f61_ops(transpose=True)
+
     def _use_f61(self) -> bool:
-        return kernels_enabled() and self.field.modulus == MERSENNE61
+        return _kernels.vectorised(self.field)
 
     def matvec_tables(
         self, z: Sequence[int]
-    ) -> Tuple[List[int], List[int], List[int]]:
-        """Return (Az, Bz, Cz) over the padded constraint domain."""
-        padded = self.pad_witness(z) if len(z) == self.num_vars else list(z)
+    ) -> Tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        """Return (Az, Bz, Cz) over the padded constraint domain.
+
+        ``uint64`` arrays on the Mersenne-61 fast path, int lists otherwise.
+        """
+        padded = self.pad_witness(z) if len(z) == self.num_vars else z
         if self._use_f61():
             x = _f61.as_f61(padded)
-            op_a, op_b, op_c = self._f61_ops(transpose=False)
-            return (
-                op_a.apply(x).tolist(),
-                op_b.apply(x).tolist(),
-                op_c.apply(x).tolist(),
-            )
+            return tuple(op.apply(x) for op in self._f61_ops(transpose=False))
+        padded = to_ints(padded)
         return (
             self._matvec(self.a_rows, padded),
             self._matvec(self.b_rows, padded),
@@ -190,14 +210,14 @@ class R1CS:
         return (op_a.apply_batch(x), op_b.apply_batch(x), op_c.apply_batch(x))
 
     def is_satisfied(self, z: Sequence[int]) -> bool:
-        p = self.field.modulus
-        az, bz, cz = self.matvec_tables(z)
-        return all((a * b - c) % p == 0 for a, b, c in zip(az, bz, cz))
+        return not _kernels.constraint_violation(
+            self.field, *self.matvec_tables(z)
+        )
 
     def violations(self, z: Sequence[int]) -> List[int]:
         """Indices of unsatisfied constraints (diagnostic helper)."""
         p = self.field.modulus
-        az, bz, cz = self.matvec_tables(z)
+        az, bz, cz = map(to_ints, self.matvec_tables(z))
         return [
             i
             for i, (a, b, c) in enumerate(zip(az, bz, cz))
@@ -212,11 +232,12 @@ class R1CS:
         coeff_a: int,
         coeff_b: int,
         coeff_c: int,
-    ) -> List[int]:
+    ) -> Sequence[int]:
         """Table ``T[j] = Σ_i eq_x[i]·(cA·A + cB·B + cC·C)[i][j]``.
 
         O(nnz) — this is the second sum-check's left factor.
-        ``eq_x`` must cover the padded constraint domain.
+        ``eq_x`` must cover the padded constraint domain.  A ``uint64``
+        array on the Mersenne-61 fast path, an int list otherwise.
         """
         if len(eq_x) != self.padded_constraints:
             raise CircuitError(
@@ -227,19 +248,16 @@ class R1CS:
         if self._use_f61():
             # Vectorised: scale the eq-table by each batching coefficient
             # and push it through the transposed edge sets.
-            eq_arr = _f61.as_f61(list(eq_x))
-            total = None
+            eq_arr = _f61.as_f61(eq_x)
+            total = np.zeros(self.padded_vars, dtype=np.uint64)
             for coeff, op in zip(
                 (coeff_a, coeff_b, coeff_c), self._f61_ops(transpose=True)
             ):
-                coeff %= p
-                if coeff == 0:
-                    continue
-                part = op.apply(_f61.f61_scale(coeff, eq_arr))
-                total = part if total is None else _f61.f61_add(total, part)
-            if total is None:
-                return [0] * self.padded_vars
-            return total.tolist()
+                if coeff % p:
+                    part = op.apply(_f61.f61_scale(coeff, eq_arr))
+                    total = _f61.f61_add(total, part)
+            return total
+        eq_x = to_ints(eq_x)
         out = [0] * self.padded_vars
         for coeff, rows in (
             (coeff_a, self.a_rows),
@@ -295,6 +313,7 @@ class R1CS:
     ) -> int:
         """``M̃(r_x, r_y) = Σ_{(i,j,v)} v·eq_x[i]·eq_y[j]`` in O(nnz)."""
         p = self.field.modulus
+        eq_x, eq_y = to_ints(eq_x), to_ints(eq_y)
         total = 0
         for i, row in enumerate(rows):
             ex = eq_x[i]

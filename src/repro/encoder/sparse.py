@@ -24,9 +24,8 @@ from ..errors import EncodingError
 from ..field.fast31 import f31_mul
 from ..field.fast61 import F61SpMV, as_f61
 from ..field.prime_field import PrimeField
-from ..field.primes import MERSENNE31, MERSENNE61
+from ..field.primes import MERSENNE31
 from ..kernels import field_kernels as _kernels
-from ..kernels.dispatch import kernels_enabled
 
 MAX_ROW_WEIGHT = 255  # rows must fit a single byte of length (§3.3)
 
@@ -118,15 +117,16 @@ class SparseMatrix:
         """Compute ``y = x · A`` over the field (SpMV kernel).
 
         On the fast path with the default Mersenne-61 field this is the
-        vectorised gather/segment-sum of :class:`~repro.field.fast61.F61SpMV`,
-        built (and cached) from the adjacency lists on first use.  Results
-        are bit-identical to the scalar kernel — the limb arithmetic is
-        exact.
+        vectorised gather/segment-sum of :class:`~repro.field.fast61.F61SpMV`
+        (built by :meth:`_ensure_f61`).  Results are bit-identical to the
+        scalar kernel — the limb arithmetic is exact — and a ``uint64``
+        array input gets an array back; any other sequence gets a list.
         """
         if len(x) != self.n_in:
             raise EncodingError(f"input length {len(x)} != n_in {self.n_in}")
-        if kernels_enabled() and self.field.modulus == MERSENNE61:
-            return self._ensure_f61().apply(as_f61(x)).tolist()
+        if _kernels.vectorised(self.field):
+            y = self._ensure_f61().apply(as_f61(x))
+            return y if isinstance(x, np.ndarray) else y.tolist()
         return _kernels.spmv(self.field, self.rows, x, self.n_out)
 
     def _ensure_f61(self) -> F61SpMV:

@@ -31,8 +31,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import EncodingError
+from ..field.fast61 import to_f61, to_ints
 from ..field.prime_field import PrimeField
 from ..field.primes import MERSENNE31
+from ..kernels.field_kernels import vectorised
 from .sparse import SparseMatrix
 
 
@@ -183,7 +185,7 @@ class SpielmanEncoder:
 
     def encode_recursive(self, message: Sequence[int]) -> List[int]:
         """Direct recursive encoding — the textbook form of Figure 3."""
-        msg = [v % self.field.modulus for v in message]
+        msg = [v % self.field.modulus for v in to_ints(message)]
         if len(msg) != self.message_length:
             raise EncodingError(
                 f"message length {len(msg)} != {self.message_length}"
@@ -212,13 +214,21 @@ class SpielmanEncoder:
         Pass 1 walks stages large→small computing every first
         multiplication; pass 2 walks small→large computing every second
         multiplication and assembling codewords.  Output is bit-identical
-        to :meth:`encode_recursive`.
+        to :meth:`encode_recursive`.  On the Mersenne-61 fast path the
+        message is normalised to a ``uint64`` array once and every stage
+        runs on arrays; an array input gets the codeword back as an
+        array, any other sequence as a list.
         """
-        msg = [v % self.field.modulus for v in message]
-        if len(msg) != self.message_length:
+        if len(message) != self.message_length:
             raise EncodingError(
-                f"message length {len(msg)} != {self.message_length}"
+                f"message length {len(message)} != {self.message_length}"
             )
+        if self._use_f61():
+            codeword = self._encode_batch61(to_f61(message)[None, :])[0]
+            if isinstance(message, np.ndarray):
+                return codeword
+            return codeword.tolist()
+        msg = [v % self.field.modulus for v in to_ints(message)]
         # Pass 1 (forward): y_0 = message, y_{k+1} = y_k · A_k.
         forward: List[List[int]] = [msg]
         for stage in self.stages:
@@ -241,17 +251,10 @@ class SpielmanEncoder:
         vectors — the functional analogue of the paper's batched kernel
         launches.  Output is bit-identical to mapping :meth:`encode`.
         """
-        from ..field.primes import MERSENNE61
-        from ..kernels.dispatch import kernels_enabled
-
-        if (
-            len(messages) < 2
-            or not kernels_enabled()
-            or self.field.modulus != MERSENNE61
-        ):
+        if len(messages) < 2 or not self._use_f61():
             return [self.encode(m) for m in messages]
         try:
-            batch = np.asarray(messages, dtype=np.uint64)
+            batch = to_f61(messages)
         except (OverflowError, TypeError, ValueError):
             return [self.encode(m) for m in messages]
         if batch.ndim != 2 or batch.shape[1] != self.message_length:
@@ -260,12 +263,21 @@ class SpielmanEncoder:
             )
         return self._encode_batch61(batch).tolist()
 
-    def _encode_batch61(self, batch: np.ndarray) -> np.ndarray:
-        """Two-pass batched encoding on a canonicalized ``(R, n)`` array."""
-        from ..field.fast61 import P61
+    def _use_f61(self) -> bool:
+        return vectorised(self.field)
 
-        z = batch % P61
-        forward = [z]
+    def prepare_f61(self) -> None:
+        """Build every graph's vectorised edge set now (a set-up cost, not
+        a first-proof cost); a no-op off the Mersenne-61 fast path."""
+        if self._use_f61():
+            for stage in self.stages:
+                stage.matrix_a._ensure_f61()
+                stage.matrix_b._ensure_f61()
+            self.base_matrix._ensure_f61()
+
+    def _encode_batch61(self, batch: np.ndarray) -> np.ndarray:
+        """Two-pass batched encoding of canonical ``(R, n)`` ``uint64`` rows."""
+        forward = [batch]
         for stage in self.stages:
             forward.append(stage.matrix_a._ensure_f61().apply_batch(forward[-1]))
         assert self.base_matrix is not None
@@ -309,10 +321,8 @@ class SpielmanEncoder:
         """
         if len(codeword) != self.codeword_length:
             return False
-        message = [v % self.field.modulus for v in codeword[: self.message_length]]
-        return self.encode(message) == [
-            v % self.field.modulus for v in codeword
-        ]
+        codeword = [v % self.field.modulus for v in to_ints(codeword)]
+        return self.encode(codeword[: self.message_length]) == codeword
 
     # -- introspection for the pipeline scheduler ------------------------------------------
 

@@ -15,23 +15,21 @@ Grouping and parity:
   means every task in a batch shares a circuit digest by construction —
   the S24 seam already groups per spec, so lane groups are just
   contiguous ``lane_width``-sized windows of the task list.
-* The ragged final group is padded back to full width by cycling the
-  group's own tasks; pad-lane proofs are discarded.  Every dispatch
-  therefore has one shape, mirroring the fixed-geometry kernel launches
-  of the paper's pipeline (§3).
+* The ragged final group is proved at its own width — numpy has no
+  fixed launch geometry, so a short group costs a short dispatch.
 * Proofs are byte-identical to :class:`~repro.execution.SerialBackend`
   lane for lane — each lane keeps its own transcript; only the array
   arithmetic is shared (see :mod:`repro.core.lanes`).
 
 Stage accounting: one :func:`~repro.kernels.profile.collect_stages`
 window wraps each group, and the group's wall time and stage dict are
-amortized uniformly over its *real* lanes, so per-task
+amortized uniformly over its lanes, so per-task
 ``stage_seconds`` still satisfy the S27 invariant
 ``Σ exclusive(stages) <= prove_seconds`` (division is linear).
 
 Chaos hooks (``fault_injector``, ``max_retries``) follow the standard
 contract so ``apply_fault_plan`` walks this backend and
-``resilient:lanes:8`` composes: the injector fires once per real task
+``resilient:lanes:8`` composes: the injector fires once per task
 per attempt, and a failed group attempt falls back to per-task serial
 proving — byte-identical by the parity property — so one poisoned lane
 cannot sink its group-mates.
@@ -162,14 +160,13 @@ class LanedBackend:
         for lo in range(0, len(tasks), width):
             group = tasks[lo : lo + width]
             group_proofs, group_seconds, stages, attempts = (
-                self._prove_group(prover, group, width, ctx, stats)
+                self._prove_group(prover, group, ctx, stats)
             )
-            # Uniform amortization over the real lanes: the group ran as
-            # one fused dispatch, so each lane owns an equal slice of the
+            # Uniform amortization over the lanes: the group ran as one
+            # fused dispatch, so each lane owns an equal slice of the
             # wall time and of every stage bucket.
-            n_real = len(group)
-            per_task = group_seconds / n_real
-            per_stages = {k: v / n_real for k, v in stages.items()}
+            per_task = group_seconds / len(group)
+            per_stages = {k: v / len(group) for k, v in stages.items()}
             now = time.perf_counter()
             for task, proof, attempt in zip(group, group_proofs, attempts):
                 if corrupt is not None:
@@ -210,19 +207,16 @@ class LanedBackend:
     # -- group proving ---------------------------------------------------------
 
     def _prove_group(
-        self, prover, group: List[ProofTask], width: int, ctx, stats
+        self, prover, group: List[ProofTask], ctx, stats
     ) -> Tuple[List[SnarkProof], float, dict, List[int]]:
         """One fused lane dispatch; falls back to per-task on failure.
 
         Returns ``(proofs, wall_seconds, stage_dict, attempts)`` with one
-        proof/attempt per *real* task.  The ragged final group is padded
-        back to ``width`` by cycling its own tasks; pad proofs never
-        leave this method.
+        proof/attempt per task.
         """
         injector = self.fault_injector
-        padded = [group[i % len(group)] for i in range(width)]
-        witnesses = [task.witness for task in padded]
-        publics = [task.public_values for task in padded]
+        witnesses = [task.witness for task in group]
+        publics = [task.public_values for task in group]
         try:
             if injector is not None:
                 for task in group:
@@ -231,12 +225,7 @@ class LanedBackend:
             with collect_stages() as profile:
                 lane_proofs = prover.prove_lanes(witnesses, publics)
             wall = time.perf_counter() - t0
-            return (
-                lane_proofs[: len(group)],
-                wall,
-                profile.as_dict(),
-                [1] * len(group),
-            )
+            return lane_proofs, wall, profile.as_dict(), [1] * len(group)
         except Exception as exc:
             if self.max_retries == 0:
                 raise ProofError(

@@ -18,6 +18,7 @@ from typing import Callable, List, Optional, Sequence
 
 from ..errors import FieldError
 from ..kernels import field_kernels as _kernels
+from .fast61 import to_ints
 from .prime_field import PrimeField
 
 
@@ -40,7 +41,7 @@ class MultilinearPolynomial:
         self.num_vars = _require_power_of_two(len(evals))
         p = field.modulus
         self.field = field
-        self.evals = [e % p for e in evals]
+        self.evals = [e % p for e in to_ints(evals)]
 
     # -- constructors -------------------------------------------------------
 
@@ -198,9 +199,12 @@ def eq_table(field: PrimeField, point: Sequence[int]) -> List[int]:
     (the paper's HyperPlonk/Libra-style protocols).
 
     Built iteratively in O(2^n) — the standard "expand one variable per
-    round" construction, batched by the doubling kernel.
+    round" construction, batched by the doubling kernel.  This is the
+    big-int face of :func:`repro.kernels.field_kernels.eq_table`: always
+    a list of Python ints, for protocol code that multiplies the entries
+    (the prover's hot path takes the kernel's array directly).
     """
-    return _kernels.eq_table(field, point)
+    return to_ints(_kernels.eq_table(field, point))
 
 
 def eq_eval(field: PrimeField, xs: Sequence[int], ys: Sequence[int]) -> int:

@@ -19,7 +19,11 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
+import numpy as np
+
 from ..errors import FieldError, FieldMismatchError, NonInvertibleError
+from ..kernels import field_kernels as _kernels
+from .fast61 import to_ints
 from .primes import MERSENNE61, is_probable_prime
 
 IntoField = Union[int, "FieldElement"]
@@ -141,23 +145,26 @@ class PrimeField:
 
     # -- vector helpers (raw ints) ------------------------------------------
 
+    # ``to_ints``: a ``uint64`` array iterates as NumPy scalars, whose
+    # products wrap mod 2^64 silently; these helpers are big-int code.
+
     def vec_add(self, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
         p = self.modulus
-        return [(x + y) % p for x, y in zip(xs, ys)]
+        return [(x + y) % p for x, y in zip(to_ints(xs), to_ints(ys))]
 
     def vec_sub(self, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
         p = self.modulus
-        return [(x - y) % p for x, y in zip(xs, ys)]
+        return [(x - y) % p for x, y in zip(to_ints(xs), to_ints(ys))]
 
     def vec_scale(self, c: int, xs: Sequence[int]) -> List[int]:
         p = self.modulus
-        return [(c * x) % p for x in xs]
+        return [(c * x) % p for x in to_ints(xs)]
 
     def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         if len(xs) != len(ys):
             raise FieldError(f"dot length mismatch: {len(xs)} vs {len(ys)}")
         p = self.modulus
-        return sum(x * y for x, y in zip(xs, ys)) % p
+        return sum(x * y for x, y in zip(to_ints(xs), to_ints(ys))) % p
 
     # -- randomness ----------------------------------------------------------
 
@@ -189,6 +196,15 @@ class PrimeField:
         return int.from_bytes(data, "little") % self.modulus
 
     def vector_to_bytes(self, values: Sequence[int]) -> bytes:
+        """Fixed-width little-endian bytes of every element, concatenated.
+
+        A ``uint64`` array packs with one ``tobytes()`` (byte-for-byte the
+        per-element encoding of canonical residues, checked by
+        ``pack_vector``); the short lists of round polynomials are
+        quicker element by element.
+        """
+        if isinstance(values, np.ndarray):
+            return _kernels.pack_vector(self, values)
         return b"".join(self.to_bytes(v) for v in values)
 
 

@@ -35,6 +35,7 @@ from .field_kernels import (
     product_pair_sum,
     product_round_quadratic,
     spmv,
+    sumcheck_tables,
 )
 from .hash_kernels import (
     SWAR_MAX_LANES,
@@ -68,6 +69,7 @@ __all__ = [
     # field kernels
     "fold_table",
     "fold_product_tables",
+    "sumcheck_tables",
     "eq_table",
     "combine_rows",
     "spmv",

@@ -2,24 +2,30 @@
 
 The paper's discipline is to split each module into per-stage kernels and
 size them to measured costs (§3, §4).  The functional prover's analogue of
-a "kernel" is a whole-vector pass written so the Python interpreter does
-as little per-element work as possible:
+a "kernel" is a whole-vector pass, and every kernel here has two bodies
+selected by the *container* it is handed:
 
-* iterate with ``zip`` over slices instead of indexing (one bytecode per
-  element instead of four);
-* accumulate products *lazily* as unbounded ints and reduce mod p once
-  per output, not once per term;
-* special-case the coefficients the protocol actually produces (zero
-  coefficients from sparse eq-tables, the degree-2/3 round polynomials of
-  the two sum-checks).
+* a ``uint64`` ndarray over Mersenne-61 — ``[n]`` for one proof or
+  ``[lanes, n]`` for a lane-group (S31) — runs on the exact numpy
+  arithmetic of :mod:`repro.field.fast61` along the last axis and
+  returns arrays.  This is the prover's native representation from
+  ``pad_witness`` to the opened columns: **arrays in, arrays out**, no
+  conversion between stages.
+* any other sequence (every other field, proof objects, the generic
+  library API) runs a Python-int loop written so the interpreter does as
+  little per-element work as possible — ``zip`` over slices instead of
+  indexing, products accumulated lazily and reduced once per output —
+  and returns lists of ints.
 
-Every kernel has a ``_reference_*`` twin — the naive per-element loop the
-codebase used before this layer — selected by
+Every kernel also has a ``_reference_*`` twin — the naive per-element loop
+the codebase used before this layer — selected by
 :func:`repro.kernels.dispatch.use_reference_kernels`.  The twins are the
 oracle for the golden-parity tests and the baseline for
-``benchmarks/bench_hotpath.py``.
+``benchmarks/bench_hotpath.py``; they take arrays too, by converting to
+ints first (:func:`~repro.field.fast61.to_ints` — iterating an array
+yields NumPy scalars whose products wrap silently).
 
-All functions take and return *raw ints already reduced mod p* (the
+List values are *raw ints already reduced mod p* (the
 :class:`~repro.field.PrimeField` hot-loop convention).
 """
 
@@ -27,24 +33,23 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
+import numpy as _np
+
+# ``fast61`` only needs errors/primes, so this import keeps the kernels
+# package cycle-free.
+from ..field import fast61 as _f61
+from ..field.fast61 import to_ints
 from .dispatch import kernels_enabled
-
-try:  # The Mersenne-61 numpy layer; ``fast61`` only needs errors/primes,
-    # so this import keeps the kernels package cycle-free.
-    import numpy as _np
-
-    from ..field import fast61 as _f61
-except ImportError:  # pragma: no cover - numpy is part of the base image
-    _np = None
-    _f61 = None
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; kernels must stay an
     # import leaf so field/, hashing/, encoder/ can import it cycle-free.
     from ..field.prime_field import PrimeField
 
 __all__ = [
+    "vectorised",
     "fold_table",
     "fold_product_tables",
+    "sumcheck_tables",
     "eq_table",
     "eq_table_lanes",
     "combine_rows",
@@ -59,31 +64,23 @@ __all__ = [
     "pack_vector",
 ]
 
-# Below this size the numpy fixed costs (array creation, ufunc dispatch)
-# exceed the pure-Python loop; both sub-paths are exact, so the switch
-# never changes a result.
-_NP_MIN = 32
+# Below this length a kernel's ufunc dispatches (~1 µs each, ~25 per
+# multiply) cost more than the int loop over the whole table; measured on
+# warm 2^10 / 2^14 proofs, 64–256 are within noise of each other and 32 is
+# 4 % slower.  Both forms are exact, so where a table changes form (the
+# head of an eq-table, the tail of a sum-check) never changes a result.
+_NP_MIN = 128
 
 
-def _np_ok(field: "PrimeField", n: int) -> bool:
-    """True when the vectorised Mersenne-61 path applies."""
-    return _f61 is not None and n >= _NP_MIN and field.modulus == _f61._P61_INT
-
-
-# -- lane dimension (S31) -----------------------------------------------------
-#
-# The hot-path kernels additionally accept *laned* inputs: a uint64 array
-# of shape ``[lanes, n]`` holding the same table for ``lanes`` independent
-# proofs of one circuit.  One ufunc dispatch then advances every lane at
-# once, which is what amortizes numpy's fixed per-call cost across a
-# whole batch of same-circuit instances.  Lane detection is structural
-# (``ndim``), so it must run *before* any ``len()``/truthiness logic that
-# assumes a flat table.
+def vectorised(field: "PrimeField") -> bool:
+    """True when ``uint64`` arrays are the native table form: the fast
+    kernels are enabled and the field is Mersenne-61."""
+    return kernels_enabled() and field.modulus == _f61._P61_INT
 
 
 def _is_lanes(x: object, ndim: int = 2) -> bool:
     """True when ``x`` is a lane-batched ndarray of rank ``ndim``."""
-    return _np is not None and isinstance(x, _np.ndarray) and x.ndim == ndim
+    return isinstance(x, _np.ndarray) and x.ndim == ndim
 
 
 def _lane_challenges(r: object, lanes: int, p: int) -> List[int]:
@@ -93,15 +90,33 @@ def _lane_challenges(r: object, lanes: int, p: int) -> List[int]:
     (transcripts diverge after the commitment roots), so folds take a
     vector of challenges; a scalar is broadcast for convenience.
     """
-    if isinstance(r, (list, tuple)):
-        rs = [int(v) % p for v in r]
-    elif _np is not None and isinstance(r, _np.ndarray):
-        rs = [int(v) % p for v in r.tolist()]
+    if isinstance(r, (list, tuple, _np.ndarray)):
+        rs = [int(v) % p for v in to_ints(r)]
     else:
         rs = [int(r) % p] * lanes
     if len(rs) != lanes:
         raise ValueError(f"{len(rs)} challenges for {lanes} lanes")
     return rs
+
+
+def _sum_last(x: "_np.ndarray"):
+    """Exact last-axis sum: an int for a table, a list of ints per lane."""
+    return _f61.f61_sum(x) if x.ndim == 1 else _f61.f61_rows_sum(x).tolist()
+
+
+def _round_evals(evals: list) -> list:
+    """Evaluations per point → ``[g(0), …]``, one such list per lane if laned."""
+    if isinstance(evals[0], list):
+        return [list(lane) for lane in zip(*evals)]
+    return evals
+
+
+def _per_lane(reference, field: "PrimeField", *tables):
+    """Apply a scalar reference twin to each lane of ``[lanes, n]`` tables."""
+    return [
+        reference(field, *(lane.tolist() for lane in lanes))
+        for lanes in zip(*tables)
+    ]
 
 
 # -- sum-check folds ---------------------------------------------------------
@@ -118,11 +133,12 @@ def _reference_fold_table(field: PrimeField, table: Sequence[int], r: int) -> Li
         rs = _lane_challenges(r, table.shape[0], p)
         return _np.asarray(
             [
-                _reference_fold_table(field, [int(v) for v in lane], ri)
+                _reference_fold_table(field, lane.tolist(), ri)
                 for lane, ri in zip(table, rs)
             ],
             dtype=_np.uint64,
         )
+    table = to_ints(table)
     r %= p
     half = len(table) // 2
     return [(table[b] + r * (table[b + half] - table[b])) % p for b in range(half)]
@@ -136,27 +152,21 @@ def fold_table(field: PrimeField, table: Sequence[int], r: int) -> List[int]:
     Laned form: a ``[lanes, n]`` array with a per-lane challenge vector
     folds every lane in one pass → ``[lanes, n//2]``.
     """
+    p = field.modulus
+    if isinstance(table, _np.ndarray):
+        if not vectorised(field):
+            return _reference_fold_table(field, table, r)
+        half = table.shape[-1] // 2
+        lo, hi = table[..., :half], table[..., half:]
+        if table.ndim == 1:
+            r_op = _np.uint64(r % p)
+        else:
+            r_op = _f61.as_f61(_lane_challenges(r, table.shape[0], p))[:, None]
+        return _f61.f61_add(lo, _f61.f61_mul(_f61.f61_sub(hi, lo), r_op))
     if not kernels_enabled():
         return _reference_fold_table(field, table, r)
-    p = field.modulus
-    if _is_lanes(table):
-        if field.modulus != _f61._P61_INT:
-            return _reference_fold_table(field, table, r)
-        arr = _f61.as_f61(table)
-        half = arr.shape[1] // 2
-        lo, hi = arr[:, :half], arr[:, half:]
-        r_col = _f61.as_f61(_lane_challenges(r, arr.shape[0], p))[:, None]
-        return _f61.f61_add(lo, _f61.f61_mul(r_col, _f61.f61_sub(hi, lo)))
     r %= p
     half = len(table) // 2
-    is_arr = _np is not None and isinstance(table, _np.ndarray)
-    if is_arr or _np_ok(field, half):
-        arr = _f61.as_f61(table)
-        lo, hi = arr[:half], arr[half:]
-        out = _f61.f61_add(lo, _f61.f61_scale(r, _f61.f61_sub(hi, lo)))
-        # Container-preserving: array-state provers keep arrays across
-        # rounds (no per-round conversion); list callers get lists back.
-        return out if is_arr else out.tolist()
     # zip of the table against its own upper half stops at `half` pairs;
     # no per-element index arithmetic survives in the loop body.
     return [(lo + r * (hi - lo)) % p for lo, hi in zip(table, table[half:])]
@@ -165,8 +175,34 @@ def fold_table(field: PrimeField, table: Sequence[int], r: int) -> List[int]:
 def fold_product_tables(
     field: PrimeField, tables: Sequence[Sequence[int]], r: int
 ) -> List[List[int]]:
-    """Fold every factor table of a product sum-check at the same challenge."""
-    return [fold_table(field, table, r) for table in tables]
+    """Fold every factor table of a sum-check prover at the same challenge.
+
+    The one small-table tail of the array-native path: once a prover's
+    tables drop below ``_NP_MIN`` entries its last rounds run on int
+    lists (measured at 2^10 gates: 7.6 ms per warm proof with the tail,
+    9.3 ms without; see docs/PERFORMANCE.md).
+    """
+    folded = [fold_table(field, table, r) for table in tables]
+    first = folded[0]
+    if isinstance(first, _np.ndarray) and first.ndim == 1 and first.size < _NP_MIN:
+        return [table.tolist() for table in folded]
+    return folded
+
+
+def sumcheck_tables(
+    field: PrimeField, tables: Sequence[Sequence[int]]
+) -> List[Sequence[int]]:
+    """Normalise a sum-check prover's factor tables once, at construction.
+
+    On the vectorised path tables of at least ``_NP_MIN`` entries become
+    canonical ``uint64`` arrays — an array is adopted without a copy —
+    and stay arrays until :func:`fold_product_tables` hands the short
+    tail to lists; anything else becomes reduced int lists.
+    """
+    if vectorised(field) and len(tables[0]) >= _NP_MIN:
+        return [_f61.to_f61(table) for table in tables]
+    p = field.modulus
+    return [[v % p for v in to_ints(table)] for table in tables]
 
 
 # -- eq-table doubling -------------------------------------------------------
@@ -176,7 +212,7 @@ def _reference_eq_table(field: PrimeField, point: Sequence[int]) -> List[int]:
     """Naive doubling construction with indexed writes."""
     p = field.modulus
     table = [1]
-    for r in point:
+    for r in to_ints(point):
         r %= p
         one_minus = (1 - r) % p
         nxt = [0] * (2 * len(table))
@@ -187,30 +223,45 @@ def _reference_eq_table(field: PrimeField, point: Sequence[int]) -> List[int]:
     return table
 
 
+def _eq_double(arr: "_np.ndarray", n: int, challenges: Sequence) -> "_np.ndarray":
+    """Finish an eq-table in place: the first ``n`` entries of the last
+    axis are filled, each challenge doubles them.
+
+    ``t·(1−r) = t − t·r``, so a doubling is one multiply and one subtract.
+    """
+    for r in challenges:
+        lo, hi = arr[..., :n], arr[..., n : 2 * n]
+        hi[...] = _f61.f61_mul(lo, r)
+        lo[...] = _f61.f61_sub(lo, hi)
+        n *= 2
+    return arr
+
+
 def eq_table(field: PrimeField, point: Sequence[int]) -> List[int]:
     """Table of ``eq(point, b)`` for all ``b ∈ {0,1}^n`` (doubling kernel).
 
     Each doubling round is two whole-table comprehensions (scale by
     ``1−r`` and by ``r``) concatenated — the same O(2^n) work as the
     naive construction with none of the per-element index bookkeeping.
+    On the vectorised path the table comes back as a ``uint64`` array:
+    the first ``_NP_MIN`` entries are built as ints, the rest doubled in
+    place in one preallocated array.
     """
     if not kernels_enabled():
         return _reference_eq_table(field, point)
     p = field.modulus
-    if _np_ok(field, 1 << len(point)):
-        arr = _np.ones(1, dtype=_np.uint64)
-        for r in point:
-            r %= p
-            arr = _np.concatenate(
-                [_f61.f61_scale((1 - r) % p, arr), _f61.f61_scale(r, arr)]
-            )
-        return arr.tolist()
+    point = [r % p for r in to_ints(point)]
+    # Doublings done on ints: all of them, or up to ``_NP_MIN`` entries.
+    head = _NP_MIN.bit_length() - 1 if vectorised(field) else len(point)
     table = [1]
-    for r in point:
-        r %= p
+    for r in point[:head]:
         one_minus = (1 - r) % p
         table = [t * one_minus % p for t in table] + [t * r % p for t in table]
-    return table
+    if not vectorised(field):
+        return table
+    arr = _np.empty(1 << len(point), dtype=_np.uint64)
+    arr[: len(table)] = table
+    return _eq_double(arr, len(table), map(_np.uint64, point[head:]))
 
 
 def _reference_eq_table_lanes(
@@ -229,11 +280,11 @@ def eq_table_lanes(
     """Eq-tables for ``lanes`` points at once: ``[L, m] → [L, 2^m]``.
 
     Each doubling round scales the whole lane block by the per-lane
-    ``1−r`` and ``r`` columns and concatenates along the table axis —
-    ``m`` dispatches total for all lanes, versus ``L·m`` for per-lane
-    construction.  Lanes carry *different* points (their transcripts
-    diverge at the commitment roots), which is why this is a separate
-    entry point rather than a broadcast of :func:`eq_table`.
+    challenge column — ``m`` dispatches total for all lanes, versus
+    ``L·m`` for per-lane construction.  Lanes carry *different* points
+    (their transcripts diverge at the commitment roots), which is why
+    this is a separate entry point rather than a broadcast of
+    :func:`eq_table`.
     """
     points = [list(point) for point in points]
     if not points:
@@ -241,17 +292,15 @@ def eq_table_lanes(
     m = len(points[0])
     if any(len(point) != m for point in points):
         raise ValueError("eq_table_lanes points must share one length")
-    p = field.modulus
-    if not (kernels_enabled() and _np_ok(field, 1 << m)):
+    if not vectorised(field):
         return _reference_eq_table_lanes(field, points)
-    arr = _np.ones((len(points), 1), dtype=_np.uint64)
-    for i in range(m):
-        r_col = _f61.as_f61([point[i] % p for point in points])[:, None]
-        om_col = _f61.as_f61([(1 - point[i]) % p for point in points])[:, None]
-        arr = _np.concatenate(
-            [_f61.f61_mul(arr, om_col), _f61.f61_mul(arr, r_col)], axis=1
-        )
-    return arr
+    p = field.modulus
+    arr = _np.empty((len(points), 1 << m), dtype=_np.uint64)
+    arr[:, 0] = 1
+    columns = (
+        _f61.as_f61([point[i] % p for point in points])[:, None] for i in range(m)
+    )
+    return _eq_double(arr, 1, columns)
 
 
 # -- row combination (Brakedown commit/open/verify) --------------------------
@@ -268,16 +317,10 @@ def _reference_combine_rows(
     p = field.modulus
     if _is_lanes(matrix, ndim=3):
         return _np.asarray(
-            [
-                _reference_combine_rows(
-                    field,
-                    [[int(v) for v in row] for row in lane],
-                    [int(c) for c in lane_coeffs],
-                )
-                for lane, lane_coeffs in zip(matrix, coeffs)
-            ],
+            _per_lane(_reference_combine_rows, field, matrix, _np.asarray(coeffs)),
             dtype=_np.uint64,
         )
+    matrix, coeffs = to_ints(matrix), to_ints(coeffs)
     width = len(matrix[0]) if matrix else 0
     out = [0] * width
     for coeff, row in zip(coeffs, matrix):
@@ -295,34 +338,27 @@ def combine_rows(
 
     The workhorse of the Brakedown commitment: the proximity row, the
     evaluation row, and the verifier's per-column checks are all row
-    combinations.  Zero coefficients (common: boolean-point eq-tables
-    are one-hot) skip their row entirely; unit coefficients skip the
-    multiply; reduction happens once per output column.
-
-    Laned form: ``[L, R, C]`` matrix stack × ``[L, R]`` coefficient
-    array → ``[L, C]`` — one 3-D multiply plus an exact axis-1 limb sum
-    combines the rows of all lanes in a single dispatch.
+    combinations.  An ``[R, C]`` array (the prover's stored matrix) is
+    one 2-D modular multiply plus an exact limb-split column sum — row
+    counts are far below the 2^29 overflow bound; a ``[L, R, C]`` stack
+    with ``[L, R]`` coefficients does the same for every lane → ``[L, C]``.
+    On lists, zero coefficients (common: boolean-point eq-tables are
+    one-hot) skip their row entirely, unit coefficients skip the
+    multiply, and reduction happens once per output column.
     """
+    if isinstance(matrix, _np.ndarray):
+        if not vectorised(field):
+            return _reference_combine_rows(field, matrix, coeffs)
+        c_arr = _f61.to_f61(coeffs)
+        k = min(matrix.shape[-2], c_arr.shape[-1])
+        contrib = _f61.f61_mul(matrix[..., :k, :], c_arr[..., :k, None])
+        return _f61.f61_axis_sum(contrib, axis=-2)
     if not kernels_enabled():
         return _reference_combine_rows(field, matrix, coeffs)
     p = field.modulus
-    if _is_lanes(matrix, ndim=3):
-        if field.modulus != _f61._P61_INT:
-            return _reference_combine_rows(field, matrix, coeffs)
-        mats = _f61.as_f61(matrix)
-        c_arr = _f61.as_f61(coeffs)
-        return _f61.f61_axis_sum(_f61.f61_mul(mats, c_arr[:, :, None]), axis=1)
     width = len(matrix[0]) if matrix else 0
-    if matrix and _np_ok(field, width):
-        k = min(len(matrix), len(coeffs))
-        rows = _np.asarray(matrix[:k], dtype=_np.uint64)
-        c_arr = _np.asarray([c % p for c in coeffs[:k]], dtype=_np.uint64)
-        # One 2-D modular multiply, then exact column sums via 32-bit
-        # limb splitting (row counts far below the 2^29 overflow bound).
-        contrib = _f61.f61_mul(rows, c_arr[:, None])
-        return _f61.f61_columns_sum(contrib).tolist()
     out = [0] * width
-    for coeff, row in zip(coeffs, matrix):
+    for coeff, row in zip(to_ints(coeffs), matrix):
         coeff %= p
         if coeff == 0:
             continue
@@ -345,7 +381,7 @@ def _reference_spmv(
     """The original adjacency-list scatter loop."""
     p = field.modulus
     y = [0] * n_out
-    for xi, row in zip(x, rows):
+    for xi, row in zip(to_ints(x), rows):
         if xi == 0:
             continue
         for j, w in row:
@@ -368,7 +404,7 @@ def spmv(
         return _reference_spmv(field, rows, x, n_out)
     p = field.modulus
     y = [0] * n_out
-    for xi, row in zip(x, rows):
+    for xi, row in zip(to_ints(x), rows):
         if not xi:
             continue
         if xi == 1:
@@ -392,12 +428,8 @@ def _reference_product_round_quadratic(
     """
     p = field.modulus
     if _is_lanes(ta):
-        return [
-            _reference_product_round_quadratic(
-                field, [int(v) for v in a], [int(v) for v in b]
-            )
-            for a, b in zip(ta, tb)
-        ]
+        return _per_lane(_reference_product_round_quadratic, field, ta, tb)
+    ta, tb = to_ints(ta), to_ints(tb)
     half = len(ta) // 2
     evals = [0, 0, 0]
     for b in range(half):
@@ -414,51 +446,39 @@ def _reference_product_round_quadratic(
     return evals
 
 
+def _interpolants(table: "_np.ndarray", points: int) -> List["_np.ndarray"]:
+    """The linear interpolant of a table's two halves at t = 0 … points−1."""
+    half = table.shape[-1] // 2
+    lo, hi = table[..., :half], table[..., half:]
+    out = [lo, hi]
+    if points > 2:
+        d = _f61.f61_sub(hi, lo)
+        while len(out) < points:       # t ↦ t+1 adds Δ = hi − lo
+            out.append(_f61.f61_add(out[-1], d))
+    return out
+
+
 def product_round_quadratic(
     field: PrimeField, ta: Sequence[int], tb: Sequence[int]
 ) -> List[int]:
     """Round polynomial ``g(t) = Σ_b (a_lo + t·Δa)(b_lo + t·Δb)`` at t=0,1,2.
 
     One fused pass over both half-tables: ``g(0) = Σ lo·lo``,
-    ``g(1) = Σ hi·hi``, ``g(2) = Σ (2hi−lo)(2hi−lo)`` — accumulated as
-    unbounded ints and reduced once per evaluation point.
-
-    Laned form: ``[L, n]`` tables → ``L`` evaluation triples from three
-    per-lane dot products (one fused pass over the whole lane block).
+    ``g(1) = Σ hi·hi``, ``g(2) = Σ (2hi−lo)(2hi−lo)`` — three dot
+    products on arrays (``[L, n]`` tables → one triple per lane), or
+    unbounded ints reduced once per evaluation point on lists.
     """
+    if isinstance(ta, _np.ndarray):
+        if not vectorised(field):
+            return _reference_product_round_quadratic(field, ta, tb)
+        a, b = _interpolants(ta, 3), _interpolants(_f61.as_f61(tb), 3)
+        return _round_evals(
+            [_sum_last(_f61.f61_mul(a[t], b[t])) for t in range(3)]
+        )
     if not kernels_enabled():
         return _reference_product_round_quadratic(field, ta, tb)
     p = field.modulus
-    if _is_lanes(ta):
-        if field.modulus != _f61._P61_INT:
-            return _reference_product_round_quadratic(field, ta, tb)
-        a = _f61.as_f61(ta)
-        b = _f61.as_f61(tb)
-        half = a.shape[1] // 2
-        a_lo, a_hi = a[:, :half], a[:, half:]
-        b_lo, b_hi = b[:, :half], b[:, half:]
-        a2 = _f61.f61_sub(_f61.f61_add(a_hi, a_hi), a_lo)
-        b2 = _f61.f61_sub(_f61.f61_add(b_hi, b_hi), b_lo)
-        g0 = _f61.f61_rows_dot(a_lo, b_lo)
-        g1 = _f61.f61_rows_dot(a_hi, b_hi)
-        g2 = _f61.f61_rows_dot(a2, b2)
-        return [
-            [int(g0[lane]), int(g1[lane]), int(g2[lane])]
-            for lane in range(a.shape[0])
-        ]
     half = len(ta) // 2
-    if (_np is not None and isinstance(ta, _np.ndarray)) or _np_ok(field, half):
-        a = _f61.as_f61(ta)
-        b = _f61.as_f61(tb)
-        a_lo, a_hi = a[:half], a[half:]
-        b_lo, b_hi = b[:half], b[half:]
-        a2 = _f61.f61_sub(_f61.f61_add(a_hi, a_hi), a_lo)
-        b2 = _f61.f61_sub(_f61.f61_add(b_hi, b_hi), b_lo)
-        return [
-            _f61.f61_dot(a_lo, b_lo),
-            _f61.f61_dot(a_hi, b_hi),
-            _f61.f61_dot(a2, b2),
-        ]
     g0 = g1 = g2 = 0
     for a_lo, a_hi, b_lo, b_hi in zip(ta, ta[half:], tb, tb[half:]):
         g0 += a_lo * b_lo
@@ -480,12 +500,8 @@ def _reference_constraint_round_cubic(
     """
     p = field.modulus
     if _is_lanes(eq):
-        return [
-            _reference_constraint_round_cubic(
-                field, *([int(v) for v in t] for t in tables)
-            )
-            for tables in zip(eq, az, bz, cz)
-        ]
+        return _per_lane(_reference_constraint_round_cubic, field, eq, az, bz, cz)
+    eq, az, bz, cz = to_ints(eq), to_ints(az), to_ints(bz), to_ints(cz)
     half = len(eq) // 2
     evals = [0, 0, 0, 0]
     for b in range(half):
@@ -508,6 +524,11 @@ def _reference_constraint_round_cubic(
     return evals
 
 
+def _constraint_terms(e, a, b, c) -> "_np.ndarray":
+    """``e·(a·b − c)`` elementwise on canonical arrays."""
+    return _f61.f61_mul(e, _f61.f61_sub(_f61.f61_mul(a, b), c))
+
+
 def constraint_round_cubic(
     field: PrimeField,
     eq: Sequence[int],
@@ -519,54 +540,24 @@ def constraint_round_cubic(
 
     Direct extrapolation: the linear interpolant of a table pair at
     t = 2 is ``2·hi − lo`` and at t = 3 is ``3·hi − 2·lo``, so all four
-    evaluations come out of one zip pass with lazy reduction.
-
-    Laned form: ``[L, n]`` tables → ``L`` evaluation quadruples; the
-    four interpolation points are evaluated as whole-lane-block row
-    sums, so the per-round kernel cost is flat in the lane count.
+    evaluations come out of one pass — whole-table sums on arrays
+    (``[L, n]`` tables → one quadruple per lane, the per-round cost flat
+    in the lane count), lazily reduced ints on lists.
     """
+    if isinstance(eq, _np.ndarray):
+        if not vectorised(field):
+            return _reference_constraint_round_cubic(field, eq, az, bz, cz)
+        e, a, b, c = (_interpolants(_f61.as_f61(t), 4) for t in (eq, az, bz, cz))
+        return _round_evals(
+            [
+                _sum_last(_constraint_terms(e[t], a[t], b[t], c[t]))
+                for t in range(4)
+            ]
+        )
     if not kernels_enabled():
         return _reference_constraint_round_cubic(field, eq, az, bz, cz)
     p = field.modulus
-    if _is_lanes(eq):
-        if field.modulus != _f61._P61_INT:
-            return _reference_constraint_round_cubic(field, eq, az, bz, cz)
-        half = eq.shape[1] // 2
-        splits = []
-        for table in (eq, az, bz, cz):
-            arr = _f61.as_f61(table)
-            lo, hi = arr[:, :half], arr[:, half:]
-            d = _f61.f61_sub(hi, lo)
-            t2 = _f61.f61_add(hi, d)
-            splits.append((lo, hi, t2, _f61.f61_add(t2, d)))
-        e, a, b, c = splits
-        evals = [
-            _f61.f61_rows_sum(
-                _f61.f61_mul(e[t], _f61.f61_sub(_f61.f61_mul(a[t], b[t]), c[t]))
-            )
-            for t in range(4)
-        ]
-        return [
-            [int(evals[t][lane]) for t in range(4)]
-            for lane in range(eq.shape[0])
-        ]
     half = len(eq) // 2
-    if (_np is not None and isinstance(eq, _np.ndarray)) or _np_ok(field, half):
-        splits = []
-        for table in (eq, az, bz, cz):
-            arr = _f61.as_f61(table)
-            lo, hi = arr[:half], arr[half:]
-            d = _f61.f61_sub(hi, lo)
-            # Linear interpolant at t = 2 is hi + Δ, at t = 3 is hi + 2Δ.
-            t2 = _f61.f61_add(hi, d)
-            splits.append((lo, hi, t2, _f61.f61_add(t2, d)))
-        e, a, b, c = splits
-        return [
-            _f61.f61_sum(
-                _f61.f61_mul(e[t], _f61.f61_sub(_f61.f61_mul(a[t], b[t]), c[t]))
-            )
-            for t in range(4)
-        ]
     g0 = g1 = g2 = g3 = 0
     for e_lo, e_hi, a_lo, a_hi, b_lo, b_hi, c_lo, c_hi in zip(
         eq, eq[half:], az, az[half:], bz, bz[half:], cz, cz[half:]
@@ -582,6 +573,12 @@ def constraint_round_cubic(
     return [g0 % p, g1 % p, g2 % p, g3 % p]
 
 
+def _ints_or_lanes(table: Sequence[int]):
+    """Int rows of a table: ``[table]``, or one row per lane of ``[L, n]``."""
+    rows = to_ints(table)
+    return rows if _is_lanes(table) else [rows]
+
+
 def constraint_claimed_sum(
     field: PrimeField,
     eq: Sequence[int],
@@ -593,31 +590,14 @@ def constraint_claimed_sum(
 
     Laned form: ``[L, n]`` tables → one claimed sum per lane.
     """
+    if isinstance(eq, _np.ndarray) and vectorised(field):
+        return _sum_last(_constraint_terms(*map(_f61.as_f61, (eq, az, bz, cz))))
     p = field.modulus
-    if _is_lanes(eq):
-        if kernels_enabled() and field.modulus == _f61._P61_INT:
-            e = _f61.as_f61(eq)
-            a = _f61.as_f61(az)
-            b = _f61.as_f61(bz)
-            c = _f61.as_f61(cz)
-            sums = _f61.f61_rows_sum(
-                _f61.f61_mul(e, _f61.f61_sub(_f61.f61_mul(a, b), c))
-            )
-            return [int(v) for v in sums]
-        return [
-            sum(int(e) * (int(a) * int(b) - int(c)) for e, a, b, c in zip(*tables))
-            % p
-            for tables in zip(eq, az, bz, cz)
-        ]
-    if not kernels_enabled():
-        return sum(e * (a * b - c) for e, a, b, c in zip(eq, az, bz, cz)) % p
-    if (_np is not None and isinstance(eq, _np.ndarray)) or _np_ok(field, len(eq)):
-        e = _f61.as_f61(eq)
-        a = _f61.as_f61(az)
-        b = _f61.as_f61(bz)
-        c = _f61.as_f61(cz)
-        return _f61.f61_sum(_f61.f61_mul(e, _f61.f61_sub(_f61.f61_mul(a, b), c)))
-    return sum(e * (a * b - c) for e, a, b, c in zip(eq, az, bz, cz)) % p
+    sums = [
+        sum(e * (a * b - c) for e, a, b, c in zip(*rows)) % p
+        for rows in zip(*map(_ints_or_lanes, (eq, az, bz, cz)))
+    ]
+    return sums if _is_lanes(eq) else sums[0]
 
 
 def constraint_violation(
@@ -631,26 +611,16 @@ def constraint_violation(
     Laned form: ``[L, n]`` tables → one boolean per lane, so a single
     bad witness in a lane-group is attributable to its lane.
     """
+    if isinstance(az, _np.ndarray) and vectorised(field):
+        a, b, c = map(_f61.as_f61, (az, bz, cz))
+        bad = _f61.f61_sub(_f61.f61_mul(a, b), c).any(axis=-1)
+        return bad.tolist()
     p = field.modulus
-    if _is_lanes(az):
-        if kernels_enabled() and field.modulus == _f61._P61_INT:
-            a = _f61.as_f61(az)
-            b = _f61.as_f61(bz)
-            c = _f61.as_f61(cz)
-            bad = _f61.f61_sub(_f61.f61_mul(a, b), c).any(axis=1)
-            return [bool(v) for v in bad]
-        return [
-            any((int(a) * int(b) - int(c)) % p for a, b, c in zip(*tables))
-            for tables in zip(az, bz, cz)
-        ]
-    if not kernels_enabled():
-        return any((a * b - c) % p for a, b, c in zip(az, bz, cz))
-    if (_np is not None and isinstance(az, _np.ndarray)) or _np_ok(field, len(az)):
-        a = _f61.as_f61(az)
-        b = _f61.as_f61(bz)
-        c = _f61.as_f61(cz)
-        return bool(_f61.f61_sub(_f61.f61_mul(a, b), c).any())
-    return any((a * b - c) % p for a, b, c in zip(az, bz, cz))
+    bad = [
+        any((a * b - c) % p for a, b, c in zip(*rows))
+        for rows in zip(*map(_ints_or_lanes, (az, bz, cz)))
+    ]
+    return bad if _is_lanes(az) else bad[0]
 
 
 def product_pair_sum(field: PrimeField, ta: Sequence[int], tb: Sequence[int]) -> int:
@@ -658,24 +628,14 @@ def product_pair_sum(field: PrimeField, ta: Sequence[int], tb: Sequence[int]) ->
 
     Laned form: ``[L, n]`` tables → one pair sum per lane.
     """
-    if _is_lanes(ta):
-        if kernels_enabled() and field.modulus == _f61._P61_INT:
-            sums = _f61.f61_rows_dot(_f61.as_f61(ta), _f61.as_f61(tb))
-            return [int(v) for v in sums]
-        p = field.modulus
-        return [
-            sum(int(a) * int(b) for a, b in zip(la, lb)) % p
-            for la, lb in zip(ta, tb)
-        ]
-    if not kernels_enabled():
-        p = field.modulus
-        total = 0
-        for a, b in zip(ta, tb):
-            total = (total + a * b) % p
-        return total
-    if (_np is not None and isinstance(ta, _np.ndarray)) or _np_ok(field, len(ta)):
-        return _f61.f61_dot(_f61.as_f61(ta), _f61.as_f61(tb))
-    return sum(a * b for a, b in zip(ta, tb)) % field.modulus
+    if isinstance(ta, _np.ndarray) and vectorised(field):
+        return _sum_last(_f61.f61_mul(ta, _f61.as_f61(tb)))
+    p = field.modulus
+    sums = [
+        sum(a * b for a, b in zip(*rows)) % p
+        for rows in zip(*map(_ints_or_lanes, (ta, tb)))
+    ]
+    return sums if _is_lanes(ta) else sums[0]
 
 
 # -- multilinear point evaluation --------------------------------------------
@@ -691,9 +651,10 @@ def evaluate_table_bits(
     equivalence test; never used on the hot path.
     """
     p = field.modulus
+    point = to_ints(point)
     n = len(point)
     total = 0
-    for b, v in enumerate(table):
+    for b, v in enumerate(to_ints(table)):
         term = v % p
         for i in range(n):
             bit = (b >> i) & 1
@@ -711,20 +672,16 @@ def evaluate_table(
     Folds the most-significant variable each pass (the table is
     LSB-first, so the two *halves* are paired), consuming the point from
     its last coordinate — identical binding order to the sum-check
-    provers.
+    provers.  The result is a scalar, so a long list is normalised to an
+    array once at entry on the vectorised path.
     """
-    if kernels_enabled() and _np_ok(field, len(table)):
-        p = field.modulus
-        arr = _f61.as_f61(table)
-        for r in reversed(point):
-            half = arr.size // 2
-            lo, hi = arr[:half], arr[half:]
-            arr = _f61.f61_add(lo, _f61.f61_scale(r % p, _f61.f61_sub(hi, lo)))
-        return int(arr[0])
-    current = list(table)
-    for r in reversed(point):
+    if vectorised(field) and len(table) >= _NP_MIN:
+        current = _f61.as_f61(table)
+    else:
+        current = to_ints(table)
+    for r in reversed(to_ints(point)):
         current = fold_table(field, current, r)
-    return current[0] % field.modulus
+    return int(current[0]) % field.modulus
 
 
 # -- vector serialization ----------------------------------------------------
@@ -732,7 +689,7 @@ def evaluate_table(
 
 def _reference_pack_vector(field: PrimeField, values: Sequence[int]) -> bytes:
     """The original per-element serialization loop."""
-    return b"".join(field.to_bytes(v) for v in values)
+    return b"".join(field.to_bytes(v) for v in to_ints(values))
 
 
 def pack_vector(field: PrimeField, values: Sequence[int]) -> bytes:
@@ -740,12 +697,11 @@ def pack_vector(field: PrimeField, values: Sequence[int]) -> bytes:
 
     For 8-byte fields (the default M61) a whole vector packs as one
     ``uint64`` array dump — byte-for-byte what per-element ``to_bytes``
-    produces.  Non-canonical or oversized inputs fall back to the
-    reference path, which reduces mod p exactly like ``to_bytes``.
+    produces, and free of conversion when ``values`` already is an array.
+    Non-canonical or oversized inputs fall back to the reference path,
+    which reduces mod p exactly like ``to_bytes``.
     """
-    if not kernels_enabled():
-        return _reference_pack_vector(field, values)
-    if _np is not None and field.byte_length == 8 and values:
+    if kernels_enabled() and field.byte_length == 8 and len(values):
         try:
             arr = _np.asarray(values, dtype="<u8")
         except (OverflowError, TypeError):

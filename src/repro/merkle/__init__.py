@@ -1,7 +1,8 @@
 """Merkle tree module (system S3 in DESIGN.md; paper §2.2, §3.1).
 
 * :class:`MerkleTree` — full tree, authentication paths.
-* :class:`MerklePath` — verifiable openings.
+* :class:`MerklePath` — verifiable openings; :func:`compute_roots` folds
+  many same-depth paths level by level through batched compressions.
 * :func:`merkle_root_streaming` — the paper's layer-streaming construction.
 * Layer-size / hash-count helpers consumed by the pipeline scheduler.
 """
@@ -11,7 +12,7 @@ from .multiproof import (
     individual_paths_size,
     open_multi,
 )
-from .proof import MerklePath
+from .proof import MerklePath, compute_roots
 from .tree import (
     BLOCK_SIZE,
     MerkleTree,
@@ -25,6 +26,7 @@ from .tree import (
 __all__ = [
     "MerkleTree",
     "MerklePath",
+    "compute_roots",
     "MerkleMultiProof",
     "open_multi",
     "individual_paths_size",

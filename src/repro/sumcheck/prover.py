@@ -23,18 +23,10 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..errors import SumcheckError
+from ..field.fast61 import to_ints
 from ..field.multilinear import MultilinearPolynomial
 from ..field.prime_field import PrimeField
 from ..kernels import field_kernels as _kernels
-from ..kernels.dispatch import kernels_enabled
-
-try:
-    import numpy as _np
-
-    from ..field import fast61 as _f61
-except ImportError:  # pragma: no cover - numpy is part of the base image
-    _np = None
-    _f61 = None
 
 
 def prove_multilinear(
@@ -56,7 +48,7 @@ def prove_multilinear(
     if len(randoms) != n:
         raise SumcheckError(f"need {n} random numbers, got {len(randoms)}")
     p = field.modulus
-    a = [v % p for v in table]
+    a = [v % p for v in to_ints(table)]
     proof: List[Tuple[int, int]] = []
     for i in range(n):
         half = 1 << (n - i - 1)
@@ -90,7 +82,7 @@ class MultilinearSumcheckProver:
             )
         self.field = field
         self.num_vars = n
-        self._table = [v % field.modulus for v in table]
+        self._table = [v % field.modulus for v in to_ints(table)]
         self._round = 0
         self.claimed_sum = sum(self._table) % field.modulus
 
@@ -154,26 +146,14 @@ class ProductSumcheckProver:
         self.num_vars = n
         self.degree = len(factors)
         p = field.modulus
-        tables = None
-        if (
-            _f61 is not None
-            and kernels_enabled()
-            and p == _f61._P61_INT
-            and self.degree == 2
-            and length >= 32
-        ):
-            # Array state for the SNARK's two-factor sum-check: tables stay
-            # uint64 arrays across every round (the generic-degree round
-            # loop below is pure Python, so higher degrees keep lists).
-            try:
-                tables = [_np.asarray(f, dtype=_np.uint64) for f in factors]
-                tables = [
-                    a % _f61.P61 if (a >= _f61.P61).any() else a for a in tables
-                ]
-            except (OverflowError, TypeError, ValueError):
-                tables = None  # negative / oversized entries: int path
-        if tables is None:
-            tables = [[v % p for v in f] for f in factors]
+        if self.degree == 2:
+            # The SNARK's two-factor sum-check: uint64 arrays across every
+            # round on the Mersenne-61 fast path (adopted without a copy).
+            # The generic-degree round loop below is pure Python, so
+            # higher degrees keep int lists.
+            tables = _kernels.sumcheck_tables(field, factors)
+        else:
+            tables = [[v % p for v in to_ints(f)] for f in factors]
         self._tables = tables
         self._round = 0
         self.claimed_sum = self._product_sum()
@@ -266,7 +246,7 @@ def evaluation_point(randoms: Sequence[int]) -> List[int]:
 
 def hypercube_sum(field: PrimeField, table: Sequence[int]) -> int:
     """The value ``H`` that a sum-check proof attests to."""
-    return sum(table) % field.modulus
+    return sum(to_ints(table)) % field.modulus
 
 
 def table_of(poly: MultilinearPolynomial) -> List[int]:

@@ -8,6 +8,7 @@ from repro.commitment import BrakedownPCS, split_num_vars
 from repro.errors import CommitmentError
 from repro.field import DEFAULT_FIELD, MultilinearPolynomial
 from repro.hashing import Transcript
+from repro.merkle import MerklePath
 
 F = DEFAULT_FIELD
 
@@ -174,6 +175,85 @@ class TestOpenVerify:
         proof = pcs.open(state, pt, Transcript(b"t"))
         bad = dataclasses.replace(proof, evaluation_row=proof.evaluation_row[:-1])
         assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
+
+    def _with_path(self, proof, position, path):
+        """``proof`` with the Merkle path of one opened column replaced."""
+        columns = list(proof.columns)
+        columns[position] = dataclasses.replace(columns[position], path=path)
+        return dataclasses.replace(proof, columns=columns)
+
+    def _opened(self, committed, pcs, rng):
+        ml, com, state = committed
+        pt = F.rand_vector(8, rng)
+        proof = pcs.open(state, pt, Transcript(b"t"))
+        assert len(proof.columns) > 2
+        assert pcs.verify(com, pt, ml.evaluate(pt), proof, Transcript(b"t"))
+        return com, pt, ml.evaluate(pt), proof
+
+    def test_tampered_path_sibling_rejected(self, committed, pcs, rng):
+        """Every level of every opened path is bound by the batched fold."""
+        com, pt, value, proof = self._opened(committed, pcs, rng)
+        for position, opening in enumerate(proof.columns):
+            for level in range(opening.path.depth):
+                sib = list(opening.path.siblings)
+                sib[level] = bytes(32)
+                bad = self._with_path(
+                    proof, position, dataclasses.replace(opening.path, siblings=sib)
+                )
+                assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
+
+    def test_tampered_path_leaf_rejected(self, committed, pcs, rng):
+        com, pt, value, proof = self._opened(committed, pcs, rng)
+        for position, opening in enumerate(proof.columns):
+            bad = self._with_path(
+                proof, position, dataclasses.replace(opening.path, leaf=bytes(32))
+            )
+            assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
+
+    def test_path_index_mismatch_rejected(self, committed, pcs, rng):
+        com, pt, value, proof = self._opened(committed, pcs, rng)
+        for position, opening in enumerate(proof.columns):
+            moved = dataclasses.replace(opening.path, index=opening.index ^ 1)
+            bad = self._with_path(proof, position, moved)
+            assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
+
+    def test_swapped_paths_rejected(self, committed, pcs, rng):
+        """Valid paths of the same tree, attached to the wrong columns."""
+        com, pt, value, proof = self._opened(committed, pcs, rng)
+        bad = self._with_path(proof, 0, proof.columns[1].path)
+        bad = self._with_path(bad, 1, proof.columns[0].path)
+        assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
+
+    def test_ragged_path_depth_rejected(self, committed, pcs, rng):
+        """A path of another depth is a typed ``False``, not an exception."""
+        com, pt, value, proof = self._opened(committed, pcs, rng)
+        path = proof.columns[0].path
+        for siblings in (path.siblings[:-1], path.siblings + [bytes(32)]):
+            index = path.index % (1 << len(siblings))
+            short = MerklePath(index=index, leaf=path.leaf, siblings=siblings)
+            bad = self._with_path(proof, 0, short)
+            assert pcs.verify(com, pt, value, bad, Transcript(b"t")) is False
+
+    def test_missing_path_rejected(self, committed, pcs, rng):
+        com, pt, value, proof = self._opened(committed, pcs, rng)
+        bad = self._with_path(proof, len(proof.columns) - 1, None)
+        assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
+
+    def test_single_opened_column_roundtrip(self, rng):
+        """One opened column takes the single-path fallback of the fold."""
+        one = BrakedownPCS(F, num_vars=6, seed=3, num_col_checks=1)
+        ml = MultilinearPolynomial.random(F, 6, rng)
+        com, state = one.commit(ml.evals)
+        pt = F.rand_vector(6, rng)
+        proof = one.open(state, pt, Transcript(b"t"))
+        assert len(proof.columns) == 1
+        assert one.verify(com, pt, ml.evaluate(pt), proof, Transcript(b"t"))
+        sib = list(proof.columns[0].path.siblings)
+        sib[0] = bytes(32)
+        bad = self._with_path(
+            proof, 0, dataclasses.replace(proof.columns[0].path, siblings=sib)
+        )
+        assert not one.verify(com, pt, ml.evaluate(pt), bad, Transcript(b"t"))
 
     def test_substituted_commitment_rejected(self, pcs, rng):
         """Open against one polynomial, verify against another's root."""

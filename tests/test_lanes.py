@@ -387,6 +387,28 @@ class TestLaneBackend:
         assert [r.task_id for r in stats.records] == list(range(7))
         assert all(r.attempts == 1 for r in stats.records)
 
+    def test_ragged_final_group_is_proved_at_its_own_width(self):
+        """No pad lanes: 7 tasks at width 4 are a 4-lane and a 3-lane
+        dispatch, and a width wider than the batch is one short dispatch."""
+        spec, tasks = _make_spec_and_tasks(F, 24, 7)
+        serial, _ = resolve_backend("serial").prove_tasks(spec, tasks)
+        prover = spec.build_prover()
+        real, widths = prover.prove_lanes, []
+
+        def spy(witnesses, publics):
+            widths.append(len(witnesses))
+            return real(witnesses, publics)
+
+        prover.prove_lanes = spy
+        for lane_width, want in ((4, [4, 3]), (16, [7])):
+            backend = LanedBackend(lane_width)
+            backend.adopt_prover(spec, prover)
+            del widths[:]
+            laned, stats = backend.prove_tasks(spec, tasks)
+            assert widths == want
+            assert _wire(F, laned) == _wire(F, serial)
+            assert len(stats.records) == 7
+
     def test_auto_width_matches_serial(self):
         spec, tasks = _make_spec_and_tasks(F, 24, 5)
         serial, _ = resolve_backend("serial").prove_tasks(spec, tasks)
