@@ -38,6 +38,11 @@ def _report(row: dict) -> None:
             f"{name} {seconds * 1e3:.1f}ms" for name, seconds in stages.items()
         )
         print(f"[stages]    {mode:9s} {split}")
+    print(
+        f"[hashing]   compress_layer per node: "
+        f"{row['compress_us_per_node_64']:.2f} us at 64 blocks (SWAR), "
+        f"{row['compress_us_per_node_4096']:.2f} us at 4096 (wide)"
+    )
 
 
 if __name__ == "__main__":

@@ -31,6 +31,13 @@ def _report(row: dict) -> None:
         f"[lanes]     throughput: serial {row['serial_throughput']:.1f} "
         f"proofs/s -> laned {row['laned_throughput']:.1f} proofs/s"
     )
+    print(
+        f"[lanes]     default prove_all, {row['default_gates']} gates x "
+        f"{row['default_tasks']} tasks: serial "
+        f"{row['default_serial_throughput']:.1f} proofs/s -> default "
+        f"{row['default_throughput']:.1f} proofs/s "
+        f"({row['default_over_serial']:.2f}x)"
+    )
 
 
 if __name__ == "__main__":

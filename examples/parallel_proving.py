@@ -48,7 +48,7 @@ def main() -> None:
 
     print(f"=== Serial baseline ({TASKS} tasks, S = {GATES}) ===")
     batch = BatchProver(prover)
-    proofs, stats = batch.prove_all(tasks)
+    proofs, stats = batch.prove_all(tasks, backend="serial")
     print(f"  {stats.throughput_per_second:.1f} proofs/s, "
           f"all verify: {verify_all(verifier, proofs, tasks)}\n")
 

@@ -116,7 +116,7 @@ def _fold_lanes(selector, lanes, workers: int):
     """
     if lanes is None:
         return selector
-    from .execution import AUTO_LANE_WIDTH, lane_selector
+    from .execution import AUTO_LANE_CAP, lane_selector
 
     if lanes != "auto":
         try:
@@ -131,7 +131,7 @@ def _fold_lanes(selector, lanes, workers: int):
         return lane_selector(lanes, 1)
     head = selector.split(":", 1)[0].lower()
     if head in ("pool", "pipelined"):
-        width = AUTO_LANE_WIDTH if lanes == "auto" else lanes
+        width = AUTO_LANE_CAP if lanes == "auto" else lanes
         return f"lanes:{width}:{selector}"
     raise SystemExit(
         f"--lanes composes with 'serial', 'pool', or 'pipelined' "

@@ -17,11 +17,14 @@ returns an immutable-by-convention *snapshot* that later runs do not
 touch.
 
 Execution is delegated to the unified backend layer
-(:mod:`repro.execution`): ``workers > 1`` selects the process-pool
-backend, and any :class:`~repro.execution.ProvingBackend` — or selector
-string like ``"sharded:pool:4,pool:4"`` — can be passed explicitly; the
-richer per-run report (percentile latencies, retries, utilization) then
-lands in :attr:`BatchProver.last_runtime_stats`.
+(:mod:`repro.execution`).  A batch is proved as lane groups
+(``"lanes:auto"``: same-circuit tasks in lockstep, groups sized by
+working set, byte-identical to one-at-a-time proving) unless the caller
+names a backend: ``workers > 1`` selects the process pool, and any
+:class:`~repro.execution.ProvingBackend` or selector string
+(``"serial"``, ``"sharded:pool:4,pool:4"``) can be passed explicitly.
+The per-run report (percentile latencies, retries, utilization) lands in
+:attr:`BatchProver.last_runtime_stats`.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ class BatchStats:
 
     proofs_generated: int = 0
     total_seconds: float = 0.0
+    #: A proof of a lane group is billed the group's wall time / lanes.
     per_proof_seconds: List[float] = dc_field(default_factory=list)
 
     @property
@@ -105,7 +109,8 @@ class BatchProver:
     Args:
         prover:  The fixed-instance SNARK prover.
         workers: Default worker count for :meth:`prove_all`; ``1`` proves
-                 inline, ``> 1`` shards across a process pool.
+                 inline (lane groups on this prover), ``> 1`` shards
+                 across a process pool.
         backend: Default execution backend — a selector string
                  (``"serial"``, ``"pool:8"``, ``"sharded:pool:4,pool:4"``)
                  or a :class:`~repro.execution.ProvingBackend` instance.
@@ -123,8 +128,7 @@ class BatchProver:
         self.backend = backend
         self.stats = BatchStats()
         #: The :class:`~repro.runtime.RuntimeStats` of the most recent
-        #: backend-routed run (None until a parallel or explicit-backend
-        #: batch completes).
+        #: :meth:`prove_all` (None until one completes).
         self.last_runtime_stats: Optional["RuntimeStats"] = None
         self._spec = None  # lazy ProverSpec, derived once per prover
 
@@ -145,37 +149,24 @@ class BatchProver:
         effective_backend = backend if backend is not None else self.backend
         effective_workers = self.workers if workers is None else workers
         self.stats.reset()
-        if effective_backend is not None:
-            proofs = self._prove_all_backend(tasks, effective_backend)
-        elif effective_workers > 1 and len(tasks) > 1:
-            proofs = self._prove_all_backend(
-                tasks, f"pool:{effective_workers}"
-            )
-        else:
-            proofs = self._prove_all_serial(tasks)
+        if effective_backend is None:
+            if effective_workers > 1 and len(tasks) > 1:
+                effective_backend = f"pool:{effective_workers}"
+            else:
+                effective_backend = "lanes:auto"
+        proofs = self._prove_all_backend(tasks, effective_backend)
         return proofs, self.stats.snapshot()
-
-    def _prove_all_serial(self, tasks: Sequence[ProofTask]) -> List[SnarkProof]:
-        proofs: List[SnarkProof] = []
-        batch_start = time.perf_counter()
-        for task in tasks:
-            start = time.perf_counter()
-            proofs.append(self.prover.prove(task.witness, task.public_values))
-            self.stats.per_proof_seconds.append(time.perf_counter() - start)
-        self.stats.total_seconds = time.perf_counter() - batch_start
-        self.stats.proofs_generated = len(proofs)
-        return proofs
 
     def _prove_all_backend(
         self, tasks: Sequence[ProofTask], backend: "BackendLike"
     ) -> List[SnarkProof]:
-        from ..execution import SerialBackend, resolve_backend
+        from ..execution import LanedBackend, SerialBackend, resolve_backend
         from ..runtime import ProverSpec
 
         resolved = resolve_backend(backend)
         if self._spec is None:
             self._spec = ProverSpec.from_prover(self.prover)
-        if isinstance(resolved, SerialBackend):
+        if isinstance(resolved, (SerialBackend, LanedBackend)):
             # Reuse the live prover instead of rebuilding it from the spec.
             resolved.adopt_prover(self._spec, self.prover)
         proofs, runtime_stats = resolved.prove_tasks(self._spec, tasks)

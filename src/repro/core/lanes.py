@@ -66,7 +66,7 @@ class LanedProof:
         witnesses: Sequence[Sequence[int]],
         public_values_list: Sequence[Sequence[int]],
     ):
-        witnesses = [list(w) for w in witnesses]
+        witnesses = list(witnesses)
         public_values_list = [list(pv) for pv in public_values_list]
         if not witnesses:
             raise ProofError("a lane-group needs at least one witness")
@@ -201,7 +201,9 @@ class LanedProof:
                 for lane in range(lanes)
             ]
             eq = _kernels.eq_table_lanes(field, taus)
+            # Taken off the instance: the first fold frees the full tables.
             az, bz, cz = self._az, self._bz, self._cz
+            del self._az, self._bz, self._cz
             claimed = _kernels.constraint_claimed_sum(field, eq, az, bz, cz)
             if any(claimed):
                 raise ProofError(

@@ -328,7 +328,20 @@ class R1CS:
     def mle_evals_abc(
         self, point_x: Sequence[int], point_y: Sequence[int]
     ) -> Tuple[int, int, int]:
-        """Evaluate Ã, B̃, C̃ at ``(point_x, point_y)`` (verifier's check)."""
+        """Evaluate Ã, B̃, C̃ at ``(point_x, point_y)`` (verifier's check).
+
+        On the Mersenne-61 fast path each matrix is one pass of ``eq_x``
+        through its transposed edge set (the prover's
+        :meth:`combined_row_table` route) and a dot product with ``eq_y``;
+        :meth:`mle_eval` is the reference twin and the other fields' path.
+        """
+        if self._use_f61():
+            eq_x = _kernels.eq_table(self.field, point_x)
+            eq_y = _kernels.eq_table(self.field, point_y)
+            return tuple(
+                _f61.f61_dot(op.apply(eq_x), eq_y)
+                for op in self._f61_ops(transpose=True)
+            )
         eq_x = eq_table(self.field, point_x)
         eq_y = eq_table(self.field, point_y)
         return (

@@ -36,6 +36,9 @@ class SnarkVerifier:
         self.pcs = pcs or make_pcs(self.field, r1cs)
         self.public_indices = list(public_indices or [])
         self._r1cs_digest = r1cs.digest()
+        # The matrix check runs through the vectorised edge sets; build
+        # them now (a no-op when a prover on this R1CS already has).
+        r1cs.prepare_f61()
 
     def verify(self, proof: SnarkProof, public_values: Sequence[int]) -> bool:
         """Return True iff ``proof`` validates against ``public_values``."""

@@ -26,7 +26,8 @@ from .backend import (
     ShardedBackend,
 )
 from .laned import (
-    AUTO_LANE_WIDTH,
+    AUTO_LANE_BUDGET,
+    AUTO_LANE_CAP,
     LanedBackend,
     lane_selector,
     resolve_lane_width,
@@ -81,7 +82,8 @@ terminal.
 """
 
 __all__ = [
-    "AUTO_LANE_WIDTH",
+    "AUTO_LANE_BUDGET",
+    "AUTO_LANE_CAP",
     "LanedBackend",
     "PipelinedBackend",
     "PoolBackend",

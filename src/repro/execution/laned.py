@@ -16,7 +16,9 @@ Grouping and parity:
   the S24 seam already groups per spec, so lane groups are just
   contiguous ``lane_width``-sized windows of the task list.
 * The ragged final group is proved at its own width — numpy has no
-  fixed launch geometry, so a short group costs a short dispatch.
+  fixed launch geometry, so a short group costs a short dispatch — and
+  a group of one by the scalar ``prove``.  ``lanes:auto``, which is also
+  ``BatchProver.prove_all``'s default, sizes groups by working set.
 * Proofs are byte-identical to :class:`~repro.execution.SerialBackend`
   lane for lane — each lane keeps its own transcript; only the array
   arithmetic is shared (see :mod:`repro.core.lanes`).
@@ -43,6 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.batch import ProofTask
 from ..core.proof import SnarkProof
 from ..errors import ExecutionError, ProofError
+from ..kernels.field_kernels import vectorised
 from ..kernels.profile import collect_stages
 from ..kernels.spec_cache import default_spec_cache
 from ..runtime.spec import ProverSpec
@@ -52,28 +55,37 @@ from .backend import _PerSpecCache, _span_for
 
 __all__ = [
     "LanedBackend",
-    "AUTO_LANE_WIDTH",
+    "AUTO_LANE_CAP",
+    "AUTO_LANE_BUDGET",
     "lane_selector",
     "resolve_lane_width",
 ]
 
-#: Widest group ``lanes:auto`` will form.  64 lanes is past the knee of
-#: the amortization curve at bench sizes (see benchmarks/bench_lanes.py)
-#: while keeping the per-group working set modest.
-AUTO_LANE_WIDTH = 64
+#: ``lanes:auto`` sizing (measured in docs/PERFORMANCE.md §9).  A group's
+#: stacked witness table holds at most ``AUTO_LANE_BUDGET`` field
+#: elements — past that the ``[lanes, n]`` operands leave the cache and
+#: lanes stop beating the scalar prover — and no group is wider than
+#: ``AUTO_LANE_CAP``: wider still gains a little speed at small circuits
+#: but costs ≈ 0.24 MiB of peak memory per lane.
+AUTO_LANE_CAP = 16
+AUTO_LANE_BUDGET = 1 << 17
 
 
-def resolve_lane_width(width, n_tasks: int) -> int:
-    """Concrete lane count for a batch: ``"auto"`` adapts to the batch.
+def resolve_lane_width(
+    width, n_tasks: int, padded_vars: int, fast_path: bool = True
+) -> int:
+    """Concrete lane count for a batch of ``n_tasks`` over one circuit.
 
-    ``width`` is an integer lane count or the string ``"auto"``.
-
-    ``auto`` never pads a batch smaller than the cap — it shrinks to the
-    batch size instead, so a 3-task batch is one 3-lane dispatch rather
-    than a 64-lane dispatch proving 61 discarded pads.
+    ``width`` is an integer lane count, taken as given, or ``"auto"``:
+    ``min(AUTO_LANE_CAP, AUTO_LANE_BUDGET // padded_vars, n_tasks)``, at
+    least 1 — sized by the working set and never wider than the batch.
+    Off the vectorised Mersenne-61 ``fast_path`` lanes only run in
+    lockstep, so ``auto`` is 1 there; a width-1 group is proved by the
+    scalar prover.
     """
     if width == "auto":
-        return max(1, min(AUTO_LANE_WIDTH, n_tasks))
+        budget = AUTO_LANE_BUDGET // padded_vars if fast_path else 1
+        return max(1, min(AUTO_LANE_CAP, budget, n_tasks))
     width = int(width)
     if width < 1:
         raise ExecutionError(f"lane width must be >= 1, got {width}")
@@ -85,12 +97,12 @@ def lane_selector(lanes, workers: int = 1) -> str:
 
     ``lanes`` is an integer width or ``"auto"``; the pooled composition
     needs a concrete chunk size, so ``"auto"`` hardens to
-    :data:`AUTO_LANE_WIDTH` there.  This is the one place the CLI and
+    :data:`AUTO_LANE_CAP` there.  This is the one place the CLI and
     the services translate a ``--lanes`` request into grammar, so they
     all spell the composition identically.
     """
     if workers > 1:
-        width = AUTO_LANE_WIDTH if lanes == "auto" else int(lanes)
+        width = AUTO_LANE_CAP if lanes == "auto" else int(lanes)
         return f"lanes:{width}:pool:{workers}"
     return f"lanes:{lanes}"
 
@@ -98,11 +110,11 @@ def lane_selector(lanes, workers: int = 1) -> str:
 class LanedBackend:
     """Prove same-circuit tasks in lockstep lanes (S31).
 
-    ``lane_width`` is the group size (``"auto"`` sizes from the batch,
-    capped at :data:`AUTO_LANE_WIDTH`).  Execution is in-process and
-    serial across groups — parallel substrates compose around it
-    (``lanes:8:pool:4`` gives each pool worker a lane-group per
-    dispatch) or outside it (``resilient:lanes:8``).
+    ``lane_width`` is the group size (``"auto"`` sizes it from the batch
+    and the circuit, see :func:`resolve_lane_width`).  Execution is
+    in-process and serial across groups — parallel substrates compose
+    around it (``lanes:8:pool:4`` gives each pool worker a lane-group
+    per dispatch) or outside it (``resilient:lanes:8``).
     """
 
     def __init__(
@@ -148,7 +160,10 @@ class LanedBackend:
         prover = self._provers.get_or_build(
             spec, lambda s: default_spec_cache().get_prover(s)
         )
-        width = resolve_lane_width(self.lane_width, len(tasks))
+        width = resolve_lane_width(
+            self.lane_width, len(tasks), prover.r1cs.padded_vars,
+            vectorised(prover.field),
+        )
         stats = RuntimeStats(workers=1)
         start = time.perf_counter()
         ctx.emit(
@@ -211,19 +226,27 @@ class LanedBackend:
     ) -> Tuple[List[SnarkProof], float, dict, List[int]]:
         """One fused lane dispatch; falls back to per-task on failure.
 
-        Returns ``(proofs, wall_seconds, stage_dict, attempts)`` with one
+        A group of one (a 1-task batch, a ragged tail, a circuit too
+        large for two lanes) goes to the scalar ``prove``: same bytes,
+        without the 1.05-1.4x cost of ``[1, n]`` lane arrays.  Returns
+        ``(proofs, wall_seconds, stage_dict, attempts)`` with one
         proof/attempt per task.
         """
         injector = self.fault_injector
-        witnesses = [task.witness for task in group]
-        publics = [task.public_values for task in group]
         try:
             if injector is not None:
                 for task in group:
                     injector(task.task_id, 1)
             t0 = time.perf_counter()
             with collect_stages() as profile:
-                lane_proofs = prover.prove_lanes(witnesses, publics)
+                if len(group) == 1:
+                    (task,) = group
+                    lane_proofs = [prover.prove(task.witness, task.public_values)]
+                else:
+                    lane_proofs = prover.prove_lanes(
+                        [task.witness for task in group],
+                        [task.public_values for task in group],
+                    )
             wall = time.perf_counter() - t0
             return lane_proofs, wall, profile.as_dict(), [1] * len(group)
         except Exception as exc:

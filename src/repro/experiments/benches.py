@@ -68,6 +68,21 @@ def _time_proofs(prover, witness, public_values, reps):
     return proof, best_seconds, best_stages
 
 
+def _compress_us_per_node(blocks: int, reps: int = 5) -> float:
+    """Best-of-``reps`` µs per node of one ``compress_layer`` call."""
+    from ..hashing import get_hasher
+
+    hasher = get_hasher("sha256-hw")
+    layer = hasher.hash_many([i.to_bytes(4, "little") for i in range(2 * blocks)])
+    best = None
+    for _ in range(reps):
+        start = time.perf_counter()
+        hasher.compress_layer(layer)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best * 1e6 / blocks
+
+
 def run_hotpath(gates: int = 4096, reps: int = 3) -> dict:
     """Fast vs reference single-proof time on one circuit; asserts byte
     identity of the two serialized proofs."""
@@ -103,6 +118,10 @@ def run_hotpath(gates: int = 4096, reps: int = 3) -> dict:
         "gates": gates,
         "reps": reps,
         "hasher": spec.hasher_name,
+        # One Merkle layer per call: 64 blocks is the SWAR tier, 4096
+        # the wide numpy tier of ``hash_kernels``.
+        "compress_us_per_node_64": _compress_us_per_node(64),
+        "compress_us_per_node_4096": _compress_us_per_node(4096),
         "reference_seconds": ref_seconds,
         "fast_seconds": fast_seconds,
         # Best of ``reps`` on a prover whose set-up ran at construction:
@@ -153,31 +172,69 @@ def _setup_distinct_tasks(gates: int, tasks: int, seed: int = 7):
     return cc, spec, task_list
 
 
-def run_lanes(gates: int = 256, lanes: int = 64, reps: int = 2) -> dict:
+def _best_wall(prove, reps: int):
+    """Best-of-``reps`` wall seconds of ``prove()`` and its proofs' bytes."""
+    best_seconds = None
+    for _ in range(reps):
+        start = time.perf_counter()
+        proofs = prove()
+        seconds = time.perf_counter() - start
+        if best_seconds is None or seconds < best_seconds:
+            best_seconds = seconds
+    return best_seconds, [serialize_proof(p, DEFAULT_FIELD) for p in proofs]
+
+
+def _default_over_serial(gates: int, tasks: int, reps: int) -> dict:
+    """Default ``BatchProver.prove_all`` (no selector: working-set-sized
+    lane groups) vs ``backend="serial"`` on one distinct-witness batch."""
+    _, spec, task_list = _setup_distinct_tasks(gates, tasks)
+    batch = BatchProver(spec.build_prover())
+    serial_seconds, serial_wire = _best_wall(
+        lambda: batch.prove_all(task_list, backend="serial")[0], reps
+    )
+    default_seconds, default_wire = _best_wall(
+        lambda: batch.prove_all(task_list)[0], reps
+    )
+    assert default_wire == serial_wire, (
+        "default prove_all diverged from serial bytes"
+    )
+    return {
+        "default_gates": gates,
+        "default_tasks": tasks,
+        "default_serial_throughput": tasks / serial_seconds,
+        "default_throughput": tasks / default_seconds,
+        "default_over_serial": serial_seconds / default_seconds,
+    }
+
+
+def run_lanes(
+    gates: int = 256,
+    lanes: int = 64,
+    reps: int = 2,
+    default_gates: int = 1 << 10,
+    default_tasks: int = 64,
+) -> dict:
     """Serial vs lane-vectorized proving of one ``lanes``-task batch.
 
     Measures best-of-``reps`` wall time for ``serial`` and for
     ``lanes:<lanes>`` on the same distinct-witness batch, asserts the
     laned proofs are byte-identical to serial lane for lane, and
     reports ``lane_speedup`` — the metric the registered
-    ``lane_speedup >= 2.0`` guard watches in CI.
+    ``lane_speedup >= 2.0`` guard watches in CI.  A second batch of
+    ``default_tasks`` tasks at ``default_gates`` gates runs the *default*
+    ``BatchProver.prove_all`` against ``backend="serial"`` and reports
+    ``default_over_serial`` (guard ``>= 1.8``).
     """
     from ..execution import resolve_backend
 
     _, spec, task_list = _setup_distinct_tasks(gates, lanes)
 
     def best_of(selector: str):
-        best_seconds = None
-        wire = None
-        for _ in range(reps):
-            backend = resolve_backend(selector)
-            start = time.perf_counter()
-            proofs, _stats = backend.prove_tasks(spec, task_list)
-            seconds = time.perf_counter() - start
-            if best_seconds is None or seconds < best_seconds:
-                best_seconds = seconds
-                wire = [serialize_proof(p, DEFAULT_FIELD) for p in proofs]
-        return best_seconds, wire
+        # A fresh backend per repetition, as a one-shot caller pays it.
+        return _best_wall(
+            lambda: resolve_backend(selector).prove_tasks(spec, task_list)[0],
+            reps,
+        )
 
     serial_seconds, serial_wire = best_of("serial")
     laned_seconds, laned_wire = best_of(f"lanes:{lanes}")
@@ -195,6 +252,7 @@ def run_lanes(gates: int = 256, lanes: int = 64, reps: int = 2) -> dict:
         "laned_throughput": lanes / laned_seconds,
         "byte_identical": True,
         "proof_bytes": len(laned_wire[0]),
+        **_default_over_serial(default_gates, default_tasks, reps),
     }
 
 
@@ -842,7 +900,9 @@ def run_scaling(
     spec = ProverSpec.from_prover(prover)
 
     serial_start = time.perf_counter()
-    serial_proofs, serial_stats = BatchProver(prover).prove_all(task_list)
+    serial_proofs, serial_stats = BatchProver(prover).prove_all(
+        task_list, backend="serial"
+    )
     serial_seconds = time.perf_counter() - serial_start
 
     runtime = ParallelProvingRuntime(spec, workers=workers, chunk_size=2)

@@ -233,6 +233,26 @@ _EXTENSION_SPECS = [
                 description="fast kernels must beat reference by ≥1.2x "
                 "(legacy --min-speedup)",
             ),
+            # Loose ceilings (5x the measured 6.5 / 0.8 µs) that a fallen
+            # tier would still break — SWAR on 4096 blocks reads ≥ 4.5,
+            # the scalar loop ≈ 100 — and that give the trend gate a
+            # direction for both metrics.
+            Guard(
+                name="compress_swar_tier",
+                metric="compress_us_per_node_64",
+                op="<=",
+                threshold=30.0,
+                description="a 64-block Merkle layer (SWAR tier) costs "
+                "≤30 µs per node",
+            ),
+            Guard(
+                name="compress_wide_tier",
+                metric="compress_us_per_node_4096",
+                op="<=",
+                threshold=4.0,
+                description="a 4096-block Merkle layer (wide numpy tier) "
+                "costs ≤4 µs per node",
+            ),
         ),
         # Full mode runs at 2^16 gates so the ledger's ``warm_proof_ms``
         # trajectory is at a size the paper cares about.
@@ -253,6 +273,15 @@ _EXTENSION_SPECS = [
                 threshold=2.0,
                 description="lane-vectorized proving must beat serial by "
                 "≥2x at 256 gates × 64 lanes",
+            ),
+            Guard(
+                name="default_over_serial",
+                metric="default_over_serial",
+                op=">=",
+                threshold=1.8,
+                description="default BatchProver.prove_all (lane groups "
+                "sized by working set) must beat backend='serial' by ≥1.8x "
+                "at 2^10 gates × 64 tasks",
             ),
         ),
         full_params={"gates": 256, "lanes": 64, "reps": 3},

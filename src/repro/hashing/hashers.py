@@ -36,9 +36,10 @@ class Hasher:
     exposes the batched forms the Merkle pipeline stages actually issue —
     ``hash_many`` (a layer of leaves per call) and ``compress_layer`` (a
     layer of interior nodes per call).  Backends that support batching
-    (the SWAR SHA-256 kernels) plug in ``hash_many``/``compress_pairs``
-    callables; everything else falls back to the scalar loop, so the two
-    forms are always byte-identical.
+    (the SHA-256 kernels of :mod:`repro.kernels.hash_kernels`) plug in
+    ``hash_many``/``compress_pairs`` callables — ``compress_pairs`` takes
+    the whole layer as one contiguous buffer; everything else falls back
+    to the scalar loop, so the two forms are always byte-identical.
     """
 
     __slots__ = ("name", "_hash_bytes", "_compress", "_hash_many", "_compress_pairs", "_zero_digests")
@@ -49,7 +50,7 @@ class Hasher:
         hash_bytes: Callable[[bytes], bytes],
         compress: Callable[[bytes, bytes], bytes],
         hash_many: Optional[Callable[[Sequence[bytes]], List[bytes]]] = None,
-        compress_pairs: Optional[Callable[[Sequence[bytes]], List[bytes]]] = None,
+        compress_pairs: Optional[Callable[[bytes], List[bytes]]] = None,
     ):
         self.name = name
         self._hash_bytes = hash_bytes
@@ -86,8 +87,9 @@ class Hasher:
         """Compress one even-length Merkle layer into its parent layer.
 
         ``layer[2i], layer[2i+1] → parent[i]``; byte-identical to calling
-        :meth:`compress` per pair, but batched backends (SWAR SHA-256)
-        process the whole layer in wide lanes.
+        :meth:`compress` per pair, but batched backends get the layer
+        joined into one buffer — already its ``left ‖ right`` blocks —
+        and compress all of it in wide lanes.
         """
         if len(layer) % 2:
             raise HashError(f"compress_layer needs an even layer, got {len(layer)}")
@@ -97,9 +99,7 @@ class Hasher:
                     f"compress_layer expects {DIGEST_SIZE}-byte digests, got {len(d)}"
                 )
         if self._compress_pairs is not None:
-            return self._compress_pairs(
-                [layer[i] + layer[i + 1] for i in range(0, len(layer), 2)]
-            )
+            return self._compress_pairs(b"".join(layer))
         compress = self._compress
         return [compress(layer[i], layer[i + 1]) for i in range(0, len(layer), 2)]
 
@@ -170,7 +170,7 @@ def _make_sha256_hw() -> Hasher:
         return compress_block(left + right)
 
     # Interior nodes need the *raw* compression hashlib cannot compute, so
-    # the "hw" hasher also batches them through the SWAR kernel.
+    # the "hw" hasher also batches them through the layer kernel.
     return Hasher(
         "sha256-hw",
         hash_bytes=_hash,

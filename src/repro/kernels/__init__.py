@@ -6,9 +6,9 @@ costs; this package is the functional prover's analogue.  Three pieces:
 * **Batch primitives** — whole-vector field kernels
   (:mod:`~repro.kernels.field_kernels`: sum-check folds, the eq-table
   doubling kernel, coefficient-sparse row combination, encoder SpMV,
-  specialized degree-2/3 round polynomials) and SWAR-batched SHA-256
+  specialized degree-2/3 round polynomials) and batched SHA-256
   (:mod:`~repro.kernels.hash_kernels`: whole Merkle layers compressed
-  per call).  Every kernel has a naive reference twin selected by
+  per call, in numpy lanes when wide and SWAR big ints when narrow).  Every kernel has a naive reference twin selected by
   :func:`use_reference_kernels`, and the fast path is byte-identical.
 * **Setup memoization** — :class:`SpecCache` keys built provers by
   circuit digest + PCS knobs so the batch workload ("one circuit, many
@@ -40,6 +40,7 @@ from .field_kernels import (
 from .hash_kernels import (
     SWAR_MAX_LANES,
     SWAR_MIN_LANES,
+    WIDE_MIN_BLOCKS,
     sha256_compress_many,
     sha256_many,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "sha256_many",
     "SWAR_MIN_LANES",
     "SWAR_MAX_LANES",
+    "WIDE_MIN_BLOCKS",
     # spec cache
     "SpecCache",
     "default_spec_cache",
@@ -113,12 +115,14 @@ this — so proofs serialize to the same bytes either way.  The reference
 path exists for parity testing, for `benchmarks/bench_hotpath.py`'s
 before/after measurement, and for bisecting a suspected kernel bug.
 
-**SWAR SHA-256.** Merkle interior nodes need the *raw* 64-byte block
-compression (no padding), which `hashlib` cannot compute — so batches of
-blocks are packed one 32-bit word per 64-bit big-int lane and compressed
-together; `&`/`|`/`^` act lane-parallel, masked shifts implement
-rotations, and 32 guard bits absorb carries.  ~12x over the scalar loop
-at 64 lanes, byte-identical output.
+**Batched SHA-256.** Merkle interior nodes need the *raw* 64-byte block
+compression (no padding), which `hashlib` cannot compute — so a whole
+layer is compressed per call, the tier picked by the number of blocks:
+from 192 blocks one `uint32[n]` numpy lane per message word and state
+register (≈ 0.95 ms + 0.6 µs per block); from 4 blocks SWAR — one 32-bit
+word per 64-bit big-int lane, `&`/`|`/`^` lane-parallel, masked shifts
+for rotations, 32 guard bits absorbing carries (~24x over the scalar
+loop at 64 lanes); below that the scalar twin.  Byte-identical output.
 
 **SpecCache.** `default_spec_cache().get_prover(spec)` memoizes
 `ProverSpec.build_prover()` by *value* (circuit digest, field modulus,

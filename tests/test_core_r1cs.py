@@ -2,9 +2,19 @@
 
 import pytest
 
-from repro.core import CircuitBuilder, R1CS, compile_builder, next_power_of_two, random_circuit
+from repro.core import (
+    CircuitBuilder,
+    R1CS,
+    SnarkProver,
+    SnarkVerifier,
+    compile_builder,
+    make_pcs,
+    next_power_of_two,
+    random_circuit,
+)
 from repro.errors import CircuitError
-from repro.field import DEFAULT_FIELD, eq_table
+from repro.field import DEFAULT_FIELD, PrimeField, eq_table
+from repro.kernels import use_reference_kernels
 
 F = DEFAULT_FIELD
 
@@ -114,6 +124,51 @@ class TestMleQueries:
         assert ma == F.mul(eq_x[0], eq_y[1])
         assert mb == F.mul(eq_x[0], eq_y[2])
         assert mc == F.mul(eq_x[0], eq_y[3])
+
+    @pytest.mark.parametrize("gates", [5, 48, 300])
+    def test_mle_evals_abc_vectorised_equals_reference(self, gates, rng):
+        """The array route through the transposed edge sets gives the
+        values of the ``mle_eval`` double loop, and plain ints."""
+        r = random_circuit(F, gates, seed=gates).r1cs
+        for _ in range(4):
+            px = F.rand_vector(r.constraint_vars, rng)
+            py = F.rand_vector(r.witness_vars, rng)
+            fast = r.mle_evals_abc(px, py)
+            eq_x, eq_y = eq_table(F, px), eq_table(F, py)
+            assert fast == tuple(
+                r.mle_eval(rows, eq_x, eq_y)
+                for rows in (r.a_rows, r.b_rows, r.c_rows)
+            )
+            with use_reference_kernels():
+                assert r.mle_evals_abc(px, py) == fast
+            assert all(type(v) is int and 0 <= v < F.modulus for v in fast)
+
+    def test_mle_evals_abc_other_fields_use_the_reference(self, rng):
+        small = PrimeField(2**31 - 1, check=False)
+        r = random_circuit(small, 20, seed=3).r1cs
+        px = small.rand_vector(r.constraint_vars, rng)
+        py = small.rand_vector(r.witness_vars, rng)
+        eq_x, eq_y = eq_table(small, px), eq_table(small, py)
+        assert r.mle_evals_abc(px, py) == tuple(
+            r.mle_eval(rows, eq_x, eq_y)
+            for rows in (r.a_rows, r.b_rows, r.c_rows)
+        )
+
+    def test_verifier_builds_the_edge_sets_at_construction(self):
+        """A verifier that never saw a prover is not billed for the edge
+        sets on its first ``verify`` — and still rejects a wrong value."""
+        cc = random_circuit(F, 40, seed=5)
+        pcs = make_pcs(F, cc.r1cs, num_col_checks=4)
+        proof = SnarkProver(
+            random_circuit(F, 40, seed=5).r1cs, pcs,
+            public_indices=cc.public_indices,
+        ).prove(cc.witness, cc.public_values)
+        assert not hasattr(cc.r1cs, "_f61_cols")
+        verifier = SnarkVerifier(cc.r1cs, pcs, public_indices=cc.public_indices)
+        assert hasattr(cc.r1cs, "_f61_cols")
+        assert verifier.verify(proof, cc.public_values)
+        wrong = [(cc.public_values[0] + 1) % F.modulus] + cc.public_values[1:]
+        assert not verifier.verify(proof, wrong)
 
 
 class TestCircuitBuilder:

@@ -20,12 +20,13 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import ProofTask, SnarkVerifier, random_circuit
+from repro.core import BatchProver, ProofTask, SnarkVerifier, random_circuit
 from repro.core.lanes import LanedProof
 from repro.core.prover import PIPELINE_STAGES, make_pcs
 from repro.core.serialize import serialize_proof
 from repro.execution import (
-    AUTO_LANE_WIDTH,
+    AUTO_LANE_BUDGET,
+    AUTO_LANE_CAP,
     LanedBackend,
     lane_selector,
     resolve_backend,
@@ -357,18 +358,41 @@ class TestLanedProofByteIdentity:
 
 class TestLaneBackend:
     def test_resolve_lane_width(self):
-        assert resolve_lane_width("auto", 3) == 3
-        assert resolve_lane_width("auto", 500) == AUTO_LANE_WIDTH
-        assert resolve_lane_width(7, 3) == 7
+        assert resolve_lane_width("auto", 3, 1 << 11) == 3
+        assert resolve_lane_width("auto", 500, 1 << 11) == AUTO_LANE_CAP
+        assert resolve_lane_width(7, 3, 1 << 11) == 7
         with pytest.raises(Exception):
-            resolve_lane_width(0, 3)
+            resolve_lane_width(0, 3, 1 << 11)
+
+    @pytest.mark.parametrize(
+        "padded_vars, n_tasks, width",
+        [
+            (1 << 7, 64, 16),   # small circuits: the cap
+            (1 << 11, 64, 16),  # 2^10 gates
+            (1 << 13, 64, 16),  # 2^12 gates: budget == cap
+            (1 << 14, 64, 8),
+            (1 << 15, 8, 4),    # 2^14 gates
+            (1 << 16, 8, 2),
+            (1 << 17, 3, 1),    # 2^16 gates: too large for two lanes
+            (1 << 20, 64, 1),   # budget // padded_vars == 0 is still 1
+            (1 << 11, 5, 5),    # never wider than the batch
+            (1 << 11, 1, 1),
+            (1 << 11, 0, 1),    # an empty batch still gets a valid step
+        ],
+    )
+    def test_auto_width_rule(self, padded_vars, n_tasks, width):
+        assert AUTO_LANE_BUDGET // AUTO_LANE_CAP == 1 << 13
+        assert resolve_lane_width("auto", n_tasks, padded_vars) == width
+        assert 1 <= width <= max(1, n_tasks)
+        # Off the vectorised M61 path lanes run in lockstep: always 1.
+        assert resolve_lane_width("auto", n_tasks, padded_vars, False) == 1
 
     def test_lane_selector(self):
         assert lane_selector(4) == "lanes:4"
         assert lane_selector("auto") == "lanes:auto"
         assert lane_selector(8, workers=2) == "lanes:8:pool:2"
         assert lane_selector("auto", workers=2) == (
-            f"lanes:{AUTO_LANE_WIDTH}:pool:2"
+            f"lanes:{AUTO_LANE_CAP}:pool:2"
         )
 
     def test_selector_resolves_named_variants(self):
@@ -409,6 +433,31 @@ class TestLaneBackend:
             assert _wire(F, laned) == _wire(F, serial)
             assert len(stats.records) == 7
 
+    def test_width_one_groups_take_the_scalar_prover(self):
+        """A 1-task batch and a ragged tail of one go through ``prove``."""
+        spec, tasks = _make_spec_and_tasks(F, 24, 5)
+        serial, _ = resolve_backend("serial").prove_tasks(spec, tasks)
+        prover = spec.build_prover()
+        real_lanes, real_prove, calls = prover.prove_lanes, prover.prove, []
+        prover.prove_lanes = lambda ws, pvs: (
+            calls.append(len(ws)), real_lanes(ws, pvs)
+        )[1]
+        prover.prove = lambda w, pv: (calls.append("scalar"), real_prove(w, pv))[1]
+        for lane_width, batch, want in (
+            (4, tasks, [4, "scalar"]),
+            ("auto", tasks[:1], ["scalar"]),
+            (1, tasks[:3], ["scalar"] * 3),
+        ):
+            backend = LanedBackend(lane_width)
+            backend.adopt_prover(spec, prover)
+            del calls[:]
+            laned, stats = backend.prove_tasks(spec, batch)
+            assert calls == want
+            assert _wire(F, laned) == _wire(F, serial)[: len(batch)]
+            assert [r.task_id for r in stats.records] == [
+                t.task_id for t in batch
+            ]
+
     def test_auto_width_matches_serial(self):
         spec, tasks = _make_spec_and_tasks(F, 24, 5)
         serial, _ = resolve_backend("serial").prove_tasks(spec, tasks)
@@ -442,3 +491,69 @@ class TestLaneBackend:
         # One fused group: every lane carries the same amortized share.
         assert max(walls) == pytest.approx(min(walls))
         assert sum(walls) <= stats.total_seconds + 1e-6
+
+
+# -- the default batch path: lane groups unless the caller names a backend ----
+
+
+class TestDefaultBatchPath:
+    def test_the_private_serial_loop_is_gone(self):
+        assert not hasattr(BatchProver, "_prove_all_serial")
+
+    @pytest.mark.parametrize("count", [1, 2, 17, 64])
+    def test_default_prove_all_equals_backend_serial(self, count):
+        spec, tasks = _make_spec_and_tasks(F, 24, count)
+        batch = BatchProver(spec.build_prover())
+        serial, _ = batch.prove_all(tasks, backend="serial")
+        proofs, stats = batch.prove_all(tasks)
+        assert _wire(F, proofs) == _wire(F, serial)
+        assert stats.proofs_generated == count
+        assert len(stats.per_proof_seconds) == count
+        assert sum(stats.per_proof_seconds) <= stats.total_seconds + 1e-6
+        # One group's wall is shared evenly by its lanes.
+        first_group = stats.per_proof_seconds[: min(count, AUTO_LANE_CAP)]
+        assert max(first_group) == pytest.approx(min(first_group))
+        assert batch.last_runtime_stats.proofs_generated == count
+
+    def test_default_is_lane_groups_on_the_live_prover(self):
+        spec, tasks = _make_spec_and_tasks(F, 24, AUTO_LANE_CAP + 1)
+        prover = spec.build_prover()
+        real_lanes, real_prove, calls = prover.prove_lanes, prover.prove, []
+        prover.prove_lanes = lambda ws, pvs: (
+            calls.append(len(ws)), real_lanes(ws, pvs)
+        )[1]
+        prover.prove = lambda w, pv: (calls.append("scalar"), real_prove(w, pv))[1]
+        batch = BatchProver(prover)
+        batch.prove_all(tasks)
+        assert calls == [AUTO_LANE_CAP, "scalar"]
+        del calls[:]
+        batch.prove_all(tasks[:3], backend="serial")
+        assert calls == ["scalar"] * 3
+        del calls[:]
+        list(batch.prove_stream(tasks[:2]))
+        assert calls == ["scalar"] * 2
+
+    def test_default_under_reference_kernels(self):
+        spec, tasks = _make_spec_and_tasks(F, 24, 4)
+        batch = BatchProver(spec.build_prover())
+        fast, _ = batch.prove_all(tasks)
+        with use_reference_kernels():
+            serial, _ = batch.prove_all(tasks, backend="serial")
+            proofs, stats = batch.prove_all(tasks)
+        assert _wire(F, proofs) == _wire(F, serial) == _wire(F, fast)
+        assert len(stats.per_proof_seconds) == 4
+
+    def test_default_on_other_fields_is_scalar(self):
+        field = FIELDS[1]
+        spec, tasks = _make_spec_and_tasks(field, 24, 3)
+        prover = spec.build_prover()
+        prover.prove_lanes = lambda *_: pytest.fail("lanes ran off the M61 path")
+        batch = BatchProver(prover)
+        proofs, _ = batch.prove_all(tasks)
+        serial, _ = batch.prove_all(tasks, backend="serial")
+        assert _wire(field, proofs) == _wire(field, serial)
+
+    def test_empty_batch(self):
+        spec, _ = _make_spec_and_tasks(F, 24, 1)
+        proofs, stats = BatchProver(spec.build_prover()).prove_all([])
+        assert proofs == [] and stats.proofs_generated == 0

@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from repro.core import (
+    BatchProver,
     CircuitBuilder,
     ProofTask,
     SnarkProver,
@@ -412,6 +413,7 @@ class TestChaosParity:
         "pool:2",
         "pipelined:2",
         "lanes:4",
+        "lanes:auto",
         "resilient:lanes:4",
         "sharded:serial,serial",
         "resilient:sharded:serial,serial",
@@ -428,6 +430,13 @@ class TestChaosParity:
         )
         apply_fault_plan(backend, injector, min_retries=4)
         proofs, stats = backend.prove_tasks(spec, tasks)
+        assert _wire(proofs) == fault_free
+        assert stats.proofs_generated == len(tasks)
+
+    def test_default_prove_all_matches_the_oracle(self, setup, fault_free):
+        """The default batch path (lane groups) is part of the sweep."""
+        prover, _, tasks = setup
+        proofs, stats = BatchProver(prover).prove_all(tasks)
         assert _wire(proofs) == fault_free
         assert stats.proofs_generated == len(tasks)
 
