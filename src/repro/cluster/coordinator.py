@@ -58,12 +58,12 @@ from ..errors import (
     ClusterError,
     ExecutionError,
 )
-from ..execution.backend import ProvingBackend, _span_for
+from ..execution.backend import ProvingBackend
 from ..execution.sharding import largest_remainder_shares
 from ..resilience.health import OPEN, CLOSED, CircuitBreaker, HealthTracker
 from ..runtime.spec import ProverSpec
 from ..runtime.stats import RuntimeStats, merge_runtime_stats
-from ..runtime.trace import JsonlTraceSink
+from ..runtime.trace import JsonlTraceSink, backend_span
 from .hedging import LatencyTracker, TokenBucket
 from .ring import HashRing
 
@@ -312,7 +312,7 @@ class ClusterBackend:
         parent: Optional[str] = None,
     ) -> Tuple[List[SnarkProof], RuntimeStats]:
         tasks = list(tasks)
-        ctx = _span_for(trace, parent)
+        ctx = backend_span(trace, parent)
         digest = spec.r1cs.digest()
         start = time.perf_counter()
         ctx.emit(

@@ -40,11 +40,11 @@ from ..errors import (
     ProtocolMismatchError,
     QuarantinedTaskError,
 )
-from ..execution.backend import _span_for
 from ..kernels.spec_cache import default_spec_cache
+from ..runtime.lifecycle import record
 from ..runtime.spec import ProverSpec
-from ..runtime.stats import RuntimeStats, TaskRecord
-from ..runtime.trace import JsonlTraceSink
+from ..runtime.stats import RuntimeStats
+from ..runtime.trace import JsonlTraceSink, backend_span
 from . import protocol
 
 
@@ -212,7 +212,7 @@ class RemoteBackend:
         parent: Optional[str] = None,
     ) -> Tuple[List[SnarkProof], RuntimeStats]:
         tasks = list(tasks)
-        ctx = _span_for(trace, parent)
+        ctx = backend_span(trace, parent)
         digest = spec.r1cs.digest()
         # Locally derived verification context: the PCS parameters the
         # proof blobs decode against (cached process-wide per circuit).
@@ -284,32 +284,16 @@ class RemoteBackend:
                             results[index] = deserialize_proof(
                                 entry["proof"], field, params
                             )
-                    for record in payload.get("records", ()):
-                        stats.records.append(TaskRecord(
-                            task_id=record["task_id"],
-                            attempts=record["attempts"],
-                            prove_seconds=record["prove_seconds"],
-                            latency_seconds=record["latency_seconds"],
-                            worker=record.get("worker"),
-                            stage_seconds=record.get("stage_seconds"),
-                        ))
-                        task_ctx = ctx.child(
-                            "task", span=f"{ctx.span}/t{record['task_id']}"
+                    # The node's records, billed locally (the DONE
+                    # frame's busy_seconds then supersedes the sum).
+                    for entry in payload.get("records", ()):
+                        record(
+                            stats, ctx, [entry["task_id"]],
+                            entry["prove_seconds"],
+                            entry.get("stage_seconds"), entry["attempts"],
+                            entry["latency_seconds"],
+                            worker=entry.get("worker"), node=self.name,
                         )
-                        task_ctx.emit(
-                            "complete", task_id=record["task_id"],
-                            attempt=record["attempts"],
-                            seconds=record["prove_seconds"],
-                            node=self.name,
-                        )
-                        if record.get("stage_seconds"):
-                            task_ctx.emit(
-                                "stage_timing",
-                                task_id=record["task_id"],
-                                seconds=record["prove_seconds"],
-                                stages=record["stage_seconds"],
-                                node=self.name,
-                            )
             except (NodeConnectionError, OSError) as exc:
                 # The stream died mid-batch: drop the socket so the next
                 # call re-handshakes, and report a blameless outage.

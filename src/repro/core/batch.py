@@ -160,15 +160,16 @@ class BatchProver:
     def _prove_all_backend(
         self, tasks: Sequence[ProofTask], backend: "BackendLike"
     ) -> List[SnarkProof]:
-        from ..execution import LanedBackend, SerialBackend, resolve_backend
+        from ..execution import resolve_backend
         from ..runtime import ProverSpec
 
         resolved = resolve_backend(backend)
         if self._spec is None:
             self._spec = ProverSpec.from_prover(self.prover)
-        if isinstance(resolved, (SerialBackend, LanedBackend)):
+        adopt = getattr(resolved, "adopt_prover", None)
+        if adopt is not None:
             # Reuse the live prover instead of rebuilding it from the spec.
-            resolved.adopt_prover(self._spec, self.prover)
+            adopt(self._spec, self.prover)
         proofs, runtime_stats = resolved.prove_tasks(self._spec, tasks)
         self.last_runtime_stats = runtime_stats
         self.stats.proofs_generated = len(proofs)

@@ -12,7 +12,8 @@ with proofs in task order and a :class:`~repro.runtime.RuntimeStats`
 report.  Three concrete substrates ship here:
 
 * :class:`SerialBackend` — in-process, one cached prover per spec; the
-  zero-overhead floor every other backend must beat.
+  zero-overhead floor every other backend must beat.  It is
+  :class:`~repro.execution.LanedBackend` (``lanes``) at width 1.
 * :class:`PoolBackend` — the process-pool
   :class:`~repro.runtime.ParallelProvingRuntime` (chunked dispatch,
   retries, timeouts), one cached runtime per spec.
@@ -21,10 +22,14 @@ report.  Three concrete substrates ship here:
   simulator uses, runs the shards concurrently, and merges their
   reports.  Backends compose: a shard's child may itself be sharded.
 
-All three stamp their trace events with the shared correlated schema
-(``span`` / ``parent`` / ``kind``; see :mod:`repro.runtime.trace`), so a
-backend dispatched from inside a service batch appears as a ``backend``
-span under that batch's span in one JSONL file.
+The reference oracle is :meth:`~repro.core.prover.SnarkProver.prove`:
+every backend's proofs are byte-identical to it, task for task.  Every
+substrate attempts, retries and bills a task through one module,
+:mod:`repro.runtime.lifecycle`, and stamps its trace events with the
+shared correlated schema (``span`` / ``parent`` / ``kind``; see
+:mod:`repro.runtime.trace`), so a backend dispatched from inside a
+service batch appears as a ``backend`` span under that batch's span in
+one JSONL file.
 """
 
 from __future__ import annotations
@@ -33,8 +38,6 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import (
-    Any,
-    Dict,
     List,
     Optional,
     Protocol,
@@ -45,13 +48,12 @@ from typing import (
 
 from ..core.batch import ProofTask
 from ..core.proof import SnarkProof
-from ..errors import ExecutionError, ProofError
-from ..kernels.profile import collect_stages
-from ..kernels.spec_cache import default_spec_cache
+from ..errors import ExecutionError
 from ..runtime.pool import ParallelProvingRuntime
-from ..runtime.spec import ProverSpec
-from ..runtime.stats import RuntimeStats, TaskRecord, merge_runtime_stats
-from ..runtime.trace import JsonlTraceSink, SpanContext, ambient_span
+from ..runtime.spec import ProverSpec, _PerSpecCache
+from ..runtime.stats import RuntimeStats, merge_runtime_stats
+from ..runtime.trace import JsonlTraceSink, backend_span
+from .laned import LanedBackend
 
 
 @runtime_checkable
@@ -78,173 +80,22 @@ class ProvingBackend(Protocol):
         ...  # pragma: no cover - protocol stub
 
 
-def _span_for(
-    trace: Optional[JsonlTraceSink], parent: Optional[str]
-) -> SpanContext:
-    """The backend span for one run, falling back to the ambient span.
+class SerialBackend(LanedBackend):
+    """In-process serial execution: :class:`LanedBackend` at width 1.
 
-    Explicit arguments win; when the caller passed neither, the ambient
-    span set by an enclosing layer (e.g. the proof service around a
-    batch dispatch) supplies the sink and the parent id.
+    Each task is proved by the scalar ``prove`` — the floor every other
+    backend must beat.  Retries default *off*, so a fault fails loudly.
     """
-    ambient = ambient_span()
-    if ambient is not None:
-        if trace is None:
-            trace = ambient.sink
-        if parent is None:
-            parent = ambient.span
-    return SpanContext(trace, "backend", parent=parent)
-
-
-class _PerSpecCache:
-    """Identity-keyed cache of one derived object per :class:`ProverSpec`.
-
-    Keyed by object identity (with a strong reference held, so ids are
-    never recycled underneath us): the long-lived callers — the service
-    backend, a CLI run, the benches — pass the same spec instance for
-    every batch of a circuit, which makes the expensive per-spec setup
-    (expander generation, digesting) a one-time cost per backend.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[int, Tuple[ProverSpec, Any]] = {}
-
-    def get_or_build(self, spec: ProverSpec, build) -> Any:
-        entry = self._entries.get(id(spec))
-        if entry is not None and entry[0] is spec:
-            return entry[1]
-        value = build(spec)
-        self._entries[id(spec)] = (spec, value)
-        return value
-
-
-class SerialBackend:
-    """In-process serial execution: the floor, and the reference oracle.
-
-    No pool, no IPC — each task is proved inline on the calling thread
-    with a prover cached per spec.  Every other backend's proofs must be
-    byte-identical to this one's (the parity property the execution
-    tests pin down).
-
-    Retries default *off* (``max_retries=0``): the oracle fails loudly.
-    The resilience layer turns them on so an injected transient crash is
-    absorbed the same way the pooled runtime absorbs it, and installs
-    ``fault_injector`` — the ``(task_id, attempt) -> None`` worker hook
-    plus, when present, a ``maybe_corrupt(proof, task_id)`` delivery
-    hook — via :func:`~repro.resilience.apply_fault_plan`.
-    """
-
-    name = "serial"
-    parallelism = 1
 
     def __init__(
-        self,
-        *,
-        max_retries: int = 0,
-        retry_backoff_seconds: float = 0.05,
+        self, *, max_retries: int = 0, retry_backoff_seconds: float = 0.05,
         fault_injector=None,
     ) -> None:
-        if max_retries < 0:
-            raise ExecutionError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
-        self._provers = _PerSpecCache()
-        self.max_retries = max_retries
-        self.retry_backoff_seconds = retry_backoff_seconds
-        self.fault_injector = fault_injector
-
-    def adopt_prover(self, spec: ProverSpec, prover) -> None:
-        """Seed the cache with an already-built prover for ``spec``.
-
-        Lets a caller that owns a live prover (e.g. ``BatchProver``)
-        route through the backend seam without paying a rebuild.
-        """
-        self._provers._entries[id(spec)] = (spec, prover)
-
-    def prove_tasks(
-        self,
-        spec: ProverSpec,
-        tasks: Sequence[ProofTask],
-        *,
-        trace: Optional[JsonlTraceSink] = None,
-        parent: Optional[str] = None,
-    ) -> Tuple[List[SnarkProof], RuntimeStats]:
-        tasks = list(tasks)
-        ctx = _span_for(trace, parent)
-        # Identity cache first (adopted provers win), then the process-wide
-        # value-keyed SpecCache, so two backends over the same circuit
-        # share one derivation.
-        prover = self._provers.get_or_build(
-            spec, lambda s: default_spec_cache().get_prover(s)
+        super().__init__(
+            1, max_retries=max_retries, fault_injector=fault_injector,
+            retry_backoff_seconds=retry_backoff_seconds,
         )
-        stats = RuntimeStats(workers=1)
-        start = time.perf_counter()
-        ctx.emit("run_start", backend=self.name, tasks=len(tasks), workers=1)
-        injector = self.fault_injector
-        corrupt = getattr(injector, "maybe_corrupt", None)
-        proofs: List[SnarkProof] = []
-        for task in tasks:
-            submitted = time.perf_counter()
-            attempt = 1
-            while True:
-                try:
-                    if injector is not None:
-                        injector(task.task_id, attempt)
-                    t0 = time.perf_counter()
-                    with collect_stages() as profile:
-                        proof = prover.prove(task.witness, task.public_values)
-                    prove_seconds = time.perf_counter() - t0
-                    break
-                except Exception as exc:
-                    if attempt > self.max_retries:
-                        raise ProofError(
-                            f"task {task.task_id} failed after {attempt} "
-                            f"attempts: {exc}"
-                        ) from exc
-                    stats.retries += 1
-                    ctx.child(
-                        "task", span=f"{ctx.span}/t{task.task_id}"
-                    ).emit(
-                        "retry", task_id=task.task_id, attempt=attempt,
-                        reason=repr(exc),
-                    )
-                    time.sleep(
-                        self.retry_backoff_seconds * (2 ** (attempt - 1))
-                    )
-                    attempt += 1
-            if corrupt is not None:
-                proof = corrupt(proof, task.task_id)
-            stats.busy_seconds += prove_seconds
-            stages = profile.as_dict()
-            stats.records.append(
-                TaskRecord(
-                    task_id=task.task_id,
-                    attempts=attempt,
-                    prove_seconds=prove_seconds,
-                    latency_seconds=time.perf_counter() - submitted,
-                    worker=None,
-                    stage_seconds=stages or None,
-                )
-            )
-            task_ctx = ctx.child("task", span=f"{ctx.span}/t{task.task_id}")
-            task_ctx.emit(
-                "complete", task_id=task.task_id, attempt=attempt,
-                seconds=prove_seconds,
-            )
-            if stages:
-                task_ctx.emit(
-                    "stage_timing", task_id=task.task_id,
-                    seconds=prove_seconds, stages=stages,
-                )
-            proofs.append(proof)
-        stats.total_seconds = time.perf_counter() - start
-        ctx.emit(
-            "run_end", proofs=len(proofs), retries=stats.retries,
-            seconds=stats.total_seconds,
-        )
-        if ctx.sink is not None:
-            ctx.sink.flush()
-        return proofs, stats
+        self.name = "serial"
 
 
 class PoolBackend:
@@ -373,7 +224,7 @@ class ShardedBackend:
         parent: Optional[str] = None,
     ) -> Tuple[List[SnarkProof], RuntimeStats]:
         tasks = list(tasks)
-        ctx = _span_for(trace, parent)
+        ctx = backend_span(trace, parent)
         shares = self.shard(len(tasks))
         bounds: List[Tuple[int, int]] = []
         lo = 0

@@ -19,21 +19,22 @@ Grouping and parity:
   fixed launch geometry, so a short group costs a short dispatch — and
   a group of one by the scalar ``prove``.  ``lanes:auto``, which is also
   ``BatchProver.prove_all``'s default, sizes groups by working set.
-* Proofs are byte-identical to :class:`~repro.execution.SerialBackend`
-  lane for lane — each lane keeps its own transcript; only the array
-  arithmetic is shared (see :mod:`repro.core.lanes`).
+* Proofs are byte-identical to the reference oracle,
+  :meth:`~repro.core.prover.SnarkProver.prove`, lane for lane — each
+  lane keeps its own transcript; only the array arithmetic is shared
+  (see :mod:`repro.core.lanes`).  ``serial``
+  (:class:`~repro.execution.SerialBackend`) is this backend at width 1.
 
-Stage accounting: one :func:`~repro.kernels.profile.collect_stages`
-window wraps each group, and the group's wall time and stage dict are
-amortized uniformly over its lanes, so per-task
-``stage_seconds`` still satisfy the S27 invariant
-``Σ exclusive(stages) <= prove_seconds`` (division is linear).
+Stage accounting: one :func:`~repro.runtime.lifecycle.prove_group`
+window wraps each group, and :func:`~repro.runtime.lifecycle.record`
+amortizes the group's wall time and stage dict uniformly over its lanes.
 
 Chaos hooks (``fault_injector``, ``max_retries``) follow the standard
 contract so ``apply_fault_plan`` walks this backend and
-``resilient:lanes:8`` composes: the injector fires once per task
-per attempt, and a failed group attempt falls back to per-task serial
-proving — byte-identical by the parity property — so one poisoned lane
+``resilient:lanes:8`` composes: the injector fires once per task per
+attempt.  A failed fused attempt counts as attempt 1 of every lane, and
+each lane then continues alone from attempt 2 through the shared retry
+loop — byte-identical by the parity property — so one poisoned lane
 cannot sink its group-mates.
 """
 
@@ -46,12 +47,16 @@ from ..core.batch import ProofTask
 from ..core.proof import SnarkProof
 from ..errors import ExecutionError, ProofError
 from ..kernels.field_kernels import vectorised
-from ..kernels.profile import collect_stages
 from ..kernels.spec_cache import default_spec_cache
-from ..runtime.spec import ProverSpec
-from ..runtime.stats import RuntimeStats, TaskRecord
-from ..runtime.trace import JsonlTraceSink
-from .backend import _PerSpecCache, _span_for
+from ..runtime.lifecycle import (
+    fire_faults,
+    prove_group,
+    prove_with_retries,
+    record,
+)
+from ..runtime.spec import ProverSpec, _PerSpecCache
+from ..runtime.stats import RuntimeStats
+from ..runtime.trace import JsonlTraceSink, backend_span
 
 __all__ = [
     "LanedBackend",
@@ -144,8 +149,12 @@ class LanedBackend:
         self._provers = _PerSpecCache()
 
     def adopt_prover(self, spec: ProverSpec, prover) -> None:
-        """Seed the prover cache (same contract as ``SerialBackend``)."""
-        self._provers._entries[id(spec)] = (spec, prover)
+        """Seed the prover cache with an already-built prover for ``spec``.
+
+        Lets a caller that owns a live prover (e.g. ``BatchProver``)
+        route through the backend seam without paying a rebuild.
+        """
+        self._provers.put(spec, prover)
 
     def prove_tasks(
         self,
@@ -156,7 +165,10 @@ class LanedBackend:
         parent: Optional[str] = None,
     ) -> Tuple[List[SnarkProof], RuntimeStats]:
         tasks = list(tasks)
-        ctx = _span_for(trace, parent)
+        ctx = backend_span(trace, parent)
+        # Identity cache first (adopted provers win), then the process-wide
+        # value-keyed SpecCache, so two backends over the same circuit
+        # share one derivation.
         prover = self._provers.get_or_build(
             spec, lambda s: default_spec_cache().get_prover(s)
         )
@@ -174,42 +186,11 @@ class LanedBackend:
         proofs: List[SnarkProof] = []
         for lo in range(0, len(tasks), width):
             group = tasks[lo : lo + width]
-            group_proofs, group_seconds, stages, attempts = (
-                self._prove_group(prover, group, ctx, stats)
-            )
-            # Uniform amortization over the lanes: the group ran as one
-            # fused dispatch, so each lane owns an equal slice of the
-            # wall time and of every stage bucket.
-            per_task = group_seconds / len(group)
-            per_stages = {k: v / len(group) for k, v in stages.items()}
-            now = time.perf_counter()
-            for task, proof, attempt in zip(group, group_proofs, attempts):
+            group_proofs = self._prove_group(prover, group, ctx, stats, start)
+            for task, proof in zip(group, group_proofs):
                 if corrupt is not None:
                     proof = corrupt(proof, task.task_id)
-                stats.records.append(
-                    TaskRecord(
-                        task_id=task.task_id,
-                        attempts=attempt,
-                        prove_seconds=per_task,
-                        latency_seconds=now - start,
-                        worker=None,
-                        stage_seconds=per_stages or None,
-                    )
-                )
-                task_ctx = ctx.child(
-                    "task", span=f"{ctx.span}/t{task.task_id}"
-                )
-                task_ctx.emit(
-                    "complete", task_id=task.task_id, attempt=attempt,
-                    seconds=per_task,
-                )
-                if per_stages:
-                    task_ctx.emit(
-                        "stage_timing", task_id=task.task_id,
-                        seconds=per_task, stages=per_stages,
-                    )
                 proofs.append(proof)
-            stats.busy_seconds += group_seconds
         stats.total_seconds = time.perf_counter() - start
         ctx.emit(
             "run_end", proofs=len(proofs), retries=stats.retries,
@@ -219,96 +200,54 @@ class LanedBackend:
             ctx.sink.flush()
         return proofs, stats
 
-    # -- group proving ---------------------------------------------------------
-
     def _prove_group(
-        self, prover, group: List[ProofTask], ctx, stats
-    ) -> Tuple[List[SnarkProof], float, dict, List[int]]:
-        """One fused lane dispatch; falls back to per-task on failure.
+        self, prover, group: List[ProofTask], ctx, stats: RuntimeStats,
+        start: float,
+    ) -> List[SnarkProof]:
+        """Prove and bill one group; returns its proofs in task order.
 
-        A group of one (a 1-task batch, a ragged tail, a circuit too
-        large for two lanes) goes to the scalar ``prove``: same bytes,
-        without the 1.05-1.4x cost of ``[1, n]`` lane arrays.  Returns
-        ``(proofs, wall_seconds, stage_dict, attempts)`` with one
-        proof/attempt per task.
+        A wider group gets one fused attempt, which is attempt 1 of every
+        lane: the fault hook fires for each lane before the dispatch.  If
+        it fails, each lane continues alone from attempt 2.  A group of
+        one goes straight to the retry loop.
         """
-        injector = self.fault_injector
-        try:
-            if injector is not None:
-                for task in group:
-                    injector(task.task_id, 1)
-            t0 = time.perf_counter()
-            with collect_stages() as profile:
-                if len(group) == 1:
-                    (task,) = group
-                    lane_proofs = [prover.prove(task.witness, task.public_values)]
-                else:
-                    lane_proofs = prover.prove_lanes(
-                        [task.witness for task in group],
-                        [task.public_values for task in group],
-                    )
-            wall = time.perf_counter() - t0
-            return lane_proofs, wall, profile.as_dict(), [1] * len(group)
-        except Exception as exc:
-            if self.max_retries == 0:
-                raise ProofError(
-                    f"lane group of {len(group)} task(s) starting at task "
-                    f"{group[0].task_id} failed: {exc}"
-                ) from exc
-            stats.retries += 1
-            ctx.emit(
-                "lane_group_retry",
-                tasks=[task.task_id for task in group],
-                reason=repr(exc),
-            )
-            time.sleep(self.retry_backoff_seconds)
-            return self._prove_group_serial(prover, group, ctx, stats)
+        first_attempt = 1
+        if len(group) > 1:
+            try:
+                fire_faults(self.fault_injector, group, 1)
+                proofs, seconds, stages = prove_group(prover, group)
+            except Exception as exc:
+                if self.max_retries == 0:
+                    raise ProofError(
+                        f"lane group of {len(group)} task(s) starting at "
+                        f"task {group[0].task_id} failed: {exc}"
+                    ) from exc
+                stats.retries += 1
+                ctx.emit(
+                    "lane_group_retry",
+                    tasks=[task.task_id for task in group],
+                    reason=repr(exc),
+                )
+                time.sleep(self.retry_backoff_seconds)
+                first_attempt = 2
+            else:
+                record(
+                    stats, ctx, [task.task_id for task in group], seconds,
+                    stages, 1, time.perf_counter() - start,
+                )
+                return proofs
 
-    def _prove_group_serial(
-        self, prover, group: List[ProofTask], ctx, stats
-    ) -> Tuple[List[SnarkProof], float, dict, List[int]]:
-        """Per-task fallback after a failed fused attempt.
+        def run(task: ProofTask, attempt: int):
+            return prove_group(prover, [task])
 
-        Byte-identical to the fused path (the lane parity property), so
-        a group that hit one injected fault still delivers the same
-        proofs — only slower.  Each task gets its own retry budget, the
-        same semantics as ``SerialBackend``.
-        """
-        injector = self.fault_injector
-        proofs: List[SnarkProof] = []
-        attempts: List[int] = []
-        total = 0.0
-        merged: dict = {}
+        proofs = []
         for task in group:
-            attempt = 1
-            while True:
-                try:
-                    if injector is not None:
-                        injector(task.task_id, attempt)
-                    t0 = time.perf_counter()
-                    with collect_stages() as profile:
-                        proof = prover.prove(task.witness, task.public_values)
-                    total += time.perf_counter() - t0
-                    break
-                except Exception as exc:
-                    if attempt > self.max_retries:
-                        raise ProofError(
-                            f"task {task.task_id} failed after {attempt} "
-                            f"attempts: {exc}"
-                        ) from exc
-                    stats.retries += 1
-                    ctx.child(
-                        "task", span=f"{ctx.span}/t{task.task_id}"
-                    ).emit(
-                        "retry", task_id=task.task_id, attempt=attempt,
-                        reason=repr(exc),
-                    )
-                    time.sleep(
-                        self.retry_backoff_seconds * (2 ** (attempt - 1))
-                    )
-                    attempt += 1
-            for key, value in profile.as_dict().items():
-                merged[key] = merged.get(key, 0.0) + value
+            proof, seconds, stages, attempt = prove_with_retries(
+                run, task, first_attempt, self, ctx, stats
+            )
+            record(
+                stats, ctx, [task.task_id], seconds, stages, attempt,
+                time.perf_counter() - start,
+            )
             proofs.append(proof)
-            attempts.append(attempt + 1)  # the fused attempt counts
-        return proofs, total, merged, attempts
+        return proofs

@@ -36,19 +36,25 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.batch import ProofTask
 from ..core.proof import SnarkProof
-from ..core.prover import PIPELINE_STAGES, StagedProof
+from ..core.prover import PIPELINE_STAGES
 from ..errors import ExecutionError, ProofError
 from ..gpu.costs import stage_cost_fractions
 from ..kernels.profile import StageProfile, collect_into
 from ..kernels.spec_cache import default_spec_cache
-from ..runtime.spec import ProverSpec
-from ..runtime.stats import RuntimeStats, TaskRecord
-from ..runtime.trace import JsonlTraceSink
-from .backend import _PerSpecCache, _span_for
+from ..runtime.lifecycle import (
+    backoff_or_raise,
+    fire_faults,
+    prove_with_retries,
+    record,
+)
+from ..runtime.spec import ProverSpec, _PerSpecCache
+from ..runtime.stats import RuntimeStats
+from ..runtime.trace import JsonlTraceSink, backend_span
 
 __all__ = ["PipelinedBackend", "StageGroup", "plan_stage_workers"]
 
@@ -141,19 +147,19 @@ class _Unit:
     """
 
     __slots__ = (
-        "indices", "tasks", "staged", "attempt", "profile",
-        "submitted", "prove_seconds",
+        "indices", "tasks", "staged", "attempt", "profile", "prove_seconds",
     )
 
-    def __init__(
-        self, indices: List[int], tasks: List[ProofTask], staged
-    ):
+    def __init__(self, indices: List[int], tasks: List[ProofTask], prover):
         self.indices = indices
         self.tasks = tasks
-        self.staged = staged
         self.attempt = 1
+        self.restart(prover)
+
+    def restart(self, prover) -> None:
+        """A fresh staged machine and profile, back at ``encode``."""
+        self.staged = _begin(prover, self.tasks)
         self.profile = StageProfile()
-        self.submitted = time.perf_counter()
         self.prove_seconds = 0.0
 
     @property
@@ -164,6 +170,32 @@ class _Unit:
     @property
     def laned(self) -> bool:
         return len(self.tasks) > 1
+
+    def run_stage(self, task_ctx) -> None:
+        """Run the next stage, timed and profiled, between its events."""
+        name = self.staged.next_stage
+        task_ctx.emit(
+            "stage_start", task_id=self.task.task_id, stage=name,
+            attempt=self.attempt,
+        )
+        t0 = time.perf_counter()
+        with collect_into(self.profile):
+            self.staged.run_next()
+        dt = time.perf_counter() - t0
+        self.prove_seconds += dt
+        task_ctx.emit(
+            "stage_done", task_id=self.task.task_id, stage=name,
+            seconds=dt, attempt=self.attempt,
+        )
+
+
+def _begin(prover, tasks: List[ProofTask]):
+    """The staged machine for a group: scalar for one task, laned for more."""
+    if len(tasks) == 1:
+        return prover.begin_proof(tasks[0].witness, tasks[0].public_values)
+    return prover.begin_lanes(
+        [t.witness for t in tasks], [t.public_values for t in tasks]
+    )
 
 
 _SENTINEL = object()
@@ -228,8 +260,8 @@ class PipelinedBackend:
         self._plans = _PerSpecCache()
 
     def adopt_prover(self, spec: ProverSpec, prover) -> None:
-        """Seed the prover cache (same contract as ``SerialBackend``)."""
-        self._provers._entries[id(spec)] = (spec, prover)
+        """Seed the prover cache (same contract as ``LanedBackend``)."""
+        self._provers.put(spec, prover)
 
     # -- proving --------------------------------------------------------------
 
@@ -242,7 +274,7 @@ class PipelinedBackend:
         parent: Optional[str] = None,
     ) -> Tuple[List[SnarkProof], RuntimeStats]:
         tasks = list(tasks)
-        ctx = _span_for(trace, parent)
+        ctx = backend_span(trace, parent)
         prover = self._provers.get_or_build(
             spec, lambda s: default_spec_cache().get_prover(s)
         )
@@ -259,25 +291,29 @@ class PipelinedBackend:
         # emitting stage events) and size the stage groups from its
         # measured fractions.  Cached per spec — later batches skip it.
         warmed = 0
-        entry = self._plans._entries.get(id(spec))
-        plan: Optional[List[StageGroup]] = (
-            entry[1] if entry is not None and entry[0] is spec else None
-        )
+        plan: Optional[List[StageGroup]] = self._plans.get(spec)
         if plan is None and tasks:
             warm_profile = StageProfile()
-            n_warm = min(self.warmup_tasks, len(tasks))
-            for index in range(n_warm):
-                proof = self._prove_inline(
-                    prover, tasks[index], ctx, stats, corrupt, warm_profile
+            run = partial(self._prove_inline, prover, ctx)
+            warmed = min(self.warmup_tasks, len(tasks))
+            for index, task in enumerate(tasks[:warmed]):
+                proof, seconds, stages, attempt = prove_with_retries(
+                    run, task, 1, self, ctx, stats
                 )
+                warm_profile.merge(stages)
+                record(
+                    stats, ctx, [task.task_id], seconds, stages, attempt,
+                    time.perf_counter() - start,
+                )
+                if corrupt is not None:
+                    proof = corrupt(proof, task.task_id)
                 proofs[index] = proof
-            warmed = n_warm
             # stage_cost_fractions consumes the raw inclusive profile;
             # its commit-residue arithmetic is exactly the exclusive
             # view, so no stage is double-weighted.
             fractions = stage_cost_fractions(warm_profile.as_dict())
             plan = plan_stage_workers(fractions, self.workers)
-            self._plans._entries[id(spec)] = (spec, plan)
+            self._plans.put(spec, plan)
             ctx.emit(
                 "pipeline_plan",
                 fractions=fractions,
@@ -291,7 +327,8 @@ class PipelinedBackend:
         if pending > 0:
             assert plan is not None
             error = self._run_pipeline(
-                plan, prover, tasks, warmed, proofs, stats, ctx, corrupt
+                plan, prover, tasks, warmed, proofs, stats, ctx, corrupt,
+                start,
             )
             if error is not None:
                 raise error
@@ -307,75 +344,19 @@ class PipelinedBackend:
 
     # -- warmup (inline, serial) ----------------------------------------------
 
-    def _prove_inline(
-        self, prover, task: ProofTask, ctx, stats: RuntimeStats,
-        corrupt, warm_profile: StageProfile,
-    ) -> SnarkProof:
-        injector = self.fault_injector
-        task_ctx = ctx.child("task", span=f"{ctx.span}/t{task.task_id}")
-        submitted = time.perf_counter()
-        attempt = 1
-        while True:
-            profile = StageProfile()
-            try:
-                if injector is not None:
-                    injector(task.task_id, attempt)
-                staged = prover.begin_proof(task.witness, task.public_values)
-                prove_seconds = 0.0
-                while (name := staged.next_stage) is not None:
-                    task_ctx.emit(
-                        "stage_start", task_id=task.task_id, stage=name,
-                        attempt=attempt,
-                    )
-                    t0 = time.perf_counter()
-                    with collect_into(profile):
-                        staged.run_next()
-                    dt = time.perf_counter() - t0
-                    prove_seconds += dt
-                    task_ctx.emit(
-                        "stage_done", task_id=task.task_id, stage=name,
-                        seconds=dt, attempt=attempt,
-                    )
-                proof = staged.proof
-                break
-            except Exception as exc:
-                if attempt > self.max_retries:
-                    raise ProofError(
-                        f"task {task.task_id} failed after {attempt} "
-                        f"attempts: {exc}"
-                    ) from exc
-                stats.retries += 1
-                task_ctx.emit(
-                    "retry", task_id=task.task_id, attempt=attempt,
-                    reason=repr(exc),
-                )
-                time.sleep(self.retry_backoff_seconds * (2 ** (attempt - 1)))
-                attempt += 1
-        if corrupt is not None:
-            proof = corrupt(proof, task.task_id)
-        stats.busy_seconds += prove_seconds
-        stages = profile.as_dict()
-        warm_profile.merge(stages)
-        stats.records.append(
-            TaskRecord(
-                task_id=task.task_id,
-                attempts=attempt,
-                prove_seconds=prove_seconds,
-                latency_seconds=time.perf_counter() - submitted,
-                worker=None,
-                stage_seconds=stages or None,
-            )
-        )
-        task_ctx.emit(
-            "complete", task_id=task.task_id, attempt=attempt,
-            seconds=prove_seconds,
-        )
-        if stages:
-            task_ctx.emit(
-                "stage_timing", task_id=task.task_id,
-                seconds=prove_seconds, stages=stages,
-            )
-        return proof
+    @staticmethod
+    def _prove_inline(prover, ctx, task: ProofTask, attempt: int):
+        """One staged proof on this thread, emitting per-stage events.
+
+        The warmup's runner; attempts, retries and billing are the shared
+        lifecycle's (:func:`~repro.runtime.lifecycle.prove_with_retries`).
+        """
+        unit = _Unit([], [task], prover)
+        unit.attempt = attempt
+        task_ctx = ctx.for_task(task.task_id)
+        while not unit.staged.done:
+            unit.run_stage(task_ctx)
+        return [unit.staged.proof], unit.prove_seconds, unit.profile.as_dict()
 
     # -- the pipeline proper ---------------------------------------------------
 
@@ -389,6 +370,7 @@ class PipelinedBackend:
         stats: RuntimeStats,
         ctx,
         corrupt,
+        start: float,
     ) -> Optional[ProofError]:
         injector = self.fault_injector
         queues: List["queue.Queue"] = [queue.Queue() for _ in plan]
@@ -397,16 +379,9 @@ class PipelinedBackend:
         failures: List[ProofError] = []
         pending = [len(tasks) - warmed]
 
-        def task_ctx_for(task_id: int):
-            return ctx.child("task", span=f"{ctx.span}/t{task_id}")
-
         def finalize(unit: _Unit) -> None:
-            # A laned unit fans out per-lane proofs and amortizes its
-            # wall time and stage buckets uniformly over the lanes, so
-            # each record still satisfies the S27 stage invariant.
-            n_real = len(unit.tasks)
             if unit.laned:
-                unit_proofs = list(unit.staged.proofs)[:n_real]
+                unit_proofs = list(unit.staged.proofs)
             else:
                 unit_proofs = [unit.staged.proof]
             if corrupt is not None:
@@ -414,78 +389,36 @@ class PipelinedBackend:
                     corrupt(proof, task.task_id)
                     for proof, task in zip(unit_proofs, unit.tasks)
                 ]
-            per_seconds = unit.prove_seconds / n_real
-            stages = unit.profile.as_dict()
-            stages = {k: v / n_real for k, v in stages.items()}
-            latency = time.perf_counter() - unit.submitted
             with lock:
-                stats.busy_seconds += unit.prove_seconds
-                for index, task, proof in zip(
-                    unit.indices, unit.tasks, unit_proofs
-                ):
-                    stats.records.append(
-                        TaskRecord(
-                            task_id=task.task_id,
-                            attempts=unit.attempt,
-                            prove_seconds=per_seconds,
-                            latency_seconds=latency,
-                            worker=None,
-                            stage_seconds=stages or None,
-                        )
-                    )
-                    proofs[index] = proof
-                pending[0] -= n_real
-                finished = pending[0] == 0
-            for task in unit.tasks:
-                tctx = task_ctx_for(task.task_id)
-                tctx.emit(
-                    "complete", task_id=task.task_id, attempt=unit.attempt,
-                    seconds=per_seconds,
+                record(
+                    stats, ctx, [task.task_id for task in unit.tasks],
+                    unit.prove_seconds, unit.profile.as_dict(), unit.attempt,
+                    time.perf_counter() - start,
                 )
-                if stages:
-                    tctx.emit(
-                        "stage_timing", task_id=task.task_id,
-                        seconds=per_seconds, stages=stages,
-                    )
+                for index, proof in zip(unit.indices, unit_proofs):
+                    proofs[index] = proof
+                pending[0] -= len(unit.tasks)
+                finished = pending[0] == 0
             if finished:
                 done.set()
 
         def fail_or_retry(unit: _Unit, exc: Exception) -> None:
-            tctx = task_ctx_for(unit.task.task_id)
-            if unit.attempt > self.max_retries:
+            try:
                 with lock:
-                    failures.append(
-                        ProofError(
-                            f"task {unit.task.task_id} failed after "
-                            f"{unit.attempt} attempts: {exc}"
-                        )
+                    backoff = backoff_or_raise(
+                        self, ctx, stats, unit.task.task_id, unit.attempt, exc
                     )
+            except ProofError as error:
+                with lock:
+                    failures.append(error)
                 done.set()
                 return
-            with lock:
-                stats.retries += 1
-            tctx.emit(
-                "retry", task_id=unit.task.task_id, attempt=unit.attempt,
-                reason=repr(exc),
-            )
-            time.sleep(
-                self.retry_backoff_seconds * (2 ** (unit.attempt - 1))
-            )
+            time.sleep(backoff)
             # A retry restarts the whole proof: fresh staged machine,
             # fresh profile, back to the head of the pipeline.
             unit.attempt += 1
-            if unit.laned:
-                unit.staged = prover.begin_lanes(
-                    [t.witness for t in unit.tasks],
-                    [t.public_values for t in unit.tasks],
-                )
-            else:
-                unit.staged = prover.begin_proof(
-                    unit.task.witness, unit.task.public_values
-                )
-            unit.profile = StageProfile()
-            unit.prove_seconds = 0.0
-            tctx.emit(
+            unit.restart(prover)
+            ctx.for_task(unit.task.task_id).emit(
                 "stage_enqueue", task_id=unit.task.task_id,
                 stage=PIPELINE_STAGES[0], attempt=unit.attempt,
             )
@@ -500,29 +433,16 @@ class PipelinedBackend:
                     break
                 if failures or (done.is_set() and pending[0] <= 0):
                     continue  # draining after abort/completion
-                tctx = task_ctx_for(unit.task.task_id)
+                tctx = ctx.for_task(unit.task.task_id)
                 try:
                     for name in group.stages:
                         if unit.staged.next_stage != name:
                             # Retried units restart at encode; skip the
                             # stages this group doesn't own this pass.
                             continue
-                        if name == PIPELINE_STAGES[0] and injector is not None:
-                            for lane_task in unit.tasks:
-                                injector(lane_task.task_id, unit.attempt)
-                        tctx.emit(
-                            "stage_start", task_id=unit.task.task_id,
-                            stage=name, attempt=unit.attempt,
-                        )
-                        t0 = time.perf_counter()
-                        with collect_into(unit.profile):
-                            unit.staged.run_next()
-                        dt = time.perf_counter() - t0
-                        unit.prove_seconds += dt
-                        tctx.emit(
-                            "stage_done", task_id=unit.task.task_id,
-                            stage=name, seconds=dt, attempt=unit.attempt,
-                        )
+                        if name == PIPELINE_STAGES[0]:
+                            fire_faults(injector, unit.tasks, unit.attempt)
+                        unit.run_stage(tctx)
                 except Exception as exc:
                     fail_or_retry(unit, exc)
                     continue
@@ -554,17 +474,8 @@ class PipelinedBackend:
         for lo in range(warmed, len(tasks), width):
             indices = list(range(lo, min(lo + width, len(tasks))))
             group = [tasks[i] for i in indices]
-            if len(group) > 1:
-                staged = prover.begin_lanes(
-                    [t.witness for t in group],
-                    [t.public_values for t in group],
-                )
-            else:
-                staged = prover.begin_proof(
-                    group[0].witness, group[0].public_values
-                )
-            unit = _Unit(indices, group, staged)
-            task_ctx_for(group[0].task_id).emit(
+            unit = _Unit(indices, group, prover)
+            ctx.for_task(group[0].task_id).emit(
                 "stage_enqueue", task_id=group[0].task_id,
                 stage=PIPELINE_STAGES[0], attempt=1,
             )

@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Union
 
 from ..errors import ExecutionError
 from .backend import PoolBackend, ProvingBackend, SerialBackend, ShardedBackend
+from .laned import LanedBackend
 
 #: Factories keyed by selector head; each receives the text after the
 #: first ``:`` (possibly empty) and returns a backend.
@@ -157,9 +158,6 @@ def _make_pipelined(rest: str) -> ProvingBackend:
 
 
 def _make_lanes(rest: str) -> ProvingBackend:
-    # Imported lazily for symmetry with the other optional substrates.
-    from .laned import LanedBackend
-
     if not rest or rest == "auto":
         return LanedBackend("auto")
     head, _, inner = rest.partition(":")

@@ -50,16 +50,11 @@ from ..errors import (
     ExecutionError,
     QuarantinedTaskError,
 )
-from ..execution.backend import (
-    ProvingBackend,
-    ShardedBackend,
-    _PerSpecCache,
-    _span_for,
-)
+from ..execution.backend import ProvingBackend, ShardedBackend
 from ..execution.sharding import largest_remainder_shares
-from ..runtime.spec import ProverSpec
+from ..runtime.spec import ProverSpec, _PerSpecCache
 from ..runtime.stats import RuntimeStats, merge_runtime_stats
-from ..runtime.trace import JsonlTraceSink
+from ..runtime.trace import JsonlTraceSink, backend_span
 from .faults import FaultInjector
 from .health import CircuitBreaker, HealthTracker
 from .stats import ResilienceStats
@@ -215,7 +210,7 @@ class ResilientBackend:
         work for longer than ``max_unavailable_seconds``.
         """
         tasks = list(tasks)
-        ctx = _span_for(trace, parent)
+        ctx = backend_span(trace, parent)
         rstats = ResilienceStats()
         self._run_stats = rstats
         self._run_ctx = ctx

@@ -22,6 +22,15 @@ service setting (§1, §2.1 — a proving farm billing per proof):
   utilization counters in :class:`RuntimeStats`, and an optional JSONL
   trace-event sink.
 
+One task lifecycle: workers prove through
+:func:`~repro.runtime.lifecycle.prove_group`, the inline path runs the
+shared retry loop, and the dispatcher bills results with
+:func:`~repro.runtime.lifecycle.record` — the same code every in-process
+backend uses.  The reference oracle is
+:meth:`~repro.core.prover.SnarkProver.prove`; the inline path is the
+``serial`` backend's loop (``lanes`` at width 1), so pooled proofs are
+byte-identical to it.
+
 Fault injection for tests and chaos drills: pass ``fault_injector``, a
 *module-level* (picklable) callable ``(task_id, attempt) -> None`` that
 raises to simulate a worker failure.  It runs in the worker before
@@ -39,11 +48,17 @@ from ..core.batch import ProofTask
 from ..core.proof import SnarkProof
 from ..core.prover import SnarkProver
 from ..errors import ProofError
-from ..kernels.profile import collect_stages
 from ..kernels.spec_cache import default_spec_cache
+from .lifecycle import (
+    backoff_or_raise,
+    fire_faults,
+    prove_group,
+    prove_with_retries,
+    record,
+)
 from .spec import ProverSpec
-from .stats import RuntimeStats, TaskRecord
-from .trace import JsonlTraceSink, SpanContext, ambient_span
+from .stats import RuntimeStats
+from .trace import JsonlTraceSink, SpanContext, backend_span
 
 FaultInjector = Callable[[int, int], None]
 
@@ -69,51 +84,34 @@ def _init_worker(
 
 def _prove_chunk(
     chunk: Sequence[Tuple[int, ProofTask, int]]
-) -> List[Tuple[int, SnarkProof, float, int, Dict[str, float]]]:
+) -> List[Tuple[List[int], List[SnarkProof], float, int, Dict[str, float]]]:
     """Worker body: prove every (index, task, attempt) in the chunk.
 
-    Returns ``(index, proof, prove_seconds, worker_pid, stage_seconds)``
-    per task.  Any exception (including an injected fault) propagates to
-    the dispatcher, which retries; a chunk fails as a unit and is split
-    on retry.
+    Returns ``(indices, proofs, prove_seconds, worker_pid,
+    stage_seconds)`` per proved group, for the dispatcher to bill with
+    :func:`~repro.runtime.lifecycle.record`.  Any exception (including an
+    injected fault) propagates to the dispatcher, which retries; a chunk
+    fails as a unit and is split on retry.
 
-    With ``lane_width`` set, a multi-task chunk is one fused lane
-    dispatch (:meth:`~repro.core.prover.SnarkProver.prove_lanes`): the
-    injector still fires per task, the proofs are byte-identical to the
-    per-task path, and the wall time and stage buckets are amortized
-    uniformly across the chunk.  Retried singletons take the per-task
-    path naturally.
+    Without ``lane_width`` every task is its own group.  With it the
+    whole chunk is one :func:`~repro.runtime.lifecycle.prove_group` —
+    one fused lane dispatch, byte-identical to the per-task path — and
+    the injector fires for every task of it.  Retried singletons are
+    groups of one, which ``prove_group`` hands to the scalar prover.
     """
     prover: SnarkProver = _WORKER_STATE["prover"]
     fault: Optional[FaultInjector] = _WORKER_STATE.get("fault")
-    lane_width = _WORKER_STATE.get("lane_width")
-    pid = os.getpid()
-    if lane_width is not None and len(chunk) > 1:
-        for _, task, attempt in chunk:
-            if fault is not None:
-                fault(task.task_id, attempt)
-        start = time.perf_counter()
-        with collect_stages() as profile:
-            proofs = prover.prove_lanes(
-                [task.witness for _, task, _ in chunk],
-                [task.public_values for _, task, _ in chunk],
-            )
-        per_task = (time.perf_counter() - start) / len(chunk)
-        stages = {k: v / len(chunk) for k, v in profile.as_dict().items()}
-        return [
-            (index, proof, per_task, pid, dict(stages))
-            for (index, _, _), proof in zip(chunk, proofs)
-        ]
-    out: List[Tuple[int, SnarkProof, float, int, Dict[str, float]]] = []
-    for index, task, attempt in chunk:
-        if fault is not None:
-            fault(task.task_id, attempt)
-        start = time.perf_counter()
-        with collect_stages() as profile:
-            proof = prover.prove(task.witness, task.public_values)
-        out.append(
-            (index, proof, time.perf_counter() - start, pid, profile.as_dict())
-        )
+    if _WORKER_STATE.get("lane_width") is not None:
+        groups = [list(chunk)]
+    else:
+        groups = [[item] for item in chunk]
+    out = []
+    for group in groups:
+        indices, group_tasks, attempts = zip(*group)
+        # Only singletons are resubmitted, so a group shares its attempt.
+        fire_faults(fault, group_tasks, attempts[0])
+        proofs, seconds, stages = prove_group(prover, group_tasks)
+        out.append((list(indices), proofs, seconds, os.getpid(), stages))
     return out
 
 
@@ -238,115 +236,73 @@ class ParallelProvingRuntime:
         layers still produces one connected span tree.
         """
         tasks = list(tasks)
-        sink = trace if trace is not None else self.trace
-        ambient = ambient_span()
-        if ambient is not None:
-            if sink is None:
-                sink = ambient.sink
-            if parent is None:
-                parent = ambient.span
-        self._ctx = SpanContext(sink, "backend", parent=parent)
+        self._ctx = backend_span(
+            trace if trace is not None else self.trace, parent
+        )
         stats = RuntimeStats(workers=self.workers)
         start = time.perf_counter()
-        self._emit(
+        self._ctx.emit(
             "run_start",
             backend=f"pool:{self.workers}",
             tasks=len(tasks),
             workers=self.workers,
         )
         try:
-            if self.workers == 1 or len(tasks) <= 1:
+            proofs = None
+            if self.workers > 1 and len(tasks) > 1:
+                proofs = self._prove_pooled(tasks, stats)
+            if proofs is None:
                 stats.workers = 1
-                proofs = self._prove_serial(tasks, stats)
-            else:
-                proofs = self._prove_pooled(tasks, stats, start)
+                proofs = self._prove_inline(tasks, stats, start)
         finally:
             stats.total_seconds = time.perf_counter() - start
-            self._emit(
+            self._ctx.emit(
                 "run_end",
                 proofs=stats.proofs_generated,
                 retries=stats.retries,
                 seconds=stats.total_seconds,
             )
-            if sink is not None:
-                sink.flush()
+            if self._ctx.sink is not None:
+                self._ctx.sink.flush()
         return proofs, stats
 
-    # -- serial path ----------------------------------------------------------
+    # -- inline path ----------------------------------------------------------
 
-    def _prove_serial(
-        self, tasks: Sequence[ProofTask], stats: RuntimeStats
+    def _prove_inline(
+        self, tasks: Sequence[ProofTask], stats: RuntimeStats, start: float
     ) -> List[SnarkProof]:
-        """In-process execution: ``workers=1`` or pool-death fallback.
+        """In-process execution: ``workers=1``, one task, or no usable pool.
 
-        Honors the same retry/fault semantics as the pooled path so a
-        flaky dependency injected under test behaves identically at
-        either worker count.
+        Runs the shared retry loop, so a flaky dependency injected under
+        test behaves identically at either worker count.  A running prove
+        cannot be preempted here, so a timeout overrun is only recorded.
         """
+        if self._serial_prover is None:
+            self._serial_prover = default_spec_cache().get_prover(self.spec)
         prover = self._serial_prover
-        if prover is None:
-            prover = self._serial_prover = default_spec_cache().get_prover(
-                self.spec
-            )
+
+        def run(task: ProofTask, attempt: int):
+            return prove_group(prover, [task])
+
         proofs: List[SnarkProof] = []
         for task in tasks:
-            submitted = time.perf_counter()
-            attempt = 1
-            while True:
-                try:
-                    if self.fault_injector is not None:
-                        self.fault_injector(task.task_id, attempt)
-                    t0 = time.perf_counter()
-                    with collect_stages() as profile:
-                        proof = prover.prove(task.witness, task.public_values)
-                    prove_seconds = time.perf_counter() - t0
-                    break
-                except Exception as exc:
-                    if attempt > self.max_retries:
-                        raise ProofError(
-                            f"task {task.task_id} failed after {attempt} "
-                            f"attempts: {exc}"
-                        ) from exc
-                    stats.retries += 1
-                    self._emit_task(
-                        "retry", task.task_id, attempt=attempt,
-                        reason=repr(exc),
-                    )
-                    time.sleep(self._backoff(attempt))
-                    attempt += 1
+            proof, seconds, stages, attempt = prove_with_retries(
+                run, task, 1, self, self._ctx, stats
+            )
             if (
                 self.task_timeout_seconds is not None
-                and prove_seconds > self.task_timeout_seconds
+                and seconds > self.task_timeout_seconds
             ):
-                # Serial mode cannot preempt a running prove; record the
-                # overrun so operators still see the budget violation.
                 # Same run-level event shape as the pooled path, so trace
                 # consumers need one "timeout" parser for either mode.
                 stats.timeouts += 1
-                self._emit(
-                    "timeout", tasks=[task.task_id], seconds=prove_seconds
+                self._ctx.emit(
+                    "timeout", tasks=[task.task_id], seconds=seconds
                 )
-            stats.busy_seconds += prove_seconds
-            stages = profile.as_dict()
-            stats.records.append(
-                TaskRecord(
-                    task_id=task.task_id,
-                    attempts=attempt,
-                    prove_seconds=prove_seconds,
-                    latency_seconds=time.perf_counter() - submitted,
-                    worker=None,
-                    stage_seconds=stages or None,
-                )
+            record(
+                stats, self._ctx, [task.task_id], seconds, stages, attempt,
+                time.perf_counter() - start,
             )
-            self._emit_task(
-                "complete", task.task_id, attempt=attempt,
-                seconds=prove_seconds,
-            )
-            if stages:
-                self._emit_task(
-                    "stage_timing", task.task_id, seconds=prove_seconds,
-                    stages=stages,
-                )
             proofs.append(proof)
         return proofs
 
@@ -356,8 +312,8 @@ class ParallelProvingRuntime:
         self,
         tasks: Sequence[ProofTask],
         stats: RuntimeStats,
-        run_start: float,
-    ) -> List[SnarkProof]:
+    ) -> Optional[List[SnarkProof]]:
+        """The pool run; None when no pool could finish it (prove inline)."""
         import multiprocessing
 
         try:
@@ -371,9 +327,8 @@ class ParallelProvingRuntime:
             # Pool could not even start (fd exhaustion, sandboxed env…):
             # degrade to serial rather than failing the batch.
             stats.fell_back_to_serial = True
-            stats.workers = 1
-            self._emit("fallback_serial", reason=repr(exc))
-            return self._prove_serial(tasks, stats)
+            self._ctx.emit("fallback_serial", reason=repr(exc))
+            return None
 
         try:
             return self._dispatch(pool, tasks, stats)
@@ -385,11 +340,10 @@ class ParallelProvingRuntime:
             # the batch inline with fresh records — the run still completes
             # and the stats describe the authoritative (serial) attempts.
             stats.fell_back_to_serial = True
-            stats.workers = 1
             stats.records.clear()
             stats.busy_seconds = 0.0
-            self._emit("fallback_serial", reason=repr(exc))
-            return self._prove_serial(tasks, stats)
+            self._ctx.emit("fallback_serial", reason=repr(exc))
+            return None
         finally:
             pool.terminate()
             pool.join()
@@ -407,7 +361,7 @@ class ParallelProvingRuntime:
         delayed: List[_WorkItem] = []  # backoff parking lot
         in_flight: Dict[int, Tuple[object, float, _WorkItem, Optional[float]]] = {}
         submitted_at: Dict[int, float] = {}  # first submission per index
-        results: Dict[int, Tuple[SnarkProof, TaskRecord]] = {}
+        results: Dict[int, SnarkProof] = {}
         next_handle = 0
 
         def fail_item(item: _WorkItem, reason: str) -> None:
@@ -416,20 +370,13 @@ class ParallelProvingRuntime:
             for index, attempt in item.items:
                 if index in results:
                     continue
-                if attempt > self.max_retries:
-                    raise ProofError(
-                        f"task {tasks[index].task_id} failed after {attempt} "
-                        f"attempts: {reason}"
-                    )
-                stats.retries += 1
-                self._emit_task(
-                    "retry", tasks[index].task_id, attempt=attempt,
-                    reason=reason,
+                backoff = backoff_or_raise(
+                    self, self._ctx, stats, tasks[index].task_id, attempt,
+                    reason,
                 )
                 delayed.append(
                     _WorkItem(
-                        [(index, attempt + 1)],
-                        not_before=now_ts + self._backoff(attempt),
+                        [(index, attempt + 1)], not_before=now_ts + backoff
                     )
                 )
 
@@ -462,7 +409,7 @@ class ParallelProvingRuntime:
                 async_result = pool.apply_async(_prove_chunk, (payload,))
                 in_flight[handle] = (async_result, now, item, deadline)
                 stats.queue_depth_samples.append(len(ready) + len(delayed))
-                self._emit(
+                self._ctx.emit(
                     "submit",
                     tasks=[tasks[i].task_id for i, _ in item.items],
                     attempts=[a for _, a in item.items],
@@ -482,41 +429,29 @@ class ParallelProvingRuntime:
                             raise  # pool infrastructure failure
                         fail_item(item, repr(exc))
                         continue
-                    attempts_by_index = dict(item.items)
-                    for index, proof, prove_seconds, pid, stages in chunk_out:
-                        if index in results:
-                            continue  # stale duplicate of a timed-out chunk
-                        record = TaskRecord(
-                            task_id=tasks[index].task_id,
-                            attempts=attempts_by_index.get(index, 1),
-                            prove_seconds=prove_seconds,
-                            latency_seconds=(
-                                time.perf_counter() - submitted_at[index]
-                            ),
-                            worker=pid,
-                            stage_seconds=stages or None,
-                        )
-                        results[index] = (proof, record)
-                        stats.busy_seconds += prove_seconds
-                        stats.records.append(record)
-                        self._emit_task(
-                            "complete", record.task_id,
-                            attempt=record.attempts, seconds=prove_seconds,
+                    attempts = dict(item.items)
+                    for indices, proofs, seconds, pid, stages in chunk_out:
+                        if any(index in results for index in indices):
+                            # Stale duplicate of a timed-out chunk: every
+                            # unfinished index has its own resubmission.
+                            continue
+                        # A group's tasks share their first submission
+                        # and attempt (only singletons are resubmitted).
+                        record(
+                            stats, self._ctx,
+                            [tasks[index].task_id for index in indices],
+                            seconds, stages, attempts[indices[0]],
+                            time.perf_counter() - submitted_at[indices[0]],
                             worker=pid,
                         )
-                        if stages:
-                            self._emit_task(
-                                "stage_timing", record.task_id,
-                                seconds=prove_seconds, stages=stages,
-                                worker=pid,
-                            )
+                        results.update(zip(indices, proofs))
                 elif deadline is not None and now > deadline:
                     # Abandon the attempt; the occupied worker will finish
                     # eventually and its late result is discarded above.
                     del in_flight[handle]
                     progressed = True
                     stats.timeouts += 1
-                    self._emit(
+                    self._ctx.emit(
                         "timeout",
                         tasks=[tasks[i].task_id for i, _ in item.items],
                         seconds=now - sub_time,
@@ -526,25 +461,4 @@ class ParallelProvingRuntime:
             if not progressed:
                 time.sleep(self.poll_interval_seconds)
 
-        return [results[i][0] for i in range(len(tasks))]
-
-    # -- helpers --------------------------------------------------------------
-
-    def _backoff(self, attempt: int) -> float:
-        """Exponential backoff: base × 2^(attempt−1)."""
-        return self.retry_backoff_seconds * (2 ** (attempt - 1))
-
-    def _emit(self, event: str, **fields) -> None:
-        """A run-level event on this run's backend span."""
-        self._ctx.emit(event, **fields)
-
-    def _emit_task(self, event: str, task_id: int, **fields) -> None:
-        """A per-task event on the task's own span (child of the run span).
-
-        The task span id is deterministic — ``<run span>/t<task id>`` —
-        so every attempt of one task lands on one span without any
-        cross-attempt bookkeeping.
-        """
-        self._ctx.child(
-            "task", span=f"{self._ctx.span}/t{task_id}"
-        ).emit(event, task_id=task_id, **fields)
+        return [results[i] for i in range(len(tasks))]

@@ -12,7 +12,7 @@ witnesses" discipline the paper's pipeline applies on-device.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..commitment.brakedown import DEFAULT_COLUMN_CHECKS, BrakedownPCS
 from ..core.prover import SnarkProver
@@ -80,3 +80,32 @@ class ProverSpec:
         return SnarkVerifier(
             self.r1cs, self.build_pcs(), public_indices=list(self.public_indices)
         )
+
+
+class _PerSpecCache:
+    """Identity-keyed cache of one derived object per :class:`ProverSpec`.
+
+    Keyed by object identity (with a strong reference held, so ids are
+    never recycled underneath us): the long-lived callers — the service
+    backend, a CLI run, the benches — pass the same spec instance for
+    every batch of a circuit, which makes the expensive per-spec setup
+    (expander generation, digesting) a one-time cost per backend.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[int, Tuple[ProverSpec, Any]] = {}
+
+    def get(self, spec: ProverSpec) -> Any:
+        """The cached value for ``spec``, or None."""
+        entry = self._entries.get(id(spec))
+        return entry[1] if entry is not None and entry[0] is spec else None
+
+    def put(self, spec: ProverSpec, value: Any) -> None:
+        self._entries[id(spec)] = (spec, value)
+
+    def get_or_build(self, spec: ProverSpec, build) -> Any:
+        value = self.get(spec)
+        if value is None:
+            value = build(spec)
+            self.put(spec, value)
+        return value

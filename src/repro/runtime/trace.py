@@ -139,6 +139,14 @@ class SpanContext:
         """A sub-span parented to this one, sharing the sink."""
         return SpanContext(self.sink, kind, parent=self.span, span=span)
 
+    def for_task(self, task_id: int) -> "SpanContext":
+        """The ``task`` span of ``task_id`` under this run span.
+
+        The id is deterministic — ``<run span>/t<task id>`` — so every
+        attempt of one task lands on one span without bookkeeping.
+        """
+        return self.child("task", span=f"{self.span}/t{task_id}")
+
 
 #: The ambient span a dispatching layer sets around a downstream call
 #: whose signature it does not control (e.g. the proof service around
@@ -162,3 +170,21 @@ def use_span(ctx: SpanContext) -> Iterator[SpanContext]:
         yield ctx
     finally:
         _AMBIENT.reset(token)
+
+
+def backend_span(
+    trace: Optional[JsonlTraceSink], parent: Optional[str]
+) -> SpanContext:
+    """The backend span for one run, falling back to the ambient span.
+
+    Explicit arguments win; when the caller passed neither, the ambient
+    span set by an enclosing layer (e.g. the proof service around a
+    batch dispatch) supplies the sink and the parent id.
+    """
+    ambient = ambient_span()
+    if ambient is not None:
+        if trace is None:
+            trace = ambient.sink
+        if parent is None:
+            parent = ambient.span
+    return SpanContext(trace, "backend", parent=parent)

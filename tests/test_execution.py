@@ -29,9 +29,12 @@ from repro.execution import (
     request_lineage,
     resolve_backend,
     span_index,
+    stage_breakdown_of,
 )
 from repro.field import DEFAULT_FIELD
-from repro.runtime import JsonlTraceSink, ProverSpec
+from repro.kernels import exclusive_stage_seconds
+from repro.resilience import FaultInjector, FaultPlan, apply_fault_plan
+from repro.runtime import JsonlTraceSink, ProverSpec, SpanContext, use_span
 
 F = DEFAULT_FIELD
 
@@ -536,3 +539,113 @@ class TestPipelinedTrace:
         excl = stats.stage_totals()
         prove_wall = sum(r.prove_seconds for r in stats.records)
         assert 0.0 < sum(excl.values()) <= prove_wall * 1.0 + 1e-9
+
+
+# -- one task lifecycle across substrates -------------------------------------
+
+
+class RecordingInjector(FaultInjector):
+    """A fault injector that logs every ``(task_id, attempt)`` it fires."""
+
+    def __init__(self, plan: str):
+        super().__init__(FaultPlan.parse(plan))
+        self.calls = []
+
+    def __call__(self, task_id, attempt):
+        self.calls.append((task_id, attempt))
+        super().__call__(task_id, attempt)
+
+
+def _chaos_run(selector, spec, tasks, plan):
+    backend = resolve_backend(selector)
+    injector = RecordingInjector(plan)
+    apply_fault_plan(backend, injector, min_retries=6)
+    proofs, stats = backend.prove_tasks(spec, tasks)
+    return proofs, stats, injector.calls
+
+
+class TestTaskLifecycle:
+    @pytest.fixture(scope="class")
+    def batch(self):
+        cc = random_circuit(F, 48, seed=3)
+        spec = ProverSpec(
+            r1cs=cc.r1cs, public_indices=tuple(cc.public_indices),
+            num_col_checks=4,
+        )
+        tasks = [ProofTask(i, cc.witness, cc.public_values) for i in range(8)]
+        return spec, tasks, _wire(SerialBackend().prove_tasks(spec, tasks)[0])
+
+    def test_lane_fallback_never_replays_attempt_one(self, batch):
+        """A failed fused group moves every lane on to attempt 2."""
+        spec, tasks, oracle = batch
+        proofs, _, calls = _chaos_run(
+            "resilient:lanes:4", spec, tasks, "crash:0.3,seed=3"
+        )
+        assert _wire(proofs) == oracle
+        assert any(attempt > 1 for _, attempt in calls)  # a group failed
+        assert len(calls) == len(set(calls))
+        assert sorted(calls.count((t.task_id, 1)) for t in tasks) == [1] * 8
+
+    @pytest.mark.parametrize("selector", [
+        "serial", "lanes:4", "lanes:auto", "pipelined:2",
+        "lanes:4:pipelined:2",
+    ])
+    def test_record_attempts_are_the_attempts_made(self, batch, selector):
+        spec, tasks, oracle = batch
+        proofs, stats, calls = _chaos_run(
+            selector, spec, tasks, "crash:0.3,seed=3"
+        )
+        assert _wire(proofs) == oracle
+        assert len(calls) == len(set(calls))
+        made = {t.task_id: 0 for t in tasks}
+        for task_id, _ in calls:
+            made[task_id] += 1
+        assert {r.task_id: r.attempts for r in stats.records} == made
+
+    def test_latency_counts_from_batch_receipt(self, batch):
+        spec, tasks, _ = batch
+        _, stats = SerialBackend().prove_tasks(spec, tasks[:4])
+        latencies = stats.latencies
+        assert latencies == sorted(latencies)
+        assert latencies[-1] >= sum(r.prove_seconds for r in stats.records)
+
+    @pytest.mark.parametrize("selector", [
+        "serial", "lanes:4", "lanes:auto", "pool:2", "pipelined:2",
+    ])
+    def test_every_substrate_bills_tasks_alike(
+        self, batch, selector, tmp_path
+    ):
+        spec, tasks, oracle = batch
+        path = str(tmp_path / "trace.jsonl")
+        with JsonlTraceSink(path) as sink:
+            service = SpanContext(sink, "service")
+            for task in tasks:
+                service.child("request").emit(
+                    "svc_submit", request_id=task.task_id
+                )
+            batch_ctx = service.child("batch")
+            batch_ctx.emit(
+                "batch_form", request_ids=[t.task_id for t in tasks]
+            )
+            with use_span(batch_ctx):
+                proofs, stats = resolve_backend(selector).prove_tasks(
+                    spec, tasks
+                )
+        assert _wire(proofs) == oracle
+        records = {r.task_id: r for r in stats.records}
+        assert len(stats.records) == len(records) == len(tasks)
+        assert sum(r.prove_seconds for r in stats.records) == pytest.approx(
+            stats.busy_seconds, rel=1e-9
+        )
+        events = load_trace(path)
+        completes = [e for e in events if e["event"] == "complete"]
+        assert sorted(e["task_id"] for e in completes) == sorted(records)
+        for event in completes:
+            record = records[event["task_id"]]
+            exclusive = exclusive_stage_seconds(record.stage_seconds)
+            assert sum(exclusive.values()) <= record.prove_seconds + 1e-9
+            assert stage_breakdown_of(path, record.task_id) == pytest.approx(
+                exclusive
+            )
+            lineage = request_lineage(events, record.task_id)
+            assert lineage.tasks == [event["span"]]

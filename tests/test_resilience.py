@@ -418,6 +418,9 @@ class TestChaosParity:
         "sharded:serial,serial",
         "resilient:sharded:serial,serial",
         "resilient:pipelined:2",
+        "lanes:4:pool:2",
+        "lanes:4:pipelined:2",
+        "resilient:serial",
     ])
     @pytest.mark.parametrize("seed", [5, 11])
     def test_crash_storm_preserves_bytes(
