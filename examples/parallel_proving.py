@@ -7,7 +7,7 @@ level up — a stream of independent proof tasks and a host with idle
 cores.  This example runs the same batch three ways:
 
 1. serial `BatchProver.prove_all` (the baseline),
-2. the process-pool runtime via `BatchProver(prover, workers=N)`,
+2. the process-pool runtime via `prove_all(tasks, backend="pool:N")`,
 3. the runtime directly, with a fault injector crashing a task's first
    attempt to show retry-with-backoff absorbing worker failures.
 
@@ -52,8 +52,9 @@ def main() -> None:
     print(f"  {stats.throughput_per_second:.1f} proofs/s, "
           f"all verify: {verify_all(verifier, proofs, tasks)}\n")
 
-    print(f"=== BatchProver with workers={workers} ===")
-    proofs, stats = batch.prove_all(tasks, workers=workers)
+    selector = f"pool:{workers}"
+    print(f"=== BatchProver with backend={selector!r} ===")
+    proofs, stats = batch.prove_all(tasks, backend=selector)
     print(f"  {stats.throughput_per_second:.1f} proofs/s, "
           f"all verify: {verify_all(verifier, proofs, tasks)}")
     if batch.last_runtime_stats is not None:

@@ -7,7 +7,7 @@ Usage::
     python -m repro fig9                  # utilization traces
     python -m repro all                   # everything
     python -m repro breakdown             # §6.3 speedup decomposition
-    python -m repro prove --workers 4     # real proofs on the parallel runtime
+    python -m repro prove --backend pool:4   # real proofs on a process pool
     python -m repro prove --backend sharded:pool:2,pool:2
     python -m repro prove --backend pipelined:4   # stage-pipelined threads
     python -m repro serve --requests 60   # streaming service on a synthetic trace
@@ -105,41 +105,6 @@ def _print_breakdown() -> None:
     print(f"  total vs Bellperson:  {bd['total_speedup_vs_bellperson']:.1f}x")
 
 
-def _fold_lanes(selector, lanes, workers: int):
-    """Fold a ``--lanes`` request into a backend selector string.
-
-    ``--lanes`` alone proves lane groups in process (pooled when
-    ``--workers`` asks for more); combined with a ``pool``/``pipelined``
-    backend it hands that substrate lane-group-sized dispatch units.
-    Other heads have their own composition grammar (e.g.
-    ``resilient:lanes:8``) — spelling it explicitly beats guessing.
-    """
-    if lanes is None:
-        return selector
-    from .execution import AUTO_LANE_CAP, lane_selector
-
-    if lanes != "auto":
-        try:
-            lanes = int(lanes)
-        except ValueError:
-            raise SystemExit(
-                f"--lanes wants an integer width or 'auto', got {lanes!r}"
-            ) from None
-    if selector is None:
-        return lane_selector(lanes, workers)
-    if selector == "serial":
-        return lane_selector(lanes, 1)
-    head = selector.split(":", 1)[0].lower()
-    if head in ("pool", "pipelined"):
-        width = AUTO_LANE_CAP if lanes == "auto" else lanes
-        return f"lanes:{width}:{selector}"
-    raise SystemExit(
-        f"--lanes composes with 'serial', 'pool', or 'pipelined' "
-        f"backends; for {selector!r} spell the lane selector explicitly "
-        f"(e.g. 'resilient:lanes:8')"
-    )
-
-
 def _run_prove(args) -> int:
     """Generate a real proof batch on an execution backend and report."""
     from .core import ProofTask, SnarkProver, make_pcs, random_circuit
@@ -175,10 +140,7 @@ def _run_prove(args) -> int:
         assert variant.r1cs.digest() == cc.r1cs.digest()
         tasks.append(ProofTask(i, variant.witness, variant.public_values))
     trace = JsonlTraceSink(args.trace) if args.trace else None
-    selector = _fold_lanes(args.backend, args.lanes, args.workers)
-    if selector is None:
-        selector = "serial" if args.workers == 1 else f"pool:{args.workers}"
-    backend = resolve_backend(selector)
+    backend = resolve_backend(args.backend or "serial")
     injector = None
     if args.fault_plan:
         plan = FaultPlan.parse(args.fault_plan)
@@ -279,11 +241,12 @@ def _run_serve(args) -> int:
     sink = JsonlTraceSink(args.trace) if args.trace else None
     fleet = None
     if args.fleet:
-        if args.backend or args.lanes:
+        if args.backend is not None:
             print(
-                "error: --fleet is mutually exclusive with --backend and "
-                "--lanes (--fleet builds the cluster backend itself; give "
-                "its nodes a lanes selector via --fleet lanes:8 instead)",
+                "error: --fleet is mutually exclusive with --backend "
+                "(--fleet builds the cluster backend itself; choose what "
+                "its nodes run with the fleet selector, e.g. --fleet "
+                "lanes:8)",
                 file=sys.stderr,
             )
             if sink is not None:
@@ -296,14 +259,10 @@ def _run_serve(args) -> int:
             initial_nodes=max(1, args.min_nodes),
             trace=sink,
         )
-        backend = RuntimeProofBackend.from_specs(
-            specs, workers=args.workers, backend=fleet.backend
-        )
+        backend = RuntimeProofBackend.from_specs(specs, backend=fleet.backend)
     else:
         backend = RuntimeProofBackend.from_specs(
-            specs,
-            workers=args.workers,
-            backend=_fold_lanes(args.backend, args.lanes, args.workers),
+            specs, backend=args.backend or "serial"
         )
     injector = None
     if args.fault_plan:
@@ -425,13 +384,10 @@ def _run_node(args) -> int:
         print(f"error: --listen wants HOST:PORT, got {args.listen!r}",
               file=sys.stderr)
         return 1
-    selector = args.backend
-    if selector is None:
-        selector = "serial" if args.workers == 1 else f"pool:{args.workers}"
     server = NodeServer(
         host or "127.0.0.1",
         int(port),
-        backend=selector,
+        backend=args.backend or "serial",
         chunk_size=args.chunk_size,
         die_after=args.die_after,
     )
@@ -538,26 +494,12 @@ def main(argv=None) -> int:
         help="GPU to simulate where applicable (default: GH200)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for `prove` / `serve` (default 1 = serial)",
-    )
-    parser.add_argument(
         "--backend",
         default=None,
         metavar="SELECTOR",
-        help="execution backend for `prove` / `serve`, e.g. 'serial', "
-        "'pool:4', 'pipelined:4', 'sharded:pool:2,pool:2' (default: "
-        "derived from --workers)",
-    )
-    parser.add_argument(
-        "--lanes",
-        default=None,
-        metavar="N|auto",
-        help="prove same-circuit tasks in fused lane groups of this "
-        "width (S31); composes with --workers and with 'serial'/'pool'/"
-        "'pipelined' --backend selectors",
+        help="execution backend for `prove` / `serve` / `node`, e.g. "
+        "'serial', 'pool:4', 'lanes:auto', 'lanes:16:pool:4', "
+        "'pipelined:4', 'sharded:pool:2,pool:2' (default: serial)",
     )
     parser.add_argument(
         "--tasks",

@@ -95,31 +95,10 @@ class BridgeProver:
         #: :class:`~repro.runtime.RuntimeStats` of the most recent
         #: :meth:`prove_batch` run (None before the first batch).
         self.last_runtime_stats: Optional["RuntimeStats"] = None
-        # Cached per-circuit spec and per-(workers, lanes) execution
-        # backends (every well-formed transaction shares one circuit
-        # structure).
+        # Cached per-circuit spec and per-selector execution backends
+        # (every well-formed transaction shares one circuit structure).
         self._specs: Dict[bytes, "ProverSpec"] = {}
-        self._backends: Dict[tuple, "ProvingBackend"] = {}
-
-    def _execution_backend(self, workers: int, lanes=None) -> "ProvingBackend":
-        from ..execution import (
-            PoolBackend,
-            SerialBackend,
-            lane_selector,
-            resolve_backend,
-        )
-
-        key = (workers, lanes)
-        backend = self._backends.get(key)
-        if backend is None:
-            if lanes is not None:
-                backend = resolve_backend(lane_selector(lanes, workers))
-            elif workers == 1:
-                backend = SerialBackend()
-            else:
-                backend = PoolBackend(workers)
-            self._backends[key] = backend
-        return backend
+        self._backends: Dict[str, "ProvingBackend"] = {}
 
     def _build_circuit(self, tx: Transaction) -> CompiledCircuit:
         from ..hashing.mimc import MimcSponge
@@ -165,29 +144,22 @@ class BridgeProver:
     def prove_batch(
         self,
         txs: Sequence[Transaction],
-        workers: int = 1,
-        backend: Optional["BackendLike"] = None,
-        lanes=None,
+        backend: "BackendLike" = "serial",
     ) -> List[Tuple[CompiledCircuit, "SnarkProof"]]:
-        """Prove a stream of transactions, optionally across worker processes.
+        """Prove a stream of transactions on one execution backend.
 
         Every transaction compiles to the same circuit *structure* (only
         the witness differs), so the batch shares one prover setup and
-        routes through the unified backend layer (:mod:`repro.execution`):
-        ``workers > 1`` shards across a process pool, and ``backend``
-        accepts any selector string or backend instance — the §2.1
-        economics in functional form: more proofs per unit time, more
-        handling fees.  A structurally divergent circuit (which a
-        well-formed transaction cannot produce) degrades the batch to
-        serial per-transaction proving.  The backend's report lands in
-        :attr:`last_runtime_stats`.
-
-        ``lanes`` (an integer width or ``"auto"``) routes a
-        digest-uniform batch through the lane-vectorized S31 path; the
-        non-uniform fallback ignores it, and an explicit ``backend``
-        wins over ``lanes``.
+        routes through the unified backend layer (:mod:`repro.execution`)
+        on ``backend``, a selector string (``"pool:4"``, ``"lanes:auto"``)
+        or backend instance — the §2.1 economics in functional form: more
+        proofs per unit time, more handling fees.  A string selector is
+        resolved once per prover and reused by later calls.  A
+        structurally divergent circuit (which a well-formed transaction
+        cannot produce) degrades the batch to serial per-transaction
+        proving.  The backend's report lands in :attr:`last_runtime_stats`.
         """
-        from ..execution import resolve_backend
+        from ..execution.registry import resolve_cached
         from ..runtime import ProverSpec
 
         for tx in txs:
@@ -213,11 +185,7 @@ class BridgeProver:
                 num_col_checks=8,
             )
             self._specs[reference_digest] = spec
-        resolved = (
-            self._execution_backend(workers, lanes)
-            if backend is None
-            else resolve_backend(backend)
-        )
+        resolved = resolve_cached(backend, self._backends)
         tasks = [
             ProofTask(
                 task_id=i,

@@ -17,12 +17,11 @@ returns an immutable-by-convention *snapshot* that later runs do not
 touch.
 
 Execution is delegated to the unified backend layer
-(:mod:`repro.execution`).  A batch is proved as lane groups
-(``"lanes:auto"``: same-circuit tasks in lockstep, groups sized by
-working set, byte-identical to one-at-a-time proving) unless the caller
-names a backend: ``workers > 1`` selects the process pool, and any
-:class:`~repro.execution.ProvingBackend` or selector string
-(``"serial"``, ``"sharded:pool:4,pool:4"``) can be passed explicitly.
+(:mod:`repro.execution`), chosen by one ``backend`` argument: a
+:class:`~repro.execution.ProvingBackend` or a selector string
+(``"serial"``, ``"pool:4"``, ``"sharded:pool:4,pool:4"``).  The default,
+``"lanes:auto"``, proves same-circuit tasks in lockstep lane groups
+sized by working set, byte-identical to one-at-a-time proving.
 The per-run report (percentile latencies, retries, utilization) lands in
 :attr:`BatchProver.last_runtime_stats`.
 """
@@ -108,23 +107,18 @@ class BatchProver:
 
     Args:
         prover:  The fixed-instance SNARK prover.
-        workers: Default worker count for :meth:`prove_all`; ``1`` proves
-                 inline (lane groups on this prover), ``> 1`` shards
-                 across a process pool.
-        backend: Default execution backend — a selector string
-                 (``"serial"``, ``"pool:8"``, ``"sharded:pool:4,pool:4"``)
-                 or a :class:`~repro.execution.ProvingBackend` instance.
-                 When given, it wins over ``workers``.
+        backend: Default execution backend for :meth:`prove_all` — a
+                 selector string (``"lanes:auto"``, ``"serial"``,
+                 ``"pool:8"``, ``"sharded:pool:4,pool:4"``) or a
+                 :class:`~repro.execution.ProvingBackend` instance.
     """
 
     def __init__(
         self,
         prover: SnarkProver,
-        workers: int = 1,
-        backend: Optional["BackendLike"] = None,
+        backend: "BackendLike" = "lanes:auto",
     ):
         self.prover = prover
-        self.workers = workers
         self.backend = backend
         self.stats = BatchStats()
         #: The :class:`~repro.runtime.RuntimeStats` of the most recent
@@ -135,26 +129,18 @@ class BatchProver:
     def prove_all(
         self,
         tasks: Sequence[ProofTask],
-        workers: Optional[int] = None,
         backend: Optional["BackendLike"] = None,
     ) -> Tuple[List[SnarkProof], BatchStats]:
         """Prove every task; returns the proofs and this run's statistics.
 
-        ``workers`` / ``backend`` override the constructor defaults for
-        this call only; an explicit ``backend`` wins over ``workers``.
+        ``backend`` overrides the constructor default for this call only.
         The returned stats object is a snapshot: later runs reset
         ``self.stats`` in place but never mutate a returned snapshot.
         """
-        tasks = list(tasks)
-        effective_backend = backend if backend is not None else self.backend
-        effective_workers = self.workers if workers is None else workers
         self.stats.reset()
-        if effective_backend is None:
-            if effective_workers > 1 and len(tasks) > 1:
-                effective_backend = f"pool:{effective_workers}"
-            else:
-                effective_backend = "lanes:auto"
-        proofs = self._prove_all_backend(tasks, effective_backend)
+        proofs = self._prove_all_backend(
+            list(tasks), self.backend if backend is None else backend
+        )
         return proofs, self.stats.snapshot()
 
     def _prove_all_backend(

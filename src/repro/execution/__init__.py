@@ -29,7 +29,6 @@ from .laned import (
     AUTO_LANE_BUDGET,
     AUTO_LANE_CAP,
     LanedBackend,
-    lane_selector,
     resolve_lane_width,
 )
 from .pipelined import PipelinedBackend, StageGroup, plan_stage_workers
@@ -65,7 +64,8 @@ proof service inherit the service's sink and batch span automatically.
 `"pool"`/`"pool:8"` shard across a process pool;
 `"lanes:64"`/`"lanes:auto"` prove same-circuit tasks in fused numpy
 lane groups (S31; `"lanes:16:pool:4"` / `"lanes:16:pipelined:4"` give a
-parallel substrate lane-group-sized dispatch units);
+parallel substrate lane-group-sized dispatch units, and a composed
+`"lanes:auto:pool:4"` hardens `auto` to `AUTO_LANE_CAP`);
 `"sharded:pool:4,pool:4"` splits each batch across concurrent children
 proportionally to their parallelism (largest-remainder rounding — the
 same placement arithmetic as the multi-GPU farm simulator).  Instances
@@ -95,7 +95,6 @@ __all__ = [
     "StageGroup",
     "available_backends",
     "format_lineage",
-    "lane_selector",
     "largest_remainder_shares",
     "lineage_of",
     "plan_stage_workers",

@@ -62,7 +62,6 @@ __all__ = [
     "LanedBackend",
     "AUTO_LANE_CAP",
     "AUTO_LANE_BUDGET",
-    "lane_selector",
     "resolve_lane_width",
 ]
 
@@ -95,21 +94,6 @@ def resolve_lane_width(
     if width < 1:
         raise ExecutionError(f"lane width must be >= 1, got {width}")
     return width
-
-
-def lane_selector(lanes, workers: int = 1) -> str:
-    """Selector string for lane proving, pooled when ``workers > 1``.
-
-    ``lanes`` is an integer width or ``"auto"``; the pooled composition
-    needs a concrete chunk size, so ``"auto"`` hardens to
-    :data:`AUTO_LANE_CAP` there.  This is the one place the CLI and
-    the services translate a ``--lanes`` request into grammar, so they
-    all spell the composition identically.
-    """
-    if workers > 1:
-        width = AUTO_LANE_CAP if lanes == "auto" else int(lanes)
-        return f"lanes:{width}:pool:{workers}"
-    return f"lanes:{lanes}"
 
 
 class LanedBackend:

@@ -13,6 +13,9 @@ code::
     lanes:16:pool:4             4-worker pool, each dispatch proving a
                                 16-lane group
     lanes:16:pipelined:4        stage-pipelined over 16-lane groups
+    lanes:auto:pool:4           lanes:16:pool:4 — a composed 'auto'
+                                hardens to AUTO_LANE_CAP (16) lanes
+    lanes:auto:pipelined:4      lanes:16:pipelined:4, likewise
     pipelined:4                 stage-pipelined threads, 4 workers
     pipelined:auto              stage-pipelined, sized from the host
     sharded:pool:4,pool:4       two concurrent 4-worker pools
@@ -41,7 +44,7 @@ from typing import Callable, Dict, List, Union
 
 from ..errors import ExecutionError
 from .backend import PoolBackend, ProvingBackend, SerialBackend, ShardedBackend
-from .laned import LanedBackend
+from .laned import AUTO_LANE_CAP, LanedBackend
 
 #: Factories keyed by selector head; each receives the text after the
 #: first ``:`` (possibly empty) and returns a backend.
@@ -100,6 +103,23 @@ def resolve_backend(selector: BackendSelector) -> ProvingBackend:
             message += f" (did you mean {close[0]!r}?)"
         raise ExecutionError(message)
     return factory(rest.strip())
+
+
+def resolve_cached(
+    selector: BackendSelector, cache: Dict[str, ProvingBackend]
+) -> ProvingBackend:
+    """:func:`resolve_backend`, memoising string selectors in ``cache``.
+
+    Entry points that take a selector per call keep one ``cache`` so a
+    repeated string reuses its backend: ``remote:``/``cluster:``
+    connections persist and ``pool:N`` keeps its per-spec setup.
+    """
+    if not isinstance(selector, str):
+        return resolve_backend(selector)
+    backend = cache.get(selector)
+    if backend is None:
+        backend = cache[selector] = resolve_backend(selector)
+    return backend
 
 
 # -- stock factories -----------------------------------------------------------
@@ -161,12 +181,17 @@ def _make_lanes(rest: str) -> ProvingBackend:
     if not rest or rest == "auto":
         return LanedBackend("auto")
     head, _, inner = rest.partition(":")
-    try:
-        width = int(head)
-    except ValueError:
-        raise ExecutionError(
-            f"'lanes' wants an integer lane width or 'auto', got {head!r}"
-        ) from None
+    if head == "auto" and inner:
+        # A composed substrate dispatches fixed-size units, so 'auto'
+        # hardens to the widest group lanes:auto would ever form.
+        width = AUTO_LANE_CAP
+    else:
+        try:
+            width = int(head)
+        except ValueError:
+            raise ExecutionError(
+                f"'lanes' wants an integer lane width or 'auto', got {head!r}"
+            ) from None
     if width < 1:
         raise ExecutionError(f"lane width must be >= 1, got {width}")
     if not inner:

@@ -9,10 +9,9 @@ contract :meth:`MlaasService.prove_predictions` exploits.
 :class:`RuntimeProofBackend` is the stock backend for raw
 :class:`~repro.core.batch.ProofTask` payloads.  It holds one
 :class:`~repro.runtime.ProverSpec` per circuit key and routes every
-batch through the unified execution layer (:mod:`repro.execution`):
-``workers == 1`` selects the in-process :class:`SerialBackend`,
-``workers > 1`` a :class:`PoolBackend`, and any selector string or
-backend instance can be passed explicitly.  Tasks are renumbered to
+batch through the unified execution layer (:mod:`repro.execution`) on
+the one substrate its ``backend`` selector names (default ``"serial"``:
+in process, one prover cached per circuit).  Tasks are renumbered to
 their request ids before dispatch, so the ``task`` spans in a shared
 trace file carry the same ids the service's ``request`` spans do — the
 join that lets :func:`repro.execution.request_lineage` walk one request
@@ -27,7 +26,7 @@ from typing import Any, List, Mapping, Optional, Protocol, Sequence, Union
 from ..core.batch import ProofTask
 from ..core.verifier import SnarkVerifier
 from ..errors import ServiceError
-from ..execution import PoolBackend, ProvingBackend, SerialBackend, resolve_backend
+from ..execution import ProvingBackend, resolve_backend
 from ..runtime import ProverSpec, RuntimeStats
 from .request import ProofRequest
 
@@ -49,39 +48,21 @@ class RuntimeProofBackend:
         specs:   ``{circuit key: ProverSpec}`` — the circuits this
                  backend can serve.  The natural key is
                  ``spec.r1cs.digest()`` (see :func:`spec_key`).
-        workers: ``1`` proves inline on the batcher thread with a
-                 prover cached per circuit key; ``> 1`` shards each
-                 batch across a process pool.  Ignored when ``backend``
-                 is given.
-        runtime_options: Extra keyword arguments forwarded to
-                 :class:`~repro.runtime.ParallelProvingRuntime` in
-                 pooled mode (``chunk_size``, ``max_retries``, …).
-        backend: Explicit execution substrate — a selector string
-                 (``"serial"``, ``"pool:8"``,
-                 ``"sharded:pool:4,pool:4"``) or a
+        backend: Execution substrate — a selector string (``"serial"``,
+                 ``"pool:8"``, ``"sharded:pool:4,pool:4"``) or a
                  :class:`~repro.execution.ProvingBackend` instance.
+                 The default proves inline on the batcher thread.
     """
 
     def __init__(
         self,
         specs: Mapping[bytes, ProverSpec],
-        workers: int = 1,
-        runtime_options: Optional[dict] = None,
-        backend: Optional[Union[str, ProvingBackend]] = None,
+        backend: Union[str, ProvingBackend] = "serial",
     ):
         if not specs:
             raise ServiceError("RuntimeProofBackend needs at least one spec")
-        if workers < 1:
-            raise ServiceError(f"workers must be >= 1, got {workers}")
         self.specs = dict(specs)
-        self.workers = workers
-        self.runtime_options = dict(runtime_options or {})
-        if backend is not None:
-            self.backend: ProvingBackend = resolve_backend(backend)
-        elif workers == 1:
-            self.backend = SerialBackend()
-        else:
-            self.backend = PoolBackend(workers, **self.runtime_options)
+        self.backend: ProvingBackend = resolve_backend(backend)
         #: :class:`RuntimeStats` of the most recent batch (None before
         #: the first batch).
         self.last_runtime_stats: Optional[RuntimeStats] = None

@@ -79,11 +79,10 @@ class MlaasService:
         #: :class:`~repro.runtime.RuntimeStats` of the most recent
         #: :meth:`prove_predictions` batch (None before the first batch).
         self.last_runtime_stats: Optional["RuntimeStats"] = None
-        # Per-circuit specs and per-(workers, lanes) execution backends,
-        # both cached so repeated batches of one shape reuse prover
-        # setups.
+        # Per-circuit specs and per-selector execution backends, both
+        # cached so repeated batches of one shape reuse prover setups.
         self._specs: Dict[bytes, "ProverSpec"] = {}
-        self._backends: Dict[tuple, "ProvingBackend"] = {}
+        self._backends: Dict[str, "ProvingBackend"] = {}
 
     @property
     def model_root(self) -> bytes:
@@ -110,57 +109,28 @@ class MlaasService:
             prediction=zk.outputs, proof=proof, model_root=self.model_root
         )
 
-    def _execution_backend(self, workers: int, lanes=None) -> "ProvingBackend":
-        """The cached per-(workers, lanes) execution backend for batches."""
-        from ..execution import (
-            PoolBackend,
-            SerialBackend,
-            lane_selector,
-            resolve_backend,
-        )
-
-        key = (workers, lanes)
-        backend = self._backends.get(key)
-        if backend is None:
-            if lanes is not None:
-                backend = resolve_backend(lane_selector(lanes, workers))
-            elif workers == 1:
-                backend = SerialBackend()
-            else:
-                backend = PoolBackend(workers)
-            self._backends[key] = backend
-        return backend
-
     def prove_predictions(
         self,
         inputs: Sequence[QuantizedTensor],
-        workers: int = 1,
-        backend: Optional["BackendLike"] = None,
-        lanes=None,
+        backend: "BackendLike" = "serial",
     ) -> List[PredictionResponse]:
-        """Prove a *batch* of predictions, optionally across worker processes.
+        """Prove a *batch* of predictions on one execution backend.
 
         Same-shaped inputs to one model compile to the same circuit
         structure, so the batch shares a single prover setup; execution
-        routes through the unified backend layer (:mod:`repro.execution`):
-        ``workers > 1`` selects a process-pool backend, and ``backend``
-        accepts any selector string or backend instance — which is the
-        MLaaS "flowing stream" setting of the paper's §5.  Should an
-        input ever compile to a structurally different circuit, the batch
-        degrades to per-input serial proving rather than producing
-        invalid proofs.  The backend's report lands in
+        routes through the unified backend layer (:mod:`repro.execution`)
+        on ``backend``, a selector string (``"pool:4"``, ``"lanes:auto"``)
+        or backend instance — which is the MLaaS "flowing stream" setting
+        of the paper's §5.  A string selector is resolved once per
+        service and reused by later calls.  Should an input ever compile
+        to a structurally different circuit, the batch degrades to
+        per-input serial proving rather than producing invalid proofs.
+        The backend's report lands in
         :attr:`last_runtime_stats`; calls that never reach a backend (an
         empty batch, or the non-uniform serial fallback) reset it to None
         so it always describes *this* call, never a previous one.
-
-        ``lanes`` (an integer width or ``"auto"``) routes a
-        digest-uniform batch through the lane-vectorized S31 path —
-        ``lanes:<L>`` (or ``lanes:<L>:pool:<workers>``) proving
-        same-circuit instances in fused numpy dispatches.  A non-uniform
-        batch ignores it (the serial fallback has no lanes to fuse), and
-        an explicit ``backend`` wins over ``lanes``.
         """
-        from ..execution import resolve_backend
+        from ..execution.registry import resolve_cached
         from ..runtime import ProverSpec
 
         self.last_runtime_stats = None
@@ -182,11 +152,7 @@ class MlaasService:
                 num_col_checks=self.num_col_checks,
             )
             self._specs[reference_digest] = spec
-        resolved = (
-            self._execution_backend(workers, lanes)
-            if backend is None
-            else resolve_backend(backend)
-        )
+        resolved = resolve_cached(backend, self._backends)
         tasks = [
             ProofTask(
                 task_id=i,
@@ -256,9 +222,7 @@ class MlaasService:
     def serve(
         self,
         *,
-        workers: int = 1,
-        backend: Optional["BackendLike"] = None,
-        lanes=None,
+        backend: "BackendLike" = "serial",
         policy=None,
         **service_kwargs,
     ) -> "ProofService":
@@ -275,18 +239,17 @@ class MlaasService:
 
         Every dispatched batch is uniform by construction, so it rides
         the shared-:class:`~repro.runtime.ProverSpec` fast path of
-        :meth:`prove_predictions` (with ``workers > 1`` across the
-        process-pool backend, or any explicit ``backend`` selector —
+        :meth:`prove_predictions` on ``backend`` — any selector,
         including ``cluster:…`` / ``resilient:cluster:…`` fleet
         selectors, which are resolved once so their node connections
-        persist across the stream).  Extra keyword arguments
+        persist across the stream.  Extra keyword arguments
         (``max_queue``, ``cache_capacity``, ``trace``, …) pass through
         to :class:`~repro.service.ProofService`.
         """
         from ..service import ProofService
 
         return ProofService(
-            _PredictionBackend(self, workers, backend, lanes),
+            _PredictionBackend(self, backend),
             policy=policy,
             keyer=self.request_keys,
             **service_kwargs,
@@ -308,25 +271,16 @@ class _PredictionBackend:
     def __init__(
         self,
         service: MlaasService,
-        workers: int = 1,
-        backend: Optional["BackendLike"] = None,
-        lanes=None,
+        backend: "BackendLike" = "serial",
     ):
         from ..execution import resolve_backend
 
         self.service = service
-        self.workers = workers
-        self.backend = None if backend is None else resolve_backend(backend)
-        self.lanes = lanes
+        self.backend = resolve_backend(backend)
 
     def prove_batch(self, circuit_key, requests) -> List[PredictionResponse]:
         inputs = [request.payload for request in requests]
-        return self.service.prove_predictions(
-            inputs,
-            workers=self.workers,
-            backend=self.backend,
-            lanes=self.lanes,
-        )
+        return self.service.prove_predictions(inputs, backend=self.backend)
 
 
 def simulate_vgg16_service(

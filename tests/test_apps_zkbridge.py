@@ -118,7 +118,7 @@ class TestBatchProving:
 
     def test_batch_proofs_verify(self, fast_prover):
         txs = random_transactions(3, seed=7)
-        pairs = fast_prover.prove_batch(txs, workers=2)
+        pairs = fast_prover.prove_batch(txs, backend="pool:2")
         assert len(pairs) == len(txs)
         for (compiled, proof), tx in zip(pairs, txs):
             commitment = tx.commitment(F, fast_prover.perm)
@@ -130,7 +130,7 @@ class TestBatchProving:
         from repro.core.serialize import serialize_proof
 
         txs = random_transactions(2, seed=8)
-        pairs = fast_prover.prove_batch(txs, workers=1)
+        pairs = fast_prover.prove_batch(txs, backend="serial")
         for (_, batched), tx in zip(pairs, txs):
             _, single = fast_prover.prove(tx)
             assert serialize_proof(batched, F) == serialize_proof(single, F)
@@ -138,7 +138,27 @@ class TestBatchProving:
     def test_empty_batch(self, fast_prover):
         assert fast_prover.prove_batch([]) == []
 
+    def test_string_selector_resolved_once(self, monkeypatch):
+        """A repeated string selector reuses its backend, so stateful
+        backends (node connections, pools) are not rebuilt per batch."""
+        from repro.execution import registry
+
+        resolved = []
+        real = registry.resolve_backend
+
+        def spy(selector):
+            backend = real(selector)
+            resolved.append(backend)
+            return backend
+
+        monkeypatch.setattr(registry, "resolve_backend", spy)
+        bridge = BridgeProver(rounds=2)
+        for seed in (9, 10):
+            bridge.prove_batch(random_transactions(2, seed=seed), "lanes:2")
+        assert len(resolved) == 1
+        assert bridge._backends == {"lanes:2": resolved[0]}
+
     def test_zero_amount_rejected_up_front(self, fast_prover):
         bad = Transaction(sender=1, receiver=2, amount=F.modulus, nonce=0)
         with pytest.raises(ProofError):
-            fast_prover.prove_batch([bad], workers=2)
+            fast_prover.prove_batch([bad], backend="pool:2")

@@ -125,7 +125,7 @@ class TestCli:
         trace = str(tmp_path / "trace.jsonl")
         assert cli_main([
             "prove", "--tasks", "3", "--gates", "32",
-            "--workers", "2", "--trace", trace,
+            "--backend", "pool:2", "--trace", trace,
         ]) == 0
         out = capsys.readouterr().out
         assert "all 3 returned proofs verify: True" in out

@@ -682,9 +682,9 @@ def test_find_cluster_backend_negative():
 def test_prediction_backend_resolves_selector_once():
     from repro.zkml.service import _PredictionBackend
 
-    bridged = _PredictionBackend(None, 1, "serial")
+    bridged = _PredictionBackend(None, "serial")
     assert isinstance(bridged.backend, SerialBackend)
-    assert _PredictionBackend(None, 1, None).backend is None
+    assert isinstance(_PredictionBackend(None).backend, SerialBackend)
 
 
 # -- the chaos drill (ISSUE acceptance) ----------------------------------------

@@ -10,7 +10,8 @@ Four properties pin the lane dimension down:
    the per-proof path lane-for-lane, including the degenerate
    ``lanes=1`` group and the ragged final group of a batch.
 3. **Selector surface** — ``lanes:<W>``/``lanes:auto`` resolve, pad,
-   and compose; ``lane_selector``/``resolve_lane_width`` behave.
+   and compose (a composed ``auto`` hardens to ``AUTO_LANE_CAP``);
+   ``resolve_lane_width`` behaves.
 4. **Accounting** — amortized per-lane stage seconds keep the S27
    invariant Σ(exclusive stages) ≤ proving wall per task record.
 """
@@ -28,7 +29,6 @@ from repro.execution import (
     AUTO_LANE_BUDGET,
     AUTO_LANE_CAP,
     LanedBackend,
-    lane_selector,
     resolve_backend,
     resolve_lane_width,
 )
@@ -387,13 +387,19 @@ class TestLaneBackend:
         # Off the vectorised M61 path lanes run in lockstep: always 1.
         assert resolve_lane_width("auto", n_tasks, padded_vars, False) == 1
 
-    def test_lane_selector(self):
-        assert lane_selector(4) == "lanes:4"
-        assert lane_selector("auto") == "lanes:auto"
-        assert lane_selector(8, workers=2) == "lanes:8:pool:2"
-        assert lane_selector("auto", workers=2) == (
-            f"lanes:{AUTO_LANE_CAP}:pool:2"
-        )
+    def test_composed_auto_hardens_to_cap(self):
+        pool = resolve_backend("lanes:auto:pool:2")
+        assert pool.name == f"lanes:{AUTO_LANE_CAP}:pool:2"
+        assert pool.runtime_options["lane_width"] == AUTO_LANE_CAP
+        assert pool.runtime_options["chunk_size"] == AUTO_LANE_CAP
+        piped = resolve_backend("lanes:auto:pipelined:2")
+        assert piped.name == f"lanes:{AUTO_LANE_CAP}:pipelined:2"
+        assert piped.lane_width == AUTO_LANE_CAP
+        spec, tasks = _make_spec_and_tasks(F, 24, 3)
+        serial, _ = resolve_backend("serial").prove_tasks(spec, tasks)
+        for backend in (pool, piped):
+            proofs, _ = backend.prove_tasks(spec, tasks)
+            assert _wire(F, proofs) == _wire(F, serial)
 
     def test_selector_resolves_named_variants(self):
         assert isinstance(resolve_backend("lanes"), LanedBackend)

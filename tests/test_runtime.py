@@ -354,7 +354,7 @@ class TestTrace:
 class TestBatchProverDelegation:
     def test_workers_flag_delegates_to_runtime(self, setup, serial_proofs):
         prover, _, tasks = setup
-        batch = BatchProver(prover, workers=2)
+        batch = BatchProver(prover, backend="pool:2")
         proofs, stats = batch.prove_all(tasks)
         assert batch.last_runtime_stats is not None
         assert batch.last_runtime_stats.workers == 2
@@ -366,6 +366,6 @@ class TestBatchProverDelegation:
 
     def test_per_call_workers_override(self, setup):
         prover, _, tasks = setup
-        batch = BatchProver(prover)  # default serial
-        _, _ = batch.prove_all(tasks[:2], workers=2)
+        batch = BatchProver(prover)  # default lanes:auto
+        _, _ = batch.prove_all(tasks[:2], backend="pool:2")
         assert batch.last_runtime_stats is not None

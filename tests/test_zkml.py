@@ -278,12 +278,32 @@ class TestMlaasService:
             random_input(service.model.input_shape, seed=s, frac_bits=4)
             for s in (21, 22, 23)
         ]
-        resps = service.prove_predictions(xs, workers=2)
+        resps = service.prove_predictions(xs, backend="pool:2")
         assert len(resps) == 3
         assert all(
             service.verify_prediction(x, r) for x, r in zip(xs, resps)
         )
         assert service.last_runtime_stats.proofs_generated == 3
+
+    def test_string_selector_resolved_once(self, service, monkeypatch):
+        """A repeated string selector reuses its backend, so stateful
+        backends (node connections, pools) are not rebuilt per batch."""
+        from repro.execution import registry
+
+        resolved = []
+        real = registry.resolve_backend
+
+        def spy(selector):
+            backend = real(selector)
+            resolved.append(backend)
+            return backend
+
+        monkeypatch.setattr(registry, "resolve_backend", spy)
+        for seed in (25, 26):
+            x = random_input(service.model.input_shape, seed=seed, frac_bits=4)
+            service.prove_predictions([x], backend="lanes:2")
+        assert len(resolved) == 1
+        assert service._backends["lanes:2"] is resolved[0]
 
     def test_prove_predictions_empty(self, service):
         assert service.prove_predictions([]) == []
@@ -355,7 +375,7 @@ class TestMlaasService:
 
     def test_prove_predictions_matches_single(self, service):
         x = random_input(service.model.input_shape, seed=24, frac_bits=4)
-        (batched,) = service.prove_predictions([x], workers=1)
+        (batched,) = service.prove_predictions([x], backend="serial")
         single = service.prove_prediction(x)
         assert batched.prediction == single.prediction
         assert service.verify_prediction(x, batched)
