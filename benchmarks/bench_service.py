@@ -1,4 +1,4 @@
-"""Streaming service sweep: arrival rate × batch window.
+"""Streaming service sweep over arrival rates.
 
 Thin CLI shim (S29): the measurement cores live in
 :mod:`repro.experiments.benches` (``service_setup``,
@@ -11,9 +11,10 @@ keeps exercising the service exactly as before.
 Not a paper table, but the paper's thesis made operational: batch
 proving only pays if the front-end can *form* batches from an online
 stream.  The sweep replays synthetic Poisson traffic through
-:class:`repro.service.ProofService` across a grid of arrival rates and
-batching windows and reports, per cell, the achieved throughput, mean
-batch size, cache absorption, and p95 end-to-end latency.
+:class:`repro.service.ProofService` across a set of arrival rates and
+reports, per rate, the achieved throughput, mean batch size, cache
+absorption, and p95 end-to-end latency.  The batcher is work-conserving,
+so the mean batch size follows the load.
 
 Run directly for a report:  PYTHONPATH=src python benchmarks/bench_service.py
 Quick mode (CI smoke):      PYTHONPATH=src python benchmarks/bench_service.py --quick
@@ -30,40 +31,37 @@ from repro.experiments.benches import (
 GATES = 96
 REQUESTS = 64
 RATES = (100.0, 400.0)
-WINDOWS = (0.002, 0.02, 0.08)
 MAX_BATCH = 16
 
 QUICK_REQUESTS = 16
-QUICK_RATES = (400.0,)
-QUICK_WINDOWS = (0.002, 0.02)
+QUICK_RATES = (100.0, 400.0)
 
 # Back-compat aliases for the pre-S29 module-level names.
 _setup = service_setup
 
 
-def run_cell(cc, spec, key, *, rate, window, requests=REQUESTS,
-             verify_sample=4):
-    """One (arrival rate, batch window) cell of the sweep."""
+def run_cell(cc, spec, key, *, rate, requests=REQUESTS, verify_sample=4):
+    """One arrival-rate cell of the sweep."""
     return run_service_cell(
-        cc, spec, key, rate=rate, window=window, requests=requests,
+        cc, spec, key, rate=rate, requests=requests,
         max_batch=MAX_BATCH, verify_sample=verify_sample,
     )
 
 
-def run_sweep(rates=RATES, windows=WINDOWS, requests: int = REQUESTS) -> list:
+def run_sweep(rates=RATES, requests: int = REQUESTS) -> list:
     return run_service_sweep(
-        rates=rates, windows=windows, requests=requests, gates=GATES
+        rates=rates, requests=requests, gates=GATES
     )["cells"]
 
 
 def _format(rows) -> str:
     lines = [
-        f"{'rate':>6} {'window':>8} {'batches':>8} {'mean sz':>8} "
+        f"{'rate':>6} {'batches':>8} {'mean sz':>8} "
         f"{'thpt p/s':>9} {'p95 ms':>8} {'cached':>7} {'ok':>3}"
     ]
     for r in rows:
         lines.append(
-            f"{r['rate']:6.0f} {r['window_ms']:6.0f}ms {r['batches']:8d} "
+            f"{r['rate']:6.0f} {r['batches']:8d} "
             f"{r['mean_batch']:8.1f} {r['throughput']:9.1f} "
             f"{r['p95_ms']:8.1f} {r['cache_absorbed']:7d} "
             f"{'y' if r['verified'] else 'N':>3}"
@@ -75,9 +73,7 @@ def _format(rows) -> str:
 
 def test_bench_service_quick_cells(show):
     """Quick sweep: every cell completes, verifies, and forms batches."""
-    rows = run_sweep(
-        rates=QUICK_RATES, windows=QUICK_WINDOWS, requests=QUICK_REQUESTS
-    )
+    rows = run_sweep(rates=QUICK_RATES, requests=QUICK_REQUESTS)
     show("service sweep (quick):\n" + _format(rows))
     for row in rows:
         assert row["verified"], row
@@ -85,28 +81,24 @@ def test_bench_service_quick_cells(show):
         assert row["batches"] >= 1
 
 
-def test_bench_wider_window_forms_larger_batches(show):
-    """The batching knob works: a 40x wider window must not form *more*
-    batches for the same load, and typically forms larger ones."""
+def test_bench_batch_size_follows_load(show):
+    """Work-conserving batching: light traffic is proved one request at a
+    time, and a 20x heavier stream of the same requests forms larger
+    batches."""
     cc, spec, key = _setup()
-    tight = run_cell(cc, spec, key, rate=400.0, window=0.002,
-                     requests=QUICK_REQUESTS * 2)
-    wide = run_cell(cc, spec, key, rate=400.0, window=0.08,
-                    requests=QUICK_REQUESTS * 2)
+    light = run_cell(cc, spec, key, rate=20.0, requests=QUICK_REQUESTS // 2)
+    heavy = run_cell(cc, spec, key, rate=400.0, requests=QUICK_REQUESTS * 2)
     show(
-        f"window 2ms → {tight['batches']} batches (mean {tight['mean_batch']:.1f}); "
-        f"window 80ms → {wide['batches']} batches (mean {wide['mean_batch']:.1f})"
+        f"20/s → {light['batches']} batches (mean {light['mean_batch']:.1f}); "
+        f"400/s → {heavy['batches']} batches (mean {heavy['mean_batch']:.1f})"
     )
-    assert wide["batches"] <= tight["batches"]
-    assert wide["mean_batch"] >= tight["mean_batch"]
+    assert heavy["mean_batch"] >= light["mean_batch"]
 
 
 if __name__ == "__main__":
     quick = "--quick" in sys.argv[1:]
     if quick:
-        rows = run_sweep(
-            rates=QUICK_RATES, windows=QUICK_WINDOWS, requests=QUICK_REQUESTS
-        )
+        rows = run_sweep(rates=QUICK_RATES, requests=QUICK_REQUESTS)
     else:
         rows = run_sweep()
     print(f"service sweep over {len(rows)} cells "

@@ -36,7 +36,7 @@ def main() -> None:
         random_input(model.input_shape, seed=100 + i, frac_bits=4)
         for i in range(DISTINCT)
     ]
-    policy = BatchPolicy(max_batch_size=4, max_wait_seconds=0.05)
+    policy = BatchPolicy(max_batch_size=4)
 
     with service.serve(policy=policy, max_queue=32) as front:
         tickets = []

@@ -273,13 +273,11 @@ def _run_serve(args) -> int:
         apply_fault_plan(backend.backend, injector, min_retries=2)
         if hasattr(backend.backend, "verify_on_return") and plan.corrupt > 0:
             backend.backend.verify_on_return = True
-    policy = BatchPolicy(
-        max_batch_size=args.batch_size, max_wait_seconds=args.window
-    )
+    policy = BatchPolicy(max_batch_size=args.batch_size)
     print(
         f"Serving {args.requests} {args.pattern} arrivals at ~{args.rate}/s "
-        f"(batch<= {args.batch_size}, window {args.window * 1e3:.0f} ms, "
-        f"queue<= {args.max_queue}, backend {backend.backend.name})…"
+        f"(batch<= {args.batch_size}, queue<= {args.max_queue}, "
+        f"backend {backend.backend.name})…"
     )
     if args.fault_plan:
         print(f"fault plan: {args.fault_plan}")
@@ -564,10 +562,6 @@ def main(argv=None) -> int:
     serve_group.add_argument(
         "--batch-size", type=int, default=8,
         help="max requests per dispatched batch (default 8)",
-    )
-    serve_group.add_argument(
-        "--window", type=float, default=0.02,
-        help="max batching wait in seconds (default 0.02)",
     )
     serve_group.add_argument(
         "--max-queue", type=int, default=128,

@@ -455,7 +455,6 @@ def _fleet_cell(
     rate: float,
     stall_seconds: float,
     max_batch: int,
-    window: float,
     seed: int,
 ):
     """One serving run over a 2-member cluster with one laggard.
@@ -491,7 +490,7 @@ def _fleet_cell(
     laggard.stall = True
 
     backend = RuntimeProofBackend({key: spec}, backend=cluster)
-    policy = BatchPolicy(max_batch_size=max_batch, max_wait_seconds=window)
+    policy = BatchPolicy(max_batch_size=max_batch)
     events = poisson_trace(requests, rate, seed=seed, duplicate_fraction=0.0)
 
     def make_request(i):
@@ -533,7 +532,6 @@ def run_fleet_serving(
     gates: int = 96,
     stall_seconds: float = 0.25,
     max_batch: int = 8,
-    window: float = 0.02,
     seed: int = 13,
 ) -> dict:
     """S30 hedged serving: tail latency with vs without hedged dispatch.
@@ -550,7 +548,6 @@ def run_fleet_serving(
         rate=rate,
         stall_seconds=stall_seconds,
         max_batch=max_batch,
-        window=window,
         seed=seed,
     )
     hedged, hedged_wire = _fleet_cell(cc, spec, key, hedge=True, **kwargs)
@@ -715,12 +712,11 @@ def run_service_cell(
     key,
     *,
     rate: float,
-    window: float,
     requests: int = 64,
     max_batch: int = 16,
     verify_sample: int = 4,
 ) -> dict:
-    """One (arrival rate, batch window) cell of the service sweep."""
+    """One arrival-rate cell of the service sweep."""
     from ..service import (
         BatchPolicy,
         ProofService,
@@ -731,7 +727,7 @@ def run_service_cell(
     )
 
     backend = RuntimeProofBackend({key: spec})
-    policy = BatchPolicy(max_batch_size=max_batch, max_wait_seconds=window)
+    policy = BatchPolicy(max_batch_size=max_batch)
     events = poisson_trace(
         requests, rate, seed=int(rate) ^ 17, duplicate_fraction=0.15
     )
@@ -756,7 +752,6 @@ def run_service_cell(
     stats = service.stats
     return {
         "rate": rate,
-        "window_ms": window * 1e3,
         "completed": stats.completed,
         "throughput": stats.completed / wall if wall > 0 else 0.0,
         "mean_batch": stats.mean_batch_size,
@@ -771,18 +766,14 @@ def run_service_cell(
 
 def run_service_sweep(
     rates: Sequence[float] = (100.0, 400.0),
-    windows: Sequence[float] = (0.002, 0.02, 0.08),
     requests: int = 64,
     gates: int = 96,
 ) -> dict:
-    """Arrival-rate × batch-window grid through the streaming service."""
+    """Arrival-rate sweep through the streaming service."""
     cc, spec, key = service_setup(gates)
     cells = [
-        run_service_cell(
-            cc, spec, key, rate=rate, window=window, requests=requests
-        )
+        run_service_cell(cc, spec, key, rate=rate, requests=requests)
         for rate in rates
-        for window in windows
     ]
     return {
         "gates": gates,

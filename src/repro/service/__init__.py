@@ -9,9 +9,9 @@ machinery is fast at.  This package is that layer:
 * :class:`ProofService` — submit/ticket front door with watermark
   admission control (typed :class:`~repro.errors.AdmissionError`
   rejections, BULK shedding with hysteresis);
-* :class:`DynamicBatcher` / :class:`BatchPolicy` — size, age, and
-  deadline batch triggers over circuit-key groups, priority-first and
-  deadline-aware ordering;
+* :class:`DynamicBatcher` / :class:`BatchPolicy` — work-conserving
+  dispatch of circuit-key groups, priority-first and deadline-aware
+  ordering, batch size capped at ``max_batch_size``;
 * :class:`ResultCache` — LRU result reuse plus single-flight
   deduplication of identical in-flight requests;
 * :class:`ServiceStats` — arrival rate, queue depth, batch-size
@@ -32,7 +32,7 @@ machinery is fast at.  This package is that layer:
 
 ``python -m repro serve`` replays a synthetic trace end to end (add
 ``--fleet`` to serve it over a supervised local node fleet);
-``benchmarks/bench_service.py`` sweeps arrival rate × batch window.
+``benchmarks/bench_service.py`` sweeps the arrival rate.
 """
 
 from .backends import (
@@ -96,14 +96,13 @@ unroute → `DRAIN` → terminate so no in-flight proof is lost.
 `find_cluster_backend(backend)` locates the cluster inside any composed
 backend (e.g. what `resolve_backend("resilient:cluster:…")` built).
 
-**Batching knobs (`BatchPolicy`).** Requests group by `circuit_key` so
-every batch is uniform (one prover setup per batch). A group dispatches
-when it reaches `max_batch_size` (size trigger), when its oldest member
-has waited `max_wait_seconds` (age trigger — the throughput/latency
-knob), or when any member's deadline slack falls to
-`urgency_slack_seconds` (deadline trigger). Among ripe groups the most
-urgent wins — priority class, then earliest deadline, then arrival — and
-the batch is ordered the same way.
+**Batching knobs (`BatchPolicy`).** The batcher is work-conserving:
+whenever no batch is proving it dispatches at once, so requests pile up
+only while a batch proves and the batch size follows the load. Requests
+group by `circuit_key` so every batch is uniform (one prover setup per
+batch). The group holding the most urgent request wins — priority
+class, then earliest deadline, then arrival — and the batch is ordered
+the same way and capped at `max_batch_size`, the policy's one knob.
 
 **Cache semantics.** Results are keyed by `(circuit_key, witness_key)`.
 A finished key resolves new submissions instantly (LRU, `cache_capacity`

@@ -1,26 +1,21 @@
-"""Dynamic batch formation: when to cut a batch, and what goes in it.
+"""Dynamic batch formation: what goes in the next batch.
 
-The paper's pipeline wants large uniform batches (every module processes
-a *batch* of proof tasks per beat); an online service wants low latency.
-:class:`BatchPolicy` arbitrates with three triggers, evaluated per
-circuit-key group:
-
-* **size** — a group reaching ``max_batch_size`` is dispatched at once
-  (the batch is as good as it will get);
-* **age** — a group whose oldest request has waited ``max_wait_seconds``
-  is dispatched even if small (bounds the batching delay);
-* **deadline** — a group containing a request whose deadline slack has
-  shrunk to ``urgency_slack_seconds`` is dispatched immediately.
+The paper's pipeline (Fig. 4b) batches whatever work is in flight when
+it has room; it never holds work back to wait for more.  The batcher
+does the same: it is **work-conserving**.  Whenever it is free it
+dispatches the most urgent pending group at once, capped at
+``max_batch_size``.  Requests pile up only while a batch is proving, so
+the batch size follows the load: light traffic gets batches of one,
+heavy traffic gets large ones.
 
 Groups are keyed by circuit digest so every dispatched batch is
 *uniform* — it hits the shared-prover-setup fast path
 (:class:`~repro.runtime.ProverSpec` built once per batch, as in
-:meth:`MlaasService.prove_predictions`).  Among ripe groups, the one
-holding the most urgent request (priority class, then earliest deadline,
-then arrival) wins, and members are ordered by the same key inside the
-batch.
+:meth:`MlaasService.prove_predictions`).  The group holding the most
+urgent request (priority class, then earliest deadline, then arrival)
+wins, and members are ordered by the same key inside the batch.
 
-:class:`BatchPolicy` is pure (pending list + clock in, batch out) so the
+:class:`BatchPolicy` is pure (pending list in, batch out) so the
 scheduling behavior is unit-testable without threads;
 :class:`DynamicBatcher` is the thread that runs it against the service's
 queue and dispatches the selected batches.
@@ -42,41 +37,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """Knobs for the size / age / deadline batch triggers.
+    """Which pending requests form the next batch, up to a size cap.
 
     Args:
-        max_batch_size:        Hard cap on requests per dispatched batch
-                               (the size trigger fires at this count).
-        max_wait_seconds:      Oldest-request age at which a group is
-                               dispatched regardless of size (the batch
-                               window; the throughput/latency knob).
-        urgency_slack_seconds: Deadline slack below which a request makes
-                               its whole group ripe.  ``None`` defaults
-                               to ``max_wait_seconds`` — a request is
-                               never held once waiting longer could miss
-                               its deadline.
+        max_batch_size: Hard cap on requests per dispatched batch; a
+                        larger group is split across successive batches.
     """
 
     max_batch_size: int = 16
-    max_wait_seconds: float = 0.05
-    urgency_slack_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ServiceError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
             )
-        if self.max_wait_seconds < 0:
-            raise ServiceError(
-                f"max_wait_seconds must be >= 0, got {self.max_wait_seconds}"
-            )
-
-    @property
-    def slack(self) -> float:
-        """Effective urgency slack (defaults to the batch window)."""
-        if self.urgency_slack_seconds is not None:
-            return self.urgency_slack_seconds
-        return self.max_wait_seconds
 
     # -- pure scheduling decisions -------------------------------------------
 
@@ -89,65 +63,31 @@ class BatchPolicy:
             groups[request.circuit_key].append(request)
         return dict(groups)
 
-    def _ripe(self, requests: List[ProofRequest], now: float) -> bool:
-        if len(requests) >= self.max_batch_size:
-            return True
-        oldest = min(r.submitted_at for r in requests)
-        if now - oldest >= self.max_wait_seconds:
-            return True
-        return any(
-            r.deadline is not None and r.deadline - now <= self.slack
-            for r in requests
-        )
-
     def select(
-        self,
-        pending: Sequence[ProofRequest],
-        now: float,
-        drain: bool = False,
+        self, pending: Sequence[ProofRequest]
     ) -> Optional[List[ProofRequest]]:
-        """The next batch to dispatch, or None if no trigger has fired.
+        """The next batch to dispatch, or None if nothing is pending.
 
-        With ``drain=True`` every non-empty group is ripe (service
-        shutdown flushes the queue).  The returned batch is deadline-aware
-        ordered: priority class first, then earliest deadline, then FIFO.
+        The batch is the most urgent group, deadline-aware ordered
+        (priority class first, then earliest deadline, then FIFO) and
+        capped at ``max_batch_size``.
         """
         if not pending:
             return None
-        ripe = [
-            requests
-            for requests in self.group(pending).values()
-            if drain or self._ripe(requests, now)
-        ]
-        if not ripe:
-            return None
-        chosen = min(ripe, key=lambda reqs: min(r.urgency() for r in reqs))
+        chosen = min(
+            self.group(pending).values(),
+            key=lambda reqs: min(r.urgency() for r in reqs),
+        )
         ordered = sorted(chosen, key=ProofRequest.urgency)
         return ordered[: self.max_batch_size]
 
-    def next_wakeup(
-        self, pending: Sequence[ProofRequest], now: float
-    ) -> Optional[float]:
-        """Earliest future instant a time-based trigger can fire.
-
-        None when the queue is empty (sleep until a submit wakes us).
-        """
-        if not pending:
-            return None
-        candidates: List[float] = []
-        for requests in self.group(pending).values():
-            oldest = min(r.submitted_at for r in requests)
-            candidates.append(oldest + self.max_wait_seconds)
-            for r in requests:
-                if r.deadline is not None:
-                    candidates.append(r.deadline - self.slack)
-        return min(candidates)
-
 
 class DynamicBatcher(threading.Thread):
-    """The scheduler thread: waits for a trigger, cuts a batch, dispatches.
+    """The scheduler thread: waits for work, cuts a batch, dispatches.
 
-    Dispatch runs *on this thread*, synchronously — while a batch proves,
+    Dispatch runs *on this thread*, synchronously — so whenever the loop
+    reaches :meth:`BatchPolicy.select`, no batch of this service is in
+    flight and any pending group is ready to go.  While a batch proves,
     arrivals accumulate, so the next batch is naturally larger under
     load.  That is the dynamic-batching feedback loop: light traffic gets
     small low-latency batches, heavy traffic gets big efficient ones.
@@ -163,10 +103,7 @@ class DynamicBatcher(threading.Thread):
         while True:
             with service._cond:
                 while True:
-                    now = service._clock()
-                    batch = self.policy.select(
-                        service._pending, now, drain=service._closing
-                    )
+                    batch = self.policy.select(service._pending)
                     if batch is not None:
                         for request in batch:
                             service._pending.remove(request)
@@ -174,9 +111,7 @@ class DynamicBatcher(threading.Thread):
                         break
                     if service._closing:
                         return
-                    wakeup = self.policy.next_wakeup(service._pending, now)
-                    timeout = None if wakeup is None else max(wakeup - now, 0.0)
-                    service._cond.wait(timeout)
+                    service._cond.wait()
             try:
                 service._dispatch(batch)
             except Exception as exc:  # noqa: BLE001 - thread must survive

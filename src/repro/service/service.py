@@ -117,6 +117,9 @@ class ProofService:
         #: :func:`repro.execution.request_lineage`).
         self._span = SpanContext(trace, "service")
         self._batch_seq = 0
+        #: Wall time of the most recent successful batch; the unit of
+        #: :meth:`retry_after_hint`.
+        self._last_batch_seconds = 0.0
         self.stats = ServiceStats()
         self._clock = time.monotonic
         self._cond = threading.Condition()
@@ -309,17 +312,18 @@ class ProofService:
     def retry_after_hint(self, state: Optional[str] = None) -> float:
         """Backoff to suggest with a rejection, scaled by ladder rung.
 
-        The unit is the batcher's wait window (one full batch forms and
-        drains per window under load): *scaling* doubles it because
-        capacity is coming, *brownout* quadruples, *shedding* — the
-        queue is hard-full — pushes callers out eight windows.
+        The unit is the wall time of the last batch, floored at 10 ms:
+        the batcher is work-conserving, so under load one batch drains
+        per batch wall time.  *scaling* doubles it because capacity is
+        coming, *brownout* quadruples, *shedding* — the queue is
+        hard-full — pushes callers out eight batches.
         """
         state = state or self.stats.degradation_state
-        window = max(self.policy.max_wait_seconds, 0.01)
+        unit = max(self._last_batch_seconds, 0.01)
         multiplier = {
             "healthy": 1.0, "scaling": 2.0, "brownout": 4.0, "shedding": 8.0,
         }.get(state, 4.0)
-        return multiplier * window
+        return multiplier * unit
 
     def _allocate_id(self) -> int:
         with self._cond:
@@ -361,6 +365,7 @@ class ProofService:
             self._fail_batch(batch, exc, bctx)
             return
         now = self._clock()
+        self._last_batch_seconds = now - started
         for request, result in zip(batch, results):
             if isinstance(result, QuarantinedTaskError):
                 # A resilient backend quarantined this one task; the

@@ -137,7 +137,7 @@ class TestCli:
     def test_serve_replays_a_trace(self, capsys):
         assert cli_main([
             "serve", "--requests", "16", "--rate", "800",
-            "--gates", "32", "--batch-size", "4", "--window", "0.005",
+            "--gates", "32", "--batch-size", "4",
             "--verify-sample", "4",
         ]) == 0
         out = capsys.readouterr().out

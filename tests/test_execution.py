@@ -255,7 +255,7 @@ class TestTraceReplay:
         sink = JsonlTraceSink(buffer)
         backend = RuntimeProofBackend.from_specs([spec], backend="serial")
         key = spec_key(spec)
-        policy = BatchPolicy(max_batch_size=4, max_wait_seconds=0.005)
+        policy = BatchPolicy(max_batch_size=4)
         with ProofService(backend, policy=policy, trace=sink) as svc:
             tickets = [
                 svc.submit(

@@ -158,21 +158,30 @@ class TestDegradationLadder:
         svc.close()
 
     def test_retry_after_scales_with_rung(self, setup):
-        _, spec, _ = setup
-        backend = RuntimeProofBackend({spec_key(spec): spec})
-        policy = BatchPolicy(max_wait_seconds=0.05)
-        svc = ProofService(backend, policy=policy, max_queue=8, start=False)
-        hints = [svc.retry_after_hint(state) for state in DEGRADATION_LADDER]
+        """The hint's unit is the last batch's wall time: hold one batch
+        in the backend for a known time and read the hints back."""
+        cc, spec, _ = setup
+        key = spec_key(spec)
+        gated = GatedBackend(RuntimeProofBackend({key: spec}))
+        hold = 0.1
+        with ProofService(gated, max_queue=8) as svc:
+            ticket = svc.submit(
+                ProofTask(0, cc.witness, cc.public_values), circuit_key=key
+            )
+            assert gated.entered.wait(timeout=10)
+            time.sleep(hold)
+            gated.release.set()
+            ticket.result(timeout=30)
+            hints = [svc.retry_after_hint(s) for s in DEGRADATION_LADDER]
         assert hints == sorted(hints)  # deeper rung => longer backoff
-        assert hints[0] == pytest.approx(0.05)
-        assert hints[-1] == pytest.approx(0.40)
-        svc.close()
+        assert hints[0] >= hold
+        assert hints[-1] == pytest.approx(8 * hints[0])
 
     def test_queue_full_rejection_carries_retry_after(self, setup):
         cc, spec, _ = setup
         key = spec_key(spec)
         gated = GatedBackend(RuntimeProofBackend({key: spec}))
-        policy = BatchPolicy(max_batch_size=1, max_wait_seconds=0.0)
+        policy = BatchPolicy(max_batch_size=1)
         svc = ProofService(gated, policy=policy, max_queue=2)
         try:
             task = ProofTask(0, cc.witness, cc.public_values)
@@ -212,7 +221,7 @@ class TestDegradationLadder:
         cc, spec, _ = setup
         key = spec_key(spec)
         gated = GatedBackend(RuntimeProofBackend({key: spec}))
-        policy = BatchPolicy(max_batch_size=1, max_wait_seconds=0.0)
+        policy = BatchPolicy(max_batch_size=1)
         svc = ProofService(
             gated, policy=policy, max_queue=8,
             high_watermark=2, low_watermark=1,
@@ -259,7 +268,7 @@ class TestBoundedDrain:
         key = spec_key(spec)
         path = str(tmp_path / "drain.jsonl")
         gated = GatedBackend(RuntimeProofBackend({key: spec}))
-        policy = BatchPolicy(max_batch_size=1, max_wait_seconds=0.0)
+        policy = BatchPolicy(max_batch_size=1)
         task = ProofTask(0, cc.witness, cc.public_values)
         with JsonlTraceSink(path) as sink:
             svc = ProofService(gated, policy=policy, max_queue=8, trace=sink)
@@ -713,7 +722,7 @@ def test_shed_or_scale_chaos_drill(setup, serial_wire):
         )
         service = ProofService(
             backend,
-            policy=BatchPolicy(max_batch_size=4, max_wait_seconds=0.01),
+            policy=BatchPolicy(max_batch_size=4),
             max_queue=256,
         )
         scaler = Autoscaler(

@@ -7,12 +7,14 @@ import time
 import pytest
 
 from repro.core import ProofTask, SnarkProver, make_pcs, random_circuit
+from repro.core.serialize import serialize_proof
 from repro.errors import (
     AdmissionError,
     ProofError,
     QuarantinedTaskError,
     ServiceError,
 )
+from repro.execution import SerialBackend
 from repro.field import DEFAULT_FIELD
 from repro.runtime import JsonlTraceSink, ProverSpec
 from repro.service import (
@@ -71,12 +73,14 @@ class GatedBackend:
     def __init__(self, inner):
         self.inner = inner
         self.release = threading.Event()
+        self.entered = threading.Event()
         self.calls = []  # (circuit_key, batch_size)
         self._first = True
 
     def prove_batch(self, circuit_key, requests):
         if self._first:
             self._first = False
+            self.entered.set()
             self.release.wait(timeout=30)
         self.calls.append((circuit_key, len(requests)))
         return self.inner.prove_batch(circuit_key, requests)
@@ -180,77 +184,79 @@ def _request(i, circuit=b"c", *, priority=Priority.BULK, submitted=0.0,
 
 class TestBatchPolicy:
     def test_size_trigger(self):
-        policy = BatchPolicy(max_batch_size=3, max_wait_seconds=10.0)
-        pending = [_request(i) for i in range(2)]
-        assert policy.select(pending, now=0.0) is None
-        pending.append(_request(2))
-        batch = policy.select(pending, now=0.0)
+        policy = BatchPolicy(max_batch_size=3)
+        pending = [_request(i) for i in range(5)]
+        batch = policy.select(pending)
         assert [r.request_id for r in batch] == [0, 1, 2]
 
-    def test_age_trigger_fires_for_small_batch(self):
-        policy = BatchPolicy(max_batch_size=8, max_wait_seconds=0.5)
-        pending = [_request(0, submitted=0.0)]
-        assert policy.select(pending, now=0.4) is None
-        assert policy.select(pending, now=0.6) is not None
-
-    def test_deadline_trigger(self):
-        policy = BatchPolicy(
-            max_batch_size=8, max_wait_seconds=100.0, urgency_slack_seconds=1.0
-        )
-        pending = [_request(0, submitted=0.0, deadline=50.0)]
-        assert policy.select(pending, now=0.0) is None
-        assert policy.select(pending, now=49.5) is not None
+    def test_single_request_dispatches_at_once(self):
+        """Work-conserving: a lone request is a batch, nothing waits."""
+        policy = BatchPolicy()
+        request = _request(0, submitted=5.0)
+        assert policy.select([request]) == [request]
+        assert policy.select([]) is None
 
     def test_batches_are_circuit_uniform(self):
-        policy = BatchPolicy(max_batch_size=4, max_wait_seconds=0.0)
+        policy = BatchPolicy(max_batch_size=4)
         pending = [_request(i, circuit=b"a" if i % 2 else b"b")
                    for i in range(6)]
-        batch = policy.select(pending, now=1.0)
+        batch = policy.select(pending)
         assert len({r.circuit_key for r in batch}) == 1
 
     def test_interactive_group_wins_and_orders_first(self):
-        policy = BatchPolicy(max_batch_size=4, max_wait_seconds=0.0)
+        policy = BatchPolicy(max_batch_size=4)
         pending = [
             _request(0, circuit=b"bulk", priority=Priority.BULK, submitted=0.0),
             _request(1, circuit=b"mix", priority=Priority.BULK, submitted=0.1),
             _request(2, circuit=b"mix", priority=Priority.INTERACTIVE,
                      submitted=0.2),
         ]
-        batch = policy.select(pending, now=1.0)
+        batch = policy.select(pending)
         # The group containing the INTERACTIVE request dispatches first,
         # and the INTERACTIVE member leads the batch despite arriving last.
         assert [r.request_id for r in batch] == [2, 1]
 
     def test_earlier_deadline_orders_first_within_class(self):
-        policy = BatchPolicy(max_batch_size=4, max_wait_seconds=0.0)
+        policy = BatchPolicy(max_batch_size=4)
         pending = [
             _request(0, submitted=0.0, deadline=9.0),
             _request(1, submitted=0.1, deadline=3.0),
             _request(2, submitted=0.2),  # no deadline sorts last
         ]
-        batch = policy.select(pending, now=1.0)
+        batch = policy.select(pending)
         assert [r.request_id for r in batch] == [1, 0, 2]
 
-    def test_drain_makes_everything_ripe(self):
-        policy = BatchPolicy(max_batch_size=8, max_wait_seconds=100.0)
-        pending = [_request(0, submitted=0.0)]
-        assert policy.select(pending, now=0.0) is None
-        assert policy.select(pending, now=0.0, drain=True) is not None
-
-    def test_next_wakeup_tracks_age_and_deadline(self):
-        policy = BatchPolicy(
-            max_batch_size=8, max_wait_seconds=2.0, urgency_slack_seconds=1.0
+    def test_requests_pile_up_only_while_backend_is_busy(
+        self, circuits, backend
+    ):
+        """The first request proves alone; the six that arrive while it
+        proves form the next batches, capped at max_batch_size."""
+        cc, spec, key = circuits["a"]
+        gated = GatedBackend(backend)
+        policy = BatchPolicy(max_batch_size=4)
+        with ProofService(gated, policy=policy, max_queue=64) as svc:
+            submitted = time.monotonic()
+            tickets = [svc.submit(_task(cc, 0), circuit_key=key)]
+            assert gated.entered.wait(timeout=30)
+            # An idle batcher dispatches at once; a 50 ms batching window
+            # would have held this lone request back.
+            assert time.monotonic() - submitted < 0.05
+            tickets += [
+                svc.submit(_task(cc, i), circuit_key=key) for i in range(1, 7)
+            ]
+            gated.release.set()
+            proofs = [t.result(timeout=60) for t in tickets]
+        assert [size for _, size in gated.calls] == [1, 4, 2]
+        serial, _ = SerialBackend().prove_tasks(
+            spec, [_task(cc, i) for i in range(7)]
         )
-        assert policy.next_wakeup([], now=0.0) is None
-        pending = [_request(0, submitted=0.0, deadline=1.5)]
-        # age trigger at 2.0, deadline trigger at 1.5 - 1.0 = 0.5
-        assert policy.next_wakeup(pending, now=0.0) == pytest.approx(0.5)
+        assert [serialize_proof(p, F) for p in proofs] == [
+            serialize_proof(p, F) for p in serial
+        ]
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ServiceError):
             BatchPolicy(max_batch_size=0)
-        with pytest.raises(ServiceError):
-            BatchPolicy(max_wait_seconds=-1.0)
 
 
 # -- admission control ---------------------------------------------------------
@@ -339,7 +345,7 @@ class TestServiceFlow:
         self, circuits, backend
     ):
         cc, _, key = circuits["a"]
-        policy = BatchPolicy(max_batch_size=4, max_wait_seconds=0.005)
+        policy = BatchPolicy(max_batch_size=4)
         with ProofService(backend, policy=policy, max_queue=64) as svc:
             tickets = [
                 svc.submit(_task(cc, i), circuit_key=key, witness_key=_wkey(i))
@@ -362,7 +368,7 @@ class TestServiceFlow:
     ):
         cc, _, key = circuits["a"]
         gated = GatedBackend(backend)
-        policy = BatchPolicy(max_batch_size=2, max_wait_seconds=0.001)
+        policy = BatchPolicy(max_batch_size=2)
         with ProofService(gated, policy=policy, max_queue=64) as svc:
             lead = svc.submit(
                 _task(cc, 0), circuit_key=key, witness_key=_wkey(0)
@@ -386,12 +392,16 @@ class TestServiceFlow:
     def test_batches_group_by_circuit_key(self, circuits, backend):
         gated = GatedBackend(backend)
         gated.release.set()  # no gating, just call recording
-        policy = BatchPolicy(max_batch_size=8, max_wait_seconds=0.05)
-        with ProofService(gated, policy=policy, max_queue=64) as svc:
+        policy = BatchPolicy(max_batch_size=8)
+        # Queue all four before the batcher starts, so it sees both groups.
+        with ProofService(
+            gated, policy=policy, max_queue=64, start=False
+        ) as svc:
             for i in range(4):
                 name = "a" if i % 2 else "b"
                 cc, _, key = circuits[name]
                 svc.submit(_task(cc, i), circuit_key=key)
+            svc._batcher.start()
             assert svc.drain(timeout=60)
         assert len(gated.calls) == 2
         assert {key for key, _ in gated.calls} == {
@@ -402,7 +412,7 @@ class TestServiceFlow:
         self, circuits, backend
     ):
         cc, _, key = circuits["a"]
-        policy = BatchPolicy(max_batch_size=2, max_wait_seconds=0.001)
+        policy = BatchPolicy(max_batch_size=2)
         with ProofService(
             FailingBackend(), policy=policy, max_queue=16
         ) as svc:
@@ -421,7 +431,7 @@ class TestServiceFlow:
     def test_close_without_drain_fails_pending(self, circuits, backend):
         cc, _, key = circuits["a"]
         gated = GatedBackend(backend)
-        policy = BatchPolicy(max_batch_size=1, max_wait_seconds=0.0)
+        policy = BatchPolicy(max_batch_size=1)
         svc = ProofService(gated, policy=policy, max_queue=64)
         first = svc.submit(_task(cc, 0), circuit_key=key)
         time.sleep(0.05)  # batcher is now blocked inside the gated batch
@@ -439,7 +449,7 @@ class TestServiceFlow:
     def test_deadline_miss_recorded_not_dropped(self, circuits, backend):
         cc, _, key = circuits["a"]
         gated = GatedBackend(backend)
-        policy = BatchPolicy(max_batch_size=1, max_wait_seconds=0.0)
+        policy = BatchPolicy(max_batch_size=1)
         with ProofService(gated, policy=policy, max_queue=16) as svc:
             t = svc.submit(
                 _task(cc, 0), circuit_key=key, deadline_seconds=0.01
@@ -458,7 +468,7 @@ class TestServiceFlow:
             def prove_batch(self, circuit_key, requests):
                 return []
 
-        policy = BatchPolicy(max_batch_size=1, max_wait_seconds=0.0)
+        policy = BatchPolicy(max_batch_size=1)
         with ProofService(ShortBackend(), policy=policy, max_queue=4) as svc:
             t = svc.submit(_task(cc, 0), circuit_key=key)
             with pytest.raises(ProofError):
@@ -471,7 +481,7 @@ class TestServiceFlow:
 
         cc, _, key = circuits["a"]
         path = str(tmp_path / "svc.jsonl")
-        policy = BatchPolicy(max_batch_size=2, max_wait_seconds=0.005)
+        policy = BatchPolicy(max_batch_size=2)
         with JsonlTraceSink(path) as sink:
             with ProofService(
                 backend, policy=policy, max_queue=16, trace=sink
@@ -488,7 +498,7 @@ class TestServiceFlow:
 
     def test_unknown_circuit_key_fails_cleanly(self, circuits, backend):
         cc, _, _ = circuits["a"]
-        policy = BatchPolicy(max_batch_size=1, max_wait_seconds=0.0)
+        policy = BatchPolicy(max_batch_size=1)
         with ProofService(backend, policy=policy, max_queue=4) as svc:
             t = svc.submit(_task(cc, 0), circuit_key=b"\x00" * 32)
             with pytest.raises(ProofError, match="no ProverSpec"):
@@ -550,7 +560,7 @@ class TestWorkload:
         def make_request(i):
             return _task(cc, i), key, _wkey(i)
 
-        policy = BatchPolicy(max_batch_size=8, max_wait_seconds=0.002)
+        policy = BatchPolicy(max_batch_size=8)
         with ProofService(backend, policy=policy, max_queue=64) as svc:
             tickets, rejected = replay(svc, events, make_request)
             svc.drain(timeout=120)
@@ -570,7 +580,7 @@ class TestEndToEnd:
         sizes, cache hits, typed full-queue rejection, all proofs verify."""
         cc, _, key = circuits["a"]
         gated = GatedBackend(backend)
-        policy = BatchPolicy(max_batch_size=16, max_wait_seconds=0.005)
+        policy = BatchPolicy(max_batch_size=16)
         svc = ProofService(
             gated, policy=policy, max_queue=50,
             high_watermark=50, low_watermark=25,  # isolate the hard bound
@@ -659,7 +669,7 @@ class TestFailureRecovery:
         failure must cost the leader, not every parked duplicate."""
         cc, _, key = circuits["a"]
         flaky = GatedFlakyBackend(backend, failures=1)
-        policy = BatchPolicy(max_batch_size=4, max_wait_seconds=0.0)
+        policy = BatchPolicy(max_batch_size=4)
         with ProofService(flaky, policy=policy, max_queue=16) as svc:
             leader = svc.submit(
                 _task(cc, 0), circuit_key=key, witness_key=_wkey(0)
@@ -684,7 +694,7 @@ class TestFailureRecovery:
         terminal for the promoted follower and everyone parked on it."""
         cc, _, key = circuits["a"]
         flaky = GatedFlakyBackend(backend, failures=2)
-        policy = BatchPolicy(max_batch_size=4, max_wait_seconds=0.0)
+        policy = BatchPolicy(max_batch_size=4)
         with ProofService(flaky, policy=policy, max_queue=16) as svc:
             leader = svc.submit(
                 _task(cc, 0), circuit_key=key, witness_key=_wkey(0)
@@ -716,7 +726,7 @@ class TestFailureRecovery:
                     for r, proof in zip(requests, results)
                 ]
 
-        policy = BatchPolicy(max_batch_size=2, max_wait_seconds=0.2)
+        policy = BatchPolicy(max_batch_size=2)
         with ProofService(
             QuarantineOneBackend(), policy=policy, max_queue=16
         ) as svc:
@@ -737,7 +747,7 @@ class TestFailureRecovery:
         """A bug escaping _dispatch fails that batch's tickets and
         nothing else; the scheduler thread keeps serving the queue."""
         cc, _, key = circuits["a"]
-        policy = BatchPolicy(max_batch_size=1, max_wait_seconds=0.0)
+        policy = BatchPolicy(max_batch_size=1)
         with ProofService(backend, policy=policy, max_queue=16) as svc:
             real_dispatch = svc._dispatch
             crashes = {"n": 0}

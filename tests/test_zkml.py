@@ -352,7 +352,7 @@ class TestMlaasService:
             random_input(service.model.input_shape, seed=s, frac_bits=4)
             for s in (41, 42)
         ]
-        policy = BatchPolicy(max_batch_size=4, max_wait_seconds=0.02)
+        policy = BatchPolicy(max_batch_size=4)
         with service.serve(policy=policy, max_queue=16) as front:
             tickets = [
                 front.submit(
