@@ -489,7 +489,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--device",
         default=None,
-        help="GPU to simulate where applicable (default: GH200)",
+        help="GPU to simulate for tables 3-7, 10 and 11 (default: GH200)",
     )
     parser.add_argument(
         "--backend",
@@ -681,6 +681,19 @@ def main(argv=None) -> int:
         print(f"{'fig9':8s} Figure 9 — GPU core utilization traces")
         print(f"{'breakdown':8s} §6.3 protocol-vs-pipeline decomposition")
         return 0
+
+    if args.device is not None:
+        from .errors import SimulationError
+        from .gpu import get_gpu
+
+        try:
+            if args.experiment != "all" and not TABLES.get(
+                    args.experiment, (None, None, False))[2]:
+                raise SimulationError(f"{args.experiment} takes no --device")
+            get_gpu(args.device)
+        except SimulationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
     targets = sorted(TABLES) if args.experiment == "all" else [args.experiment]
     for target in targets:

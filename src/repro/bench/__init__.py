@@ -2,8 +2,8 @@
 
 One ``compute_table*`` / ``compute_fig9`` runner per paper evaluation
 artifact; ``format_rows`` renders the paper-style text tables.  The
-``benchmarks/`` directory times these runners under pytest-benchmark and
-prints the tables.
+experiment catalog (``python -m repro experiment run``) runs them and the
+``sensitivity`` sweep.
 """
 
 from .sensitivity import (

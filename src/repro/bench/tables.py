@@ -2,9 +2,9 @@
 
 Each ``compute_*`` function regenerates the corresponding evaluation
 artifact of the paper from the calibrated simulator (plus real functional
-code where applicable), returning structured rows.  The benchmark files
-under ``benchmarks/`` time and print them; EXPERIMENTS.md records the
-paper-vs-measured comparison.
+code where applicable), returning structured rows.  The experiment
+catalog (:mod:`repro.experiments.catalog`) runs them, and EXPERIMENTS.md
+records the paper-vs-measured comparison.
 
 Paper reference values are embedded per row so every output prints
 "ours vs paper" side by side.

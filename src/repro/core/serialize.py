@@ -147,6 +147,8 @@ def _read_merkle_path(r: ByteReader) -> MerklePath:
     n = r.u32()
     if n > 64:
         raise ProofError(f"implausible Merkle depth {n}")
+    if index >> n:
+        raise ProofError(f"Merkle index {index} too large for depth {n}")
     siblings = [r.raw(32) for _ in range(n)]
     return MerklePath(index=index, leaf=leaf, siblings=siblings)
 

@@ -106,10 +106,6 @@ class BackendUnavailableError(ResilienceError):
     """A child backend cannot take work right now (outage or breaker)."""
 
 
-class CircuitOpenError(BackendUnavailableError):
-    """A circuit breaker rejected the call without attempting it."""
-
-
 class QuarantinedTaskError(ResilienceError):
     """A task failed across enough distinct children to be quarantined.
 

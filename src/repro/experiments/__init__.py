@@ -1,11 +1,11 @@
 """Unified experiment runner (system S29 in DESIGN.md): one manifest.
 
 Every evaluation artifact in this repository — the BatchZK paper's
-Tables 3–11 and Figure 9, and the seven extension benches (S22–S28) —
-registers an :class:`ExperimentSpec` in one catalog: a named, tagged
-runner with quick/full parameterizations and *declarative* regression
-guards (the old per-script ``--min-speedup``/``--min-ratio`` flags,
-promoted to data).  Running experiments through :class:`RunSession`
+Tables 3–11 and Figure 9, the reproduction's ablation, frontier and
+sensitivity analyses, and the extension benches (S22–S31) — registers an
+:class:`ExperimentSpec` in one catalog: a named, tagged runner with
+quick/full parameterizations and *declarative* regression guards.
+Running experiments through :class:`RunSession`
 yields one normalized :class:`ExperimentResult` schema per experiment,
 an ``artifacts/<run-id>/`` directory (``manifest.json``, ``report.md``,
 per-experiment JSON), and an append to the cross-run SQLite
@@ -13,11 +13,8 @@ per-experiment JSON), and an append to the cross-run SQLite
 "did throughput regress since rev X?" across the repo's whole history.
 
 CLI: ``python -m repro experiment list|run|compare|history|reproduce-all``
-(``reproduce-all`` also regenerates EXPERIMENTS.md from the paper-table
-results, replacing ``benchmarks/regen_experiments.py``'s bespoke
-renderer).  The ``benchmarks/bench_*.py`` scripts are now thin shims
-over this registry; their measurement cores live in
-:mod:`repro.experiments.benches`.
+(``reproduce-all`` also regenerates EXPERIMENTS.md).  The extension
+benches' measurement cores live in :mod:`repro.experiments.benches`.
 """
 
 from .spec import (
@@ -43,7 +40,6 @@ from .ledger import Ledger, MetricDelta, MetricPoint
 from .paths import (
     ARTIFACTS_ENV,
     artifacts_root,
-    default_bench_json,
     default_ledger_path,
     new_run_id,
     repo_root,
@@ -98,7 +94,6 @@ __all__ = [
     "MetricPoint",
     "ARTIFACTS_ENV",
     "artifacts_root",
-    "default_bench_json",
     "default_ledger_path",
     "new_run_id",
     "repo_root",

@@ -1,7 +1,5 @@
 """Measurement cores of the extension benchmarks.
 
-Moved here (S29) from the ``benchmarks/bench_*.py`` scripts, which are
-now thin CLI shims over these functions via the experiment registry.
 Each function takes explicit parameters (no globals, no argv) and
 returns a JSON-serializable payload; the registered
 :class:`~repro.experiments.spec.ExperimentSpec`s in
@@ -957,25 +955,3 @@ def run_runtime_suite(
         if (recovery["complete"] and recovery["verified"])
         else 0.0,
     }
-
-
-__all__ = [
-    "run_hotpath",
-    "run_pipeline_sweep",
-    "run_cluster_scaleout",
-    "run_fleet_serving",
-    "run_degradation_curve",
-    "run_wrapper_overhead",
-    "run_journal_tax",
-    "run_resilience_suite",
-    "service_setup",
-    "run_service_cell",
-    "run_service_sweep",
-    "run_seam_overhead",
-    "run_composition",
-    "run_backend_suite",
-    "run_scaling",
-    "run_crash_recovery",
-    "run_runtime_suite",
-    "crash_first_attempts",
-]

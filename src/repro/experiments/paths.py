@@ -1,10 +1,4 @@
-"""Canonical locations for experiment artifacts.
-
-Before the S29 runner, every bench script wrote its JSON wherever the
-process happened to be launched from: ``BENCH_pipeline.json`` landed at
-the repo root, ``BENCH_cluster.json`` next to its script, and
-``BENCH_hotpath.json`` in the shell's cwd.  This module pins everything
-to one root:
+"""Canonical locations for experiment artifacts, pinned to one root:
 
 * :func:`repo_root` — the checkout's top directory, found by walking up
   from this file (and, failing that, from the cwd) to the nearest
@@ -12,9 +6,6 @@ to one root:
 * :func:`artifacts_root` — ``<repo>/artifacts`` (override with the
   ``REPRO_ARTIFACTS_DIR`` environment variable); per-run directories and
   the cross-run ledger live under it.
-* :func:`default_bench_json` — where a directly-invoked bench script
-  writes its ``BENCH_*.json`` when no ``--out`` is given: the repo root,
-  never the cwd.
 """
 
 from __future__ import annotations
@@ -56,11 +47,6 @@ def artifacts_root() -> pathlib.Path:
 def default_ledger_path() -> pathlib.Path:
     """Default SQLite ledger location (shared across runs)."""
     return artifacts_root() / "ledger.sqlite"
-
-
-def default_bench_json(filename: str) -> pathlib.Path:
-    """Repo-root fallback for a directly-invoked bench's JSON output."""
-    return repo_root() / filename
 
 
 def new_run_id(git_rev: str = "unknown", now: Optional[float] = None) -> str:

@@ -9,12 +9,10 @@ yields an :class:`ExperimentResult` in one normalized schema
 metrics, guard verdicts, raw payload), which is what the per-run
 artifact directory stores and the cross-run ledger indexes.
 
-Guards subsume the old per-script ``--min-speedup`` / ``--min-ratio``
-flags: a :class:`Guard` names the metric it watches, the comparison
-direction, and a default threshold; shims map their legacy flags onto
-threshold overrides, so the semantics are unchanged but every guard
-verdict now lands in the result (and the ledger) instead of only in an
-exit code.
+A :class:`Guard` names the metric it watches, the comparison
+direction, and a default threshold (``experiment run --guard NAME=X``
+overrides it); every guard verdict lands in the result and the ledger,
+not only in an exit code.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ class Guard:
 
     ``op`` gives the passing direction (``">="``: higher is better,
     ``"<="``: lower is better); ``threshold`` is the default bound,
-    overridable per run (the legacy ``--min-speedup``-style flags).  An
+    overridable per run (``experiment run --guard NAME=X``).  An
     optional ``precondition`` — ``(metric, op, bound)`` — gates
     enforcement on host facts, e.g. the cluster scaling guard only binds
     on multi-core hosts.
@@ -421,13 +419,6 @@ def execute_spec(
     )
 
 
-def coerce_sequence(value: Any) -> Tuple[Any, ...]:
-    """Normalize list-ish params (batches, rates) to tuples."""
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
-    return (value,)
-
-
 __all__ = [
     "RESULT_SCHEMA_VERSION",
     "Guard",
@@ -438,5 +429,4 @@ __all__ = [
     "host_fingerprint",
     "validate_result",
     "execute_spec",
-    "coerce_sequence",
 ]

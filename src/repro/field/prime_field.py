@@ -17,7 +17,7 @@ Elements compare equal only within the same field; mixing fields raises
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -315,11 +315,3 @@ class FieldElement:
 
 #: The library's default field (fast Python-int arithmetic, 61-bit prime).
 DEFAULT_FIELD = PrimeField(MERSENNE61, name="M61", check=False)
-
-
-def field_elements_iter(
-    field: PrimeField, values: Iterable[int]
-) -> Iterator[FieldElement]:
-    """Lazily wrap raw ints as :class:`FieldElement` of ``field``."""
-    for v in values:
-        yield field(v)

@@ -112,7 +112,7 @@ runs by default; `use_reference_kernels()` switches the whole process to
 the naive per-element loops the codebase used before this layer.  The
 two are element-for-element identical — the golden-parity suite pins
 this — so proofs serialize to the same bytes either way.  The reference
-path exists for parity testing, for `benchmarks/bench_hotpath.py`'s
+path exists for parity testing, for the `bench_hotpath` experiment's
 before/after measurement, and for bisecting a suspected kernel bug.
 
 **Batched SHA-256.** Merkle interior nodes need the *raw* 64-byte block

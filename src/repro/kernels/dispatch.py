@@ -10,7 +10,7 @@ the fast path must produce byte-identical serialized proofs.
 This module owns the switch.  It exists for three consumers:
 
 * the parity tests, which run both forms on the same inputs;
-* ``benchmarks/bench_hotpath.py``, which measures the end-to-end speedup
+* the ``bench_hotpath`` experiment, which measures the end-to-end speedup
   of the kernelized prover against the reference path and enforces a
   perf-regression floor;
 * debugging — when a proof mismatch is suspected, rerunning under

@@ -20,8 +20,8 @@ selected by the *container* it is handed:
 Every kernel also has a ``_reference_*`` twin — the naive per-element loop
 the codebase used before this layer — selected by
 :func:`repro.kernels.dispatch.use_reference_kernels`.  The twins are the
-oracle for the golden-parity tests and the baseline for
-``benchmarks/bench_hotpath.py``; they take arrays too, by converting to
+oracle for the golden-parity tests and the baseline of the
+``bench_hotpath`` experiment; they take arrays too, by converting to
 ints first (:func:`~repro.field.fast61.to_ints` — iterating an array
 yields NumPy scalars whose products wrap silently).
 

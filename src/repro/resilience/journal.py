@@ -103,22 +103,23 @@ class ProofJournal:
     def open(cls, path: str, spec: ProverSpec) -> "ProofJournal":
         """Open an existing journal for appending (header must match)."""
         digest = spec.r1cs.digest()
-        header = cls._read_header(path)
-        if bytes.fromhex(header["spec"]) != digest:
+        with open(path, "rb") as handle:
+            found = cls._header_digest(path, handle.readline())
+        if found != digest:
             raise JournalError(
                 f"journal {path} was written for circuit "
-                f"{header['spec'][:16]}…, not {digest.hex()[:16]}…"
+                f"{found.hex()[:16]}…, not {digest.hex()[:16]}…"
             )
         handle = open(path, "a", encoding="utf-8")
         return cls(path, handle, digest)
 
     @staticmethod
-    def _read_header(path: str) -> dict:
-        with open(path, "r", encoding="utf-8") as handle:
-            first = handle.readline()
+    def _header_digest(path: str, first: bytes) -> bytes:
+        """The circuit digest a header line records; any malformed header
+        (not UTF-8 JSON, wrong tag or version, bad ``spec``) raises."""
         try:
             header = json.loads(first)
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError
             raise JournalError(
                 f"{path} is not a proof journal (unparseable header)"
             ) from None
@@ -133,7 +134,12 @@ class ProofJournal:
             raise JournalError(
                 f"unsupported journal version {header.get('version')}"
             )
-        return header
+        try:
+            return bytes.fromhex(header["spec"])
+        except (KeyError, TypeError, ValueError):
+            raise JournalError(
+                f"{path}: journal header has no valid circuit digest"
+            ) from None
 
     # -- writing ---------------------------------------------------------------
 
@@ -169,15 +175,15 @@ class ProofJournal:
         malformed line anywhere else raises :class:`JournalError`.
         Later entries for the same key win (re-proves after corruption).
         """
-        header = ProofJournal._read_header(path)
-        if bytes.fromhex(header["spec"]) != spec.r1cs.digest():
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
+        first = lines[0] if lines else b""
+        if ProofJournal._header_digest(path, first) != spec.r1cs.digest():
             raise JournalError(
                 f"journal {path} was written for a different circuit"
             )
         entries: Dict[bytes, bytes] = {}
         torn = 0
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -185,7 +191,7 @@ class ProofJournal:
                 entry = json.loads(line)
                 key = bytes.fromhex(entry["key"])
                 proof = bytes.fromhex(entry["proof"])
-            except (json.JSONDecodeError, KeyError, ValueError):
+            except (KeyError, TypeError, ValueError):
                 if lineno == len(lines):
                     torn += 1  # crash mid-append: expected, recoverable
                     continue

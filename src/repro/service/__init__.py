@@ -32,7 +32,7 @@ machinery is fast at.  This package is that layer:
 
 ``python -m repro serve`` replays a synthetic trace end to end (add
 ``--fleet`` to serve it over a supervised local node fleet);
-``benchmarks/bench_service.py`` sweeps the arrival rate.
+``python -m repro experiment run bench_service`` sweeps the arrival rate.
 """
 
 from .backends import (

@@ -118,8 +118,3 @@ def verify_product(
     except RoundCheckFailure:
         return False
     return final_claim == oracle_value % field.modulus
-
-
-def proof_size_field_elements(proof: Sequence[Sequence[int]]) -> int:
-    """Number of field elements a sum-check proof contributes to the ZKP."""
-    return sum(len(row) for row in proof)

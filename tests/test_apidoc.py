@@ -1,6 +1,7 @@
 """API-doc generator tests: completeness and __all__ hygiene."""
 
 import importlib
+import pathlib
 
 import pytest
 
@@ -53,3 +54,9 @@ class TestGenerator:
             if line.startswith("|") and not line.startswith("|---"):
                 # A table row must have exactly 3 cells.
                 assert line.count("|") - line.count("\\|") == 4, line
+
+    def test_committed_api_doc_is_current(self):
+        committed = pathlib.Path(__file__).resolve().parents[1] / "docs" / "API.md"
+        assert committed.read_text() == generate_api_markdown(), (
+            "docs/API.md is stale: regenerate it with `python -m repro apidoc`"
+        )

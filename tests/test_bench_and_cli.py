@@ -115,6 +115,17 @@ class TestCli:
     def test_device_override(self, capsys):
         assert cli_main(["table10", "--device", "V100"]) == 0
 
+    @pytest.mark.parametrize("artifact, device, error", [
+        ("table3", "NOPE", "error: unknown GPU 'NOPE'"),
+        ("table8", "V100", "takes no --device"),
+        ("table9", "V100", "takes no --device"),
+        ("fig9", "V100", "takes no --device"),
+        ("breakdown", "V100", "takes no --device"),
+    ])
+    def test_bad_device_fails_typed(self, capsys, artifact, device, error):
+        assert cli_main([artifact, "--device", device]) == 1
+        assert error in capsys.readouterr().err
+
     def test_prove_serial(self, capsys):
         assert cli_main(["prove", "--tasks", "2", "--gates", "32"]) == 0
         out = capsys.readouterr().out

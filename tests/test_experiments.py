@@ -121,6 +121,9 @@ def test_builtin_catalog_registers_everything():
     }
     for suite in KNOWN_SUITES:
         assert select_experiments(suite=suite)
+    assert {"ablations", "frontier", "sensitivity"} <= {
+        s.name for s in select_experiments(suite="ci")
+    }
 
 
 # -- guards & execution -------------------------------------------------------
@@ -421,9 +424,11 @@ def test_render_experiments_md_from_live_tables():
         name: execute_spec(get_experiment(name), git_rev="test")
         for name in PAPER_EXPERIMENTS
     }
+    assert [n for n, r in results.items() if not r.ok] == []
     body = render_experiments_md(results)
     assert body.startswith("# EXPERIMENTS — paper vs. measured")
-    for heading in ("Table 3", "Table 7", "Table 11", "Figure 9"):
+    for heading in ("Table 3", "Table 7", "Table 11", "Figure 9",
+                    "Ablations", "Calibration sensitivity"):
         assert heading in body
     assert "python -m repro experiment reproduce-all" in body
 

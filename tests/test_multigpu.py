@@ -49,6 +49,12 @@ class TestSimulation:
             > 1.6 * single.sim.throughput_per_second
         )
 
+    @pytest.mark.parametrize("gpus, min_gain", [(2, 1.7), (4, 3.2)])
+    def test_farm_scales_near_linearly(self, gpus, min_gain):
+        one = MultiGpuBatchSystem(["A100"], scale=1 << 16).simulate(1024)
+        farm = MultiGpuBatchSystem(["A100"] * gpus, scale=1 << 16).simulate(1024)
+        assert farm.throughput_per_second > min_gain * one.throughput_per_second
+
     def test_efficiency_improves_with_batch(self):
         farm = MultiGpuBatchSystem(["V100", "A100"], scale=SCALE)
         small = farm.simulate(batch_size=32)

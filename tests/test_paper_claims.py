@@ -1,14 +1,27 @@
-"""The paper's headline claims, certified by plain pytest.
+"""The paper's headline claims and each table's shape, certified by pytest.
 
-These duplicate the shape assertions of the benchmark suite so that
-``pytest tests/`` alone is enough to check the reproduction's conclusions
-(the benches additionally print the full tables).
+``python -m repro tableN`` (or ``experiment run tableN``) prints a table;
+the tests here check its shape — orderings, speedup magnitudes and
+crossovers — so ``pytest tests/`` alone checks the reproduction's
+conclusions.
 """
 
 import pytest
 
 from repro.baselines import ZKML_BASELINES, bellperson_times, orion_arkworks_times
-from repro.bench import compute_breakdown
+from repro.bench import (
+    compute_breakdown,
+    compute_fig9,
+    compute_table3,
+    compute_table4,
+    compute_table5,
+    compute_table6,
+    compute_table7,
+    compute_table8,
+    compute_table9,
+    compute_table10,
+    compute_table11,
+)
 from repro.pipeline import BatchZkpSystem
 from repro.zkml import simulate_vgg16_service, vgg16_cifar10
 
@@ -99,3 +112,48 @@ class TestResourceClaims:
             share = alloc[name] / 10240
             ideal = work[name] / total_work
             assert share == pytest.approx(ideal, abs=0.06), name
+
+
+# -- table shapes ---------------------------------------------------------------
+
+
+def _by_label(compute):
+    return {row.label: row.values for row in compute()}
+
+
+@pytest.mark.parametrize("compute, min_vs_gpu, min_vs_cpu", [
+    (compute_table3, 1, 300), (compute_table4, 1, 1000), (compute_table5, 3, 200),
+])
+def test_module_tables_shape(compute, min_vs_gpu, min_vs_cpu):
+    """Tables 3-5: ours wins everywhere, most at the smallest input."""
+    rows = list(_by_label(compute).values())  # 2^22 first, 2^18 last
+    assert min(r["speedup_vs_gpu"] for r in rows) > min_vs_gpu
+    assert rows[-1]["speedup_vs_gpu"] > rows[0]["speedup_vs_gpu"]
+    assert min(r["speedup_vs_cpu"] for r in rows) > min_vs_cpu
+
+
+def test_system_tables_shape():
+    latency = _by_label(compute_table6)  # pipelining costs latency, more at 2^20
+    assert all(v["ours_ms"] > v["baseline_ms"] for v in latency.values())
+    assert latency["2^20/merkle"]["ratio"] < latency["2^18/merkle"]["ratio"]
+    for traces in compute_fig9().values():
+        assert traces["ours_mean"] > max(0.7, traces["baseline_mean"] + 0.3)
+    for v in _by_label(compute_table7).values():
+        assert v["libsnark_ms"] > v["bellperson_ms"] > v["ours_ms"]
+        assert min(v["speedup_vs_bellperson"], v["speedup_vs_orion_ark"]) > 250
+        assert v["ours_sumcheck_ms"] > v["ours_encoder_ms"] > v["ours_merkle_ms"]
+    gpus = _by_label(compute_table8)
+    ours = [gpus[d]["ours_throughput"] for d in ("V100", "A100", "3090Ti", "H100")]
+    assert all(a < b for a, b in zip(ours, ours[1:]))
+    assert gpus["V100"]["throughput_speedup"] > 250  # the abstract's 259.5x
+    assert all(v["throughput_speedup"] > 200 and v["ours_latency_s"] < v["bell_latency_s"]
+               for v in gpus.values())
+    assert all(v["reduction"] > 3 for v in _by_label(compute_table10).values())
+    for v in _by_label(compute_table9).values():  # the beat ≈ max(comm, comp)
+        assert 0.99 * max(v["comm_ms"], v["comp_ms"]) <= v["overall_ms"]
+        assert v["overall_ms"] < v["comm_ms"] + 0.9 * v["comp_ms"]
+        assert 250 < v["comm_mb"] < 400  # ~320 MB per beat at S = 2^20
+    zkml = _by_label(compute_table11)
+    ours = zkml.pop("Ours")
+    assert all(ours["throughput"] > 200 * v["throughput"] for v in zkml.values())
+    assert ours["accuracy"] >= max(v["accuracy"] for v in zkml.values())

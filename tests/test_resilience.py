@@ -693,6 +693,39 @@ class TestProofJournal:
         with pytest.raises(JournalError, match="not at tail"):
             ProofJournal.load(str(path), spec)
 
+    @pytest.mark.parametrize("damage", [
+        "header without spec", "non-hex spec", "integer spec",
+        "array entry", "integer key", "non-UTF-8 header", "non-UTF-8 entry",
+    ])
+    def test_malformed_file_fails_typed(self, tmp_path, damage):
+        spec, tasks = _chain_setup(num_tasks=1)
+        header = {"journal": "repro-proofs", "version": 1,
+                  "spec": spec.r1cs.digest().hex()}
+        if damage == "header without spec":
+            del header["spec"]
+        elif damage in ("non-hex spec", "integer spec"):
+            header["spec"] = "zz" if damage == "non-hex spec" else 7
+        head = json.dumps(header).encode()
+        if damage == "non-UTF-8 header":
+            head = head[:-1] + b', "x": "\xff"}'
+        key = task_key(spec, tasks[0])
+        good = b'{"key": "%s", "task_id": 0, "proof": "01"}' % key.hex().encode()
+        middle = {
+            "array entry": b"[1, 2]",
+            "integer key": good.replace(b'"key": "', b'"key": 5, "was": "'),
+            "non-UTF-8 entry": good[:-1] + b', "x": "\xff"}',
+        }.get(damage, good)
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(b"\n".join([head, middle, good]) + b"\n")
+        with pytest.raises(JournalError):
+            ProofJournal.load(str(path), spec)
+        if middle == good:  # a header fault: open refuses the file too
+            with pytest.raises(JournalError):
+                ProofJournal.open(str(path), spec)
+        else:  # the same bytes as the final line are a torn tail
+            path.write_bytes(b"\n".join([head, good, middle]))
+            assert ProofJournal.load(str(path), spec) == ({key: b"\x01"}, 1)
+
 
 class TestJournaledProve:
     def test_fresh_run_journals_everything(self, tmp_path):

@@ -1,6 +1,7 @@
 """Parallel proving runtime tests (S22): parity, robustness, observability."""
 
 import json
+import os
 import time
 
 import pytest
@@ -131,6 +132,12 @@ class TestParity:
 
 
 class TestRobustness:
+    @pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="needs >= 4 cores")
+    def test_four_workers_double_serial_throughput(self):
+        from repro.experiments.benches import run_scaling
+
+        assert run_scaling(tasks=48, workers=4)["speedup"] >= 2.0
+
     def test_retry_recovers_from_worker_exception(self, setup):
         _, spec, tasks = setup
         runtime = ParallelProvingRuntime(
