@@ -38,7 +38,7 @@ def main() -> None:
     ]
     policy = BatchPolicy(max_batch_size=4)
 
-    with service.serve(policy=policy, max_queue=32) as front:
+    with service.serve(policy=policy) as front:
         tickets = []
         for i, x in enumerate(inputs):
             interactive = i % 2 == 0

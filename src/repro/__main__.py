@@ -378,7 +378,7 @@ def _run_node(args) -> int:
     from .cluster import NodeServer
 
     host, sep, port = args.listen.rpartition(":")
-    if not sep or not port.isdigit():
+    if not sep or not port.isdigit() or int(port) > 65535:
         print(f"error: --listen wants HOST:PORT, got {args.listen!r}",
               file=sys.stderr)
         return 1
@@ -652,6 +652,7 @@ def main(argv=None) -> int:
 
     if args.experiment in ("prove", "serve"):
         from .errors import (
+            CircuitError,
             ClusterError,
             ExecutionError,
             ProofError,
@@ -663,8 +664,8 @@ def main(argv=None) -> int:
             return _run_prove(args) if args.experiment == "prove" else \
                 _run_serve(args)
         except (
-            ClusterError, ExecutionError, ProofError, ResilienceError,
-            ServiceError, OSError,
+            CircuitError, ClusterError, ExecutionError, ProofError,
+            ResilienceError, ServiceError, OSError,
         ) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -6,14 +6,13 @@ evaluation plus calibrated vendor models for their absolute performance:
 * NTT (radix-2, Goldilocks) and elliptic-curve MSM (naive + Pippenger) —
   the first-category workload (Libsnark/Bellperson).
 * :class:`GrothLikeProver` — the NTT+MSM prover pipeline, runnable.
-* :class:`SequentialCpuProver` / Orion&Arkworks rates — the same-modules
+* Orion&Arkworks rates (:func:`orion_arkworks_times`) — the same-modules
   CPU baseline.
 * Vendor models (Table 7/8/10/11 fits) in :mod:`repro.baselines.vendor`.
 """
 
 from .cpu_prover import (
     CpuModuleTimes,
-    SequentialCpuProver,
     TABLE7_CPU_COSTS,
     orion_arkworks_times,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "GrothWorkload",
     "GrothProofArtifact",
     "groth_memory_bytes",
-    "SequentialCpuProver",
     "CpuModuleTimes",
     "orion_arkworks_times",
     "TABLE7_CPU_COSTS",

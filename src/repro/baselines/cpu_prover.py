@@ -4,19 +4,16 @@ The paper's closest-algorithm baseline is a CPU implementation using the
 *same* modules as the accelerated system — Orion for the linear-time
 encoder and Merkle trees, Arkworks for sum-check.  In this reproduction
 that baseline is simply our own functional prover executed sequentially on
-the host: :class:`SequentialCpuProver` wraps
-:class:`~repro.core.prover.SnarkProver` with per-module timing, and
+the host (:class:`~repro.core.prover.SnarkProver`), and
 :func:`orion_arkworks_times` prices the calibrated system workload at the
 Table 3–5 CPU rates for table-scale runs.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
-from ..core.prover import SnarkProver
 from ..gpu.costs import CpuCostModel
 from ..pipeline.system import (
     ENCODER_MACS_PER_GATE,
@@ -63,26 +60,3 @@ def orion_arkworks_times(
         encoder_seconds=ENCODER_MACS_PER_GATE * scale * costs.encoder_mac_seconds,
     )
 
-
-class SequentialCpuProver:
-    """Times the real Python prover module-by-module (functional baseline).
-
-    This is what actually runs when you benchmark the repository on a
-    laptop: real field arithmetic, real hashing — the CPU category of the
-    paper made concrete.
-    """
-
-    def __init__(self, prover: SnarkProver):
-        self.prover = prover
-
-    def prove_timed(
-        self, witness: Sequence[int], public_values: Sequence[int]
-    ) -> Dict[str, float]:
-        """Prove once, returning {'total_seconds': …} wall-clock stats."""
-        start = time.perf_counter()
-        proof = self.prover.prove(witness, public_values)
-        total = time.perf_counter() - start
-        return {
-            "total_seconds": total,
-            "proof_bytes": float(proof.size_bytes(self.prover.field)),
-        }

@@ -56,7 +56,7 @@ measures the payoff as Σ hits / Σ lookups across the fleet's `STATS`.
 **Hedged dispatch.** A node that is *slow* (not dead) never trips a
 breaker; the coordinator covers that gap with hedging.  Every shard's
 client-observed latency feeds a sliding `LatencyTracker`; once a shard
-outlives `hedge_delay_factor` × the window's p95 (floored at
+outlives `HEDGE_DELAY_FACTOR` (1.5) × the window's p95 (floored at
 `min_hedge_delay_seconds`, default 50 ms), the same task indices are
 re-issued to the shard's ring successor and the first successful result
 wins — safe because both attempts produce byte-identical proofs.  A
@@ -73,9 +73,9 @@ around), in-flight batches stream their results to completion, then
 `drain_address("host:port")` drive it client-side, and
 `NodePool.retire(drain_timeout=…)` turns a scale-down into
 unroute → drain → SIGTERM → (timeout) → SIGKILL.  `NodePool.close()`
-terminates all children concurrently against one `terminate_timeout`
-deadline and kills stragglers, so one wedged subprocess cannot hang
-shutdown.
+terminates all children concurrently against one
+`NODE_TERMINATE_TIMEOUT_SECONDS` deadline and kills stragglers, so one
+wedged subprocess cannot hang shutdown.
 
 **Failure model.** Transport loss anywhere becomes
 `BackendUnavailableError` — the same blameless-outage type the S25

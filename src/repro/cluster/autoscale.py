@@ -47,13 +47,14 @@ class LoadModel:
             measured stage profile, or a bench's throughput inverse).
         node_parallelism:  Concurrent proofs one node sustains (its
             backend's ``parallelism``).
-        headroom:          Target utilization ceiling; the derate that
-            keeps queueing latency finite.
+
+    The target utilization ceiling is
+    :func:`~repro.gpu.costs.target_node_count`'s ``headroom`` (0.8), the
+    derate that keeps queueing latency finite.
     """
 
     per_proof_seconds: float
     node_parallelism: int = 1
-    headroom: float = 0.8
 
     def __post_init__(self) -> None:
         if self.per_proof_seconds <= 0:
@@ -64,10 +65,6 @@ class LoadModel:
             raise ClusterError(
                 f"node_parallelism must be >= 1, got {self.node_parallelism}"
             )
-        if not 0.0 < self.headroom <= 1.0:
-            raise ClusterError(
-                f"headroom must be in (0, 1], got {self.headroom}"
-            )
 
     @classmethod
     def from_stage_profile(
@@ -75,7 +72,6 @@ class LoadModel:
         stage_seconds: Mapping[str, float],
         *,
         node_parallelism: int = 1,
-        headroom: float = 0.8,
     ) -> "LoadModel":
         """Calibrate from a measured per-proof stage profile (the
         ``stages`` payload of a ``stage_timing`` trace event, or a
@@ -85,11 +81,7 @@ class LoadModel:
             raise ClusterError(
                 "stage profile has no measured time to calibrate from"
             )
-        return cls(
-            per_proof_seconds=cost,
-            node_parallelism=node_parallelism,
-            headroom=headroom,
-        )
+        return cls(per_proof_seconds=cost, node_parallelism=node_parallelism)
 
     def target_nodes(
         self, arrival_rate: float, *, min_nodes: int = 1, max_nodes: int = 16
@@ -99,7 +91,6 @@ class LoadModel:
             arrival_rate,
             self.per_proof_seconds,
             self.node_parallelism,
-            headroom=self.headroom,
             min_nodes=min_nodes,
             max_nodes=max_nodes,
         )
@@ -114,6 +105,17 @@ class LoadModel:
         )
 
 
+#: Where :class:`NodePool` children listen: the pool spawns *local*
+#: subprocesses, so they bind the loopback interface.
+NODE_HOST = "127.0.0.1"
+
+#: Seconds a spawned node gets to print its ``READY`` line.
+NODE_READY_TIMEOUT_SECONDS = 30.0
+
+#: Seconds a child gets to exit after SIGTERM before SIGKILL.
+NODE_TERMINATE_TIMEOUT_SECONDS = 5.0
+
+
 class NodePool:
     """Local node subprocesses: the autoscaler's actuator.
 
@@ -126,19 +128,8 @@ class NodePool:
     library-version gate would reject anything else.
     """
 
-    def __init__(
-        self,
-        backend: str = "serial",
-        *,
-        host: str = "127.0.0.1",
-        ready_timeout: float = 30.0,
-        terminate_timeout: float = 5.0,
-    ):
+    def __init__(self, backend: str = "serial"):
         self.backend = backend
-        self.host = host
-        self.ready_timeout = ready_timeout
-        #: Seconds a child gets to exit after SIGTERM before SIGKILL.
-        self.terminate_timeout = terminate_timeout
         self._procs: List[subprocess.Popen] = []
         self._addresses: List[str] = []
         self._lock = threading.Lock()
@@ -180,7 +171,7 @@ class NodePool:
         """Launch one node; returns its ``host:port`` address."""
         cmd = [
             sys.executable, "-u", "-m", "repro", "node",
-            "--listen", f"{self.host}:0",
+            "--listen", f"{NODE_HOST}:0",
             "--backend", self.backend,
             *extra_args,
         ]
@@ -190,7 +181,7 @@ class NodePool:
             stderr=subprocess.DEVNULL,
             env=self._child_env(),
         )
-        address = self._await_ready(proc, self.ready_timeout)
+        address = self._await_ready(proc, NODE_READY_TIMEOUT_SECONDS)
         with self._lock:
             self._procs.append(proc)
             self._addresses.append(address)
@@ -200,7 +191,7 @@ class NodePool:
         """SIGTERM, bounded wait, then SIGKILL — no child wedges a retire."""
         proc.terminate()
         try:
-            proc.wait(timeout=self.terminate_timeout)
+            proc.wait(timeout=NODE_TERMINATE_TIMEOUT_SECONDS)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
@@ -261,10 +252,10 @@ class NodePool:
         """Stop every node (idempotent), escalating to SIGKILL.
 
         All children are terminated *concurrently* against one shared
-        ``terminate_timeout`` deadline; any child still alive at the
-        deadline — a node ignoring SIGTERM mid-syscall, a wedged
-        interpreter — is killed.  One hung subprocess can therefore
-        delay shutdown by at most ``terminate_timeout`` seconds total,
+        :data:`NODE_TERMINATE_TIMEOUT_SECONDS` deadline; any child still
+        alive at the deadline — a node ignoring SIGTERM mid-syscall, a
+        wedged interpreter — is killed.  One hung subprocess can
+        therefore delay shutdown by at most that many seconds total,
         not per node.
         """
         with self._lock:
@@ -273,7 +264,7 @@ class NodePool:
         for proc in procs:
             if proc.poll() is None:
                 proc.terminate()
-        deadline = time.monotonic() + self.terminate_timeout
+        deadline = time.monotonic() + NODE_TERMINATE_TIMEOUT_SECONDS
         for proc in procs:
             try:
                 proc.wait(timeout=max(0.0, deadline - time.monotonic()))

@@ -32,7 +32,7 @@ never retried: a version-skewed fleet fails loudly, not slowly.
 **Hedged dispatch** covers the failure mode breakers can't see: a node
 that is *slow* rather than dead.  Each shard's client-observed latency
 feeds a sliding :class:`~repro.cluster.hedging.LatencyTracker`; once a
-shard has run longer than ``hedge_delay_factor`` × the window's p95
+shard has run longer than :data:`HEDGE_DELAY_FACTOR` × the window's p95
 (floored at ``min_hedge_delay_seconds``), the coordinator re-issues the
 same task indices to the shard's ring successor and takes whichever
 attempt succeeds first.  Determinism makes this free of coordination:
@@ -66,6 +66,19 @@ from ..runtime.stats import RuntimeStats, merge_runtime_stats
 from ..runtime.trace import JsonlTraceSink, backend_span
 from .hedging import LatencyTracker, TokenBucket
 from .ring import HashRing
+
+#: Per-node :class:`CircuitBreaker` tuning.  One failure opens a node's
+#: breaker (a dead TCP peer should stop receiving work immediately); the
+#: breaker admits a probe after the cooldown.
+BREAKER_FAILURE_THRESHOLD = 1
+BREAKER_COOLDOWN_SECONDS = 0.25
+
+#: How long one batch keeps waiting for *any* admissible node before it
+#: fails with :class:`~repro.errors.BackendUnavailableError`.
+MAX_UNAVAILABLE_SECONDS = 5.0
+
+#: Hedge once a shard exceeds this multiple of the latency window's p95.
+HEDGE_DELAY_FACTOR = 1.5
 
 
 class _Member:
@@ -114,30 +127,19 @@ class _ShardRun:
 class ClusterBackend:
     """Composite backend routing batches over a node fleet by digest.
 
+    Every batch uses every admitted node, in affinity order.
+
     Args:
         children:           Child backends (typically ``RemoteBackend``
                             instances; any ``ProvingBackend`` works, so
                             the tests can cluster in-process backends).
-        replicas:           Virtual points per node on the hash ring.
-        fanout:             Max nodes per batch (0 = use every admitted
-                            node in affinity order — full throughput).
-        failure_threshold:  Consecutive failures that open a node's
-                            breaker (default 1: a dead TCP peer should
-                            stop receiving work immediately).
-        cooldown_seconds:   Open-breaker dwell before a probe.
-        half_open_probes:   Probe budget while half-open.
-        max_unavailable_seconds:  How long one batch keeps waiting for
-                            *any* admissible node before giving up.
         hedge:              Enable hedged dispatch (tail-latency
                             mitigation; needs ≥ 2 ring members to act).
-        hedge_delay_factor: Hedge once a shard exceeds this multiple of
-                            the window's p95 latency.
         min_hedge_delay_seconds:  Floor on the hedge delay, so
                             microsecond-fast in-process fleets don't
                             hedge on scheduler jitter.
-        hedge_min_samples / hedge_window:  Latency-window shape; hedging
-                            stays off until ``hedge_min_samples`` shard
-                            completions have been observed.
+        hedge_min_samples:  Hedging stays off until this many shard
+                            completions are in the latency window.
         hedge_budget_per_second / hedge_budget_burst:  Global token
                             bucket bounding hedge issues (the
                             anti-retry-storm valve).
@@ -147,37 +149,18 @@ class ClusterBackend:
         self,
         children: Sequence[ProvingBackend],
         *,
-        replicas: int = 64,
-        fanout: int = 0,
-        failure_threshold: int = 1,
-        cooldown_seconds: float = 0.25,
-        half_open_probes: int = 1,
-        max_unavailable_seconds: float = 5.0,
         hedge: bool = True,
-        hedge_delay_factor: float = 1.5,
         min_hedge_delay_seconds: float = 0.05,
         hedge_min_samples: int = 8,
-        hedge_window: int = 64,
         hedge_budget_per_second: float = 4.0,
         hedge_budget_burst: float = 8.0,
     ):
         children = list(children)
         if not children:
             raise ClusterError("ClusterBackend needs at least one node")
-        if fanout < 0:
-            raise ClusterError(f"fanout must be >= 0, got {fanout}")
-        self.replicas = replicas
-        self.fanout = fanout
-        self.failure_threshold = failure_threshold
-        self.cooldown_seconds = cooldown_seconds
-        self.half_open_probes = half_open_probes
-        self.max_unavailable_seconds = max_unavailable_seconds
         self.hedge = hedge
-        self.hedge_delay_factor = hedge_delay_factor
         self.min_hedge_delay_seconds = min_hedge_delay_seconds
-        self._latency = LatencyTracker(
-            window=hedge_window, min_samples=hedge_min_samples
-        )
+        self._latency = LatencyTracker(min_samples=hedge_min_samples)
         self._hedge_budget = TokenBucket(
             hedge_budget_per_second, hedge_budget_burst
         )
@@ -187,7 +170,7 @@ class ClusterBackend:
         self._lock = threading.Lock()
         self._members: Dict[str, _Member] = {}
         self._joined = 0
-        self.ring = HashRing(replicas=replicas)
+        self.ring = HashRing()
         #: (event, fields) pairs emitted by breaker transitions between
         #: runs; flushed onto the next run's span.
         self._pending_events: List[Tuple[str, dict]] = []
@@ -237,9 +220,8 @@ class ClusterBackend:
                     )
 
         breaker = CircuitBreaker(
-            failure_threshold=self.failure_threshold,
-            cooldown_seconds=self.cooldown_seconds,
-            half_open_probes=self.half_open_probes,
+            failure_threshold=BREAKER_FAILURE_THRESHOLD,
+            cooldown_seconds=BREAKER_COOLDOWN_SECONDS,
             on_transition=on_transition,
         )
         member = _Member(member_id, backend, breaker)
@@ -300,8 +282,7 @@ class ClusterBackend:
             ctx.emit(event, **fields)
 
     def _affinity_order(self, digest: bytes) -> List[str]:
-        want = len(self.ring) if self.fanout == 0 else self.fanout
-        return self.ring.nodes_for(digest, max(1, want))
+        return self.ring.nodes_for(digest, max(1, len(self.ring)))
 
     def prove_tasks(
         self,
@@ -323,7 +304,7 @@ class ClusterBackend:
         results: List[Optional[SnarkProof]] = [None] * len(tasks)
         part_stats: List[RuntimeStats] = []
         pending: List[int] = list(range(len(tasks)))
-        deadline = time.monotonic() + self.max_unavailable_seconds
+        deadline = time.monotonic() + MAX_UNAVAILABLE_SECONDS
         round_no = 0
         while pending:
             round_no += 1
@@ -411,14 +392,14 @@ class ClusterBackend:
         """Current hedge trigger in seconds, or ``None`` while disabled.
 
         ``None`` means either hedging is off or the latency window has
-        fewer than ``hedge_min_samples`` completions to estimate a p95.
+        too few completions (``hedge_min_samples``) to estimate a p95.
         """
         if not self.hedge:
             return None
         p95 = self._latency.percentile(95.0)
         if p95 is None:
             return None
-        return max(self.min_hedge_delay_seconds, p95 * self.hedge_delay_factor)
+        return max(self.min_hedge_delay_seconds, p95 * HEDGE_DELAY_FACTOR)
 
     def _timed_attempt(self, member: _Member, run_shard, indices: List[int]):
         start = time.monotonic()

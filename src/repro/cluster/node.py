@@ -371,12 +371,11 @@ class NodeServer:
                     self.spec_misses += 1
                     self.spec_hits += len(tasks) - 1
         field = spec.r1cs.field
-        chunk = max(1, int(payload.get("chunk") or self.chunk_size))
         part_stats = []
         start = time.perf_counter()
         try:
-            for lo in range(0, len(tasks), chunk):
-                batch = tasks[lo:lo + chunk]
+            for lo in range(0, len(tasks), self.chunk_size):
+                batch = tasks[lo:lo + self.chunk_size]
                 results, stats = self.backend.prove_tasks(spec, batch)
                 part_stats.append(stats)
                 entries = []

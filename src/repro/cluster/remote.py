@@ -62,7 +62,9 @@ class RemoteBackend:
         connect_timeout:  Seconds to wait for TCP connect + handshake.
         io_timeout:       Per-frame socket timeout while proving (a node
                           that stops answering counts as unavailable).
-        chunk:            Override the node's streaming chunk size.
+
+    The node streams results in its own chunk size (``node
+    --chunk-size``).
     """
 
     def __init__(
@@ -72,13 +74,11 @@ class RemoteBackend:
         *,
         connect_timeout: float = 5.0,
         io_timeout: float = 600.0,
-        chunk: Optional[int] = None,
     ):
         self.host = host
         self.port = int(port)
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
-        self.chunk = chunk
         self.name = f"remote:{host}:{port}"
         #: Updated from the node's HELLO on first contact.
         self.parallelism = 1
@@ -239,7 +239,6 @@ class RemoteBackend:
                         "digest": digest.hex(),
                         "spec": spec,
                         "tasks": tasks,
-                        "chunk": self.chunk,
                     },
                 )
                 while True:

@@ -387,20 +387,6 @@ class BrakedownPCS:
             matrices=matrices, codewords=codewords, trees=trees, params=params
         )
 
-    def lane_state(self, state: LanedState, lane: int) -> ProverState:
-        """Materialize one lane of a :class:`LanedState` as a scalar state.
-
-        Used when a single lane's proof must be re-driven through the
-        per-proof path (retries, diagnostics); the lane's arrays are
-        views, not copies.
-        """
-        return ProverState(
-            matrix=state.matrices[lane],
-            encoded=state.codewords[lane],
-            tree=state.trees[lane],
-            params=state.params,
-        )
-
     # -- evaluation -----------------------------------------------------------------
 
     def _split_point(self, point: Sequence[int]) -> Tuple[List[int], List[int]]:

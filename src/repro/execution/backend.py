@@ -88,12 +88,10 @@ class SerialBackend(LanedBackend):
     """
 
     def __init__(
-        self, *, max_retries: int = 0, retry_backoff_seconds: float = 0.05,
-        fault_injector=None,
+        self, *, max_retries: int = 0, fault_injector=None,
     ) -> None:
         super().__init__(
             1, max_retries=max_retries, fault_injector=fault_injector,
-            retry_backoff_seconds=retry_backoff_seconds,
         )
         self.name = "serial"
 
@@ -103,8 +101,12 @@ class PoolBackend:
 
     One runtime (and therefore one per-worker prover setup recipe) is
     cached per spec; retries, per-task timeouts, chunking, and the
-    bounded in-flight window are the runtime's, configured through
-    ``runtime_options``.
+    bounded in-flight window are the runtime's.  Two attributes reach
+    it, and like ``fault_injector`` they must be set before the first
+    ``prove_tasks`` for a spec: ``lane_width`` (set by the
+    ``lanes:W:pool:N`` selector; chunks then carry one lane group each)
+    and ``max_retries`` (raised by
+    :func:`~repro.resilience.apply_fault_plan`).
 
     Args:
         workers:         Pool size; ``None`` → ``os.cpu_count()``.
@@ -116,9 +118,6 @@ class PoolBackend:
                          first ``prove_tasks`` for a spec — the worker
                          initializer captures it when the runtime is
                          built.
-        runtime_options: Extra keyword arguments forwarded to
-                         :class:`ParallelProvingRuntime`
-                         (``chunk_size``, ``max_retries``, …).
     """
 
     def __init__(
@@ -126,7 +125,6 @@ class PoolBackend:
         workers: Optional[int] = None,
         *,
         fault_injector=None,
-        **runtime_options,
     ):
         if workers is None:
             workers = os.cpu_count() or 1
@@ -136,7 +134,8 @@ class PoolBackend:
         self.parallelism = workers
         self.name = f"pool:{workers}"
         self.fault_injector = fault_injector
-        self.runtime_options = dict(runtime_options)
+        self.lane_width: Optional[int] = None
+        self.max_retries = 2
         self._runtimes = _PerSpecCache()
 
     def prove_tasks(
@@ -153,8 +152,9 @@ class PoolBackend:
             lambda s: ParallelProvingRuntime(
                 s,
                 workers=self.workers,
+                max_retries=self.max_retries,
                 fault_injector=self.fault_injector,
-                **self.runtime_options,
+                lane_width=self.lane_width,
             ),
         )
         proofs, stats = runtime.prove_tasks(tasks, trace=trace, parent=parent)
@@ -170,8 +170,8 @@ class PoolBackend:
 class ShardedBackend:
     """Composite execution: split one batch across child backends.
 
-    The shard sizes are proportional to each child's weight (its
-    ``parallelism`` by default) via the same largest-remainder rounding
+    The shard sizes are proportional to each child's ``parallelism`` via
+    the same largest-remainder rounding
     the multi-GPU farm simulator uses, so a ``sharded:pool:4,pool:4``
     backend places tasks exactly as a two-device farm with equal rates
     would.  Shards run concurrently on threads (each child does its own
@@ -180,31 +180,16 @@ class ShardedBackend:
     combined worker count against the sharded wall-clock envelope.
     """
 
-    def __init__(
-        self,
-        children: Sequence[ProvingBackend],
-        weights: Optional[Sequence[float]] = None,
-    ):
+    def __init__(self, children: Sequence[ProvingBackend]):
         children = list(children)
         if not children:
             raise ExecutionError("ShardedBackend needs at least one child")
-        if weights is None:
-            weights = [
-                float(max(1, getattr(child, "parallelism", 1)))
-                for child in children
-            ]
-        weights = [float(w) for w in weights]
-        if len(weights) != len(children):
-            raise ExecutionError(
-                f"{len(weights)} weights for {len(children)} children"
-            )
-        if any(w < 0 for w in weights):
-            raise ExecutionError(f"weights must be non-negative: {weights}")
         self.children = children
-        self.weights = weights
-        self.parallelism = sum(
-            max(1, getattr(child, "parallelism", 1)) for child in children
-        )
+        self.weights = [
+            float(max(1, getattr(child, "parallelism", 1)))
+            for child in children
+        ]
+        self.parallelism = int(sum(self.weights))
         self.name = "sharded:" + ",".join(child.name for child in children)
 
     def shard(self, n_tasks: int) -> List[int]:

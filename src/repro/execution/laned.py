@@ -49,6 +49,7 @@ from ..errors import ExecutionError, ProofError
 from ..kernels.field_kernels import vectorised
 from ..kernels.spec_cache import default_spec_cache
 from ..runtime.lifecycle import (
+    RETRY_BACKOFF_SECONDS,
     fire_faults,
     prove_group,
     prove_with_retries,
@@ -111,7 +112,6 @@ class LanedBackend:
         lane_width: "int | str" = "auto",
         *,
         max_retries: int = 0,
-        retry_backoff_seconds: float = 0.05,
         fault_injector=None,
     ) -> None:
         if lane_width != "auto":
@@ -128,7 +128,6 @@ class LanedBackend:
         self.name = f"lanes:{lane_width}"
         self.parallelism = 1
         self.max_retries = max_retries
-        self.retry_backoff_seconds = retry_backoff_seconds
         self.fault_injector = fault_injector
         self._provers = _PerSpecCache()
 
@@ -212,7 +211,7 @@ class LanedBackend:
                     tasks=[task.task_id for task in group],
                     reason=repr(exc),
                 )
-                time.sleep(self.retry_backoff_seconds)
+                time.sleep(RETRY_BACKOFF_SECONDS)
                 first_attempt = 2
             else:
                 record(

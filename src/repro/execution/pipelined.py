@@ -58,6 +58,10 @@ from ..runtime.trace import JsonlTraceSink, backend_span
 
 __all__ = ["PipelinedBackend", "StageGroup", "plan_stage_workers"]
 
+#: Proofs of a spec's first batch proved inline under stage profiling;
+#: their measured stage split sizes the plan cached for the spec.
+WARMUP_TASKS = 2
+
 #: Which :func:`stage_cost_fractions` key weighs each pipeline stage.
 #: ``open`` maps to ``other`` (commit residue + opening — the opening
 #: dominates that bucket in practice).
@@ -206,7 +210,7 @@ class PipelinedBackend:
 
     ``workers`` is the total thread count (``"auto"`` sizes from the
     host CPU count, clamped to the stage count); the first
-    ``warmup_tasks`` proofs of a spec's first batch are proved inline
+    :data:`WARMUP_TASKS` proofs of a spec's first batch are proved inline
     under profiling to measure the stage split, after which the plan is
     cached per spec and batches stream straight into the queues.
 
@@ -222,9 +226,7 @@ class PipelinedBackend:
         workers: "int | str | None" = "auto",
         *,
         max_retries: int = 0,
-        retry_backoff_seconds: float = 0.05,
         fault_injector=None,
-        warmup_tasks: int = 2,
         lane_width: Optional[int] = None,
     ) -> None:
         auto = workers in (None, "auto")
@@ -240,10 +242,6 @@ class PipelinedBackend:
             raise ExecutionError(
                 f"max_retries must be >= 0, got {max_retries}"
             )
-        if warmup_tasks < 1:
-            raise ExecutionError(
-                f"warmup_tasks must be >= 1, got {warmup_tasks}"
-            )
         if lane_width is not None and lane_width < 1:
             raise ExecutionError(
                 f"lane_width must be >= 1, got {lane_width}"
@@ -253,9 +251,7 @@ class PipelinedBackend:
         self.parallelism = resolved
         self.name = "pipelined:auto" if auto else f"pipelined:{resolved}"
         self.max_retries = max_retries
-        self.retry_backoff_seconds = retry_backoff_seconds
         self.fault_injector = fault_injector
-        self.warmup_tasks = warmup_tasks
         self._provers = _PerSpecCache()
         self._plans = _PerSpecCache()
 
@@ -295,7 +291,7 @@ class PipelinedBackend:
         if plan is None and tasks:
             warm_profile = StageProfile()
             run = partial(self._prove_inline, prover, ctx)
-            warmed = min(self.warmup_tasks, len(tasks))
+            warmed = min(WARMUP_TASKS, len(tasks))
             for index, task in enumerate(tasks[:warmed]):
                 proof, seconds, stages, attempt = prove_with_retries(
                     run, task, 1, self, ctx, stats

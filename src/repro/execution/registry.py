@@ -19,8 +19,8 @@ code::
     pipelined:4                 stage-pipelined threads, 4 workers
     pipelined:auto              stage-pipelined, sized from the host
     sharded:pool:4,pool:4       two concurrent 4-worker pools
-    sharded:pool:4,serial       heterogeneous children (weights default
-                                to each child's parallelism)
+    sharded:pool:4,serial       heterogeneous children (weighted by
+                                each child's parallelism)
     resilient:sharded:pool:2,pool:2
                                 the same two pools behind per-child
                                 circuit breakers with failover and
@@ -202,8 +202,7 @@ def _make_lanes(rest: str) -> ProvingBackend:
     backend: ProvingBackend
     if inner_head == "pool":
         backend = _make_pool(inner.partition(":")[2].strip())
-        backend.runtime_options["lane_width"] = width
-        backend.runtime_options.setdefault("chunk_size", width)
+        backend.lane_width = width
     elif inner_head == "pipelined":
         from .pipelined import PipelinedBackend
 

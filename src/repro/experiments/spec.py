@@ -231,10 +231,6 @@ class ExperimentSpec:
                 metrics[key] = number
         return metrics
 
-    def guard_directions(self) -> Dict[str, str]:
-        """Metric name → "higher"/"lower", for guard-covered metrics."""
-        return {guard.metric: guard.direction for guard in self.guards}
-
 
 @dataclass
 class ExperimentResult:

@@ -9,7 +9,7 @@ Coefficients are stored low-degree first as raw ints reduced mod p.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import random
 
@@ -152,9 +152,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % p
         return acc
-
-    def evaluate_many(self, xs: Sequence[int]) -> List[int]:
-        return [self(x) for x in xs]
 
     # -- calculus-free utilities -------------------------------------------------
 

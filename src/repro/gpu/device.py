@@ -41,10 +41,6 @@ class GpuSpec:
     def clock_hz(self) -> float:
         return self.clock_ghz * 1e9
 
-    @property
-    def device_memory_bytes(self) -> int:
-        return int(self.device_memory_gb * (1 << 30))
-
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / (self.clock_hz * self.compute_scale)
 

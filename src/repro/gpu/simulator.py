@@ -58,10 +58,6 @@ class SimResult:
         return self.batch_size / self.total_seconds
 
     @property
-    def throughput_per_ms(self) -> float:
-        return self.throughput_per_second / 1e3
-
-    @property
     def amortized_seconds(self) -> float:
         return self.total_seconds / self.batch_size
 

@@ -58,15 +58,16 @@ every layer that accepts them.
 
 **The failover substrate.** `ResilientBackend` implements
 `prove_tasks` over child backends.  Each child sits behind a
-`CircuitBreaker` (closed → open on `failure_threshold` consecutive
-failures → half-open probe after `cooldown_seconds`) and a
+`CircuitBreaker` (closed → open on `BREAKER_FAILURE_THRESHOLD` (2)
+consecutive failures → half-open probe after `BREAKER_COOLDOWN_SECONDS`
+(0.25 s)) and a
 `HealthTracker` ledger.  Failed children's tasks fail over to healthy
 siblings; group failures are re-dispatched as singletons for exact
-attribution; a task failing attributably on `quarantine_threshold`
+attribution; a task failing attributably on `QUARANTINE_THRESHOLD` (2)
 distinct children comes back as a `QuarantinedTaskError` result slot —
 the other tasks' proofs still arrive.  `split_results(results)`
 partitions the mixed result list.  With `verify_on_return=True` each
-proof is verified (and re-proved up to `max_reproves`) before return.
+proof is verified (and re-proved up to `MAX_REPROVES` times) before return.
 A per-run `ResilienceStats` (`last_resilience_stats`) counts faults,
 failovers, quarantines, re-proves, and breaker transitions.
 

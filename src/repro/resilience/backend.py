@@ -13,7 +13,7 @@ streaming when children misbehave:
   siblings in the next dispatch round, and the breaker's half-open probe
   re-admits the child once its cooldown elapses.
 * A task whose failures are *attributable* (a singleton dispatch failed)
-  on ``quarantine_threshold`` distinct children is **quarantined**: its
+  on :data:`QUARANTINE_THRESHOLD` distinct children is **quarantined**: its
   result slot carries a typed
   :class:`~repro.errors.QuarantinedTaskError` instead of sinking the
   other tasks' proofs — the per-task blast-radius discipline the
@@ -21,7 +21,7 @@ streaming when children misbehave:
   down.
 * With ``verify_on_return=True`` every proof is verified before it is
   returned; a corrupted proof is **re-proved** (bounded by
-  ``max_reproves`` per task, then treated as an attributable failure).
+  :data:`MAX_REPROVES` per task, then treated as an attributable failure).
 
 Failure attribution: a failed *group* dispatch has an unknown culprit
 (the child may be down, or one task may be poisoned), so its tasks are
@@ -62,6 +62,23 @@ from .stats import ResilienceStats
 #: A result slot: the proof, or the typed quarantine verdict.
 TaskResult = Union[SnarkProof, QuarantinedTaskError]
 
+#: Per-child :class:`CircuitBreaker` tuning: consecutive failures that
+#: open a child's breaker, and the open dwell before a half-open probe.
+BREAKER_FAILURE_THRESHOLD = 2
+BREAKER_COOLDOWN_SECONDS = 0.25
+
+#: Distinct children an *attributable* task failure must span before the
+#: task is quarantined (clamped to the child count).
+QUARANTINE_THRESHOLD = 2
+
+#: Re-prove budget per task before a proof that failed verification
+#: counts as an attributable child failure.
+MAX_REPROVES = 1
+
+#: Total time one run may spend waiting for any breaker to admit work
+#: before giving up.
+MAX_UNAVAILABLE_SECONDS = 5.0
+
 
 class ResilientBackend:
     """Failover + breakers + quarantine around child proving backends.
@@ -69,71 +86,42 @@ class ResilientBackend:
     Args:
         children: What to protect — a single backend, a sequence of
             sibling backends, or a :class:`ShardedBackend` whose children
-            and weights are adopted (the ``resilient:sharded:...``
-            selector path).
-        weights: Sharding weights (default: each child's parallelism).
-        failure_threshold / cooldown_seconds / half_open_probes:
-            Per-child :class:`CircuitBreaker` tuning.
-        quarantine_threshold: Distinct children an *attributable* task
-            failure must span before the task is quarantined (clamped to
-            the child count).
+            are adopted (the ``resilient:sharded:...`` selector path).
+            Tasks are sharded by each child's parallelism.
         verify_on_return: Verify every proof before returning; failed
             verification triggers a re-prove.
-        max_reproves: Re-prove budget per task before a bad proof counts
-            as an attributable child failure.
         fault_injector: Optional :class:`FaultInjector` for the chaos
             plane (outage checks before each child call; leaf backends
             carry their own worker/corruption hooks).
-        max_unavailable_seconds: Total time one run may spend waiting for
-            any breaker to admit work before giving up.
     """
 
     def __init__(
         self,
         children: Union[ProvingBackend, Sequence[ProvingBackend]],
         *,
-        weights: Optional[Sequence[float]] = None,
-        failure_threshold: int = 2,
-        cooldown_seconds: float = 0.25,
-        half_open_probes: int = 1,
-        quarantine_threshold: int = 2,
         verify_on_return: bool = False,
-        max_reproves: int = 1,
         fault_injector: Optional[FaultInjector] = None,
-        max_unavailable_seconds: float = 5.0,
     ):
-        inner_name, child_list, child_weights = self._adopt(children, weights)
+        inner_name, child_list = self._adopt(children)
         if not child_list:
             raise ExecutionError("ResilientBackend needs at least one child")
-        if quarantine_threshold < 1:
-            raise ExecutionError(
-                f"quarantine_threshold must be >= 1, "
-                f"got {quarantine_threshold}"
-            )
-        if max_reproves < 0:
-            raise ExecutionError(
-                f"max_reproves must be >= 0, got {max_reproves}"
-            )
         self.children: List[ProvingBackend] = child_list
-        self.weights = child_weights
+        self.weights = [
+            float(max(1, getattr(child, "parallelism", 1)))
+            for child in child_list
+        ]
         self.name = f"resilient:{inner_name}"
-        self.parallelism = sum(
-            max(1, getattr(child, "parallelism", 1)) for child in child_list
-        )
-        self.quarantine_threshold = quarantine_threshold
+        self.parallelism = int(sum(self.weights))
         self.verify_on_return = verify_on_return
-        self.max_reproves = max_reproves
         self.fault_injector = fault_injector
-        self.max_unavailable_seconds = max_unavailable_seconds
         self.health = [
             HealthTracker(f"{i}:{child.name}")
             for i, child in enumerate(child_list)
         ]
         self.breakers = [
             CircuitBreaker(
-                failure_threshold=failure_threshold,
-                cooldown_seconds=cooldown_seconds,
-                half_open_probes=half_open_probes,
+                failure_threshold=BREAKER_FAILURE_THRESHOLD,
+                cooldown_seconds=BREAKER_COOLDOWN_SECONDS,
                 on_transition=self._transition_recorder(i),
             )
             for i in range(len(child_list))
@@ -147,36 +135,19 @@ class ResilientBackend:
         self._run_ctx = None
 
     @staticmethod
-    def _adopt(
-        children, weights
-    ) -> Tuple[str, List[ProvingBackend], List[float]]:
+    def _adopt(children) -> Tuple[str, List[ProvingBackend]]:
         """Normalize the children argument; adopt a ShardedBackend's shape."""
         if isinstance(children, ShardedBackend):
-            return children.name, list(children.children), (
-                list(weights) if weights is not None
-                else list(children.weights)
-            )
+            return children.name, list(children.children)
         if isinstance(children, ProvingBackend) and not isinstance(
             children, (list, tuple)
         ):
             children = [children]
         child_list = list(children)
-        if weights is None:
-            child_weights = [
-                float(max(1, getattr(child, "parallelism", 1)))
-                for child in child_list
-            ]
-        else:
-            child_weights = [float(w) for w in weights]
-        if len(child_weights) != len(child_list):
-            raise ExecutionError(
-                f"{len(child_weights)} weights for "
-                f"{len(child_list)} children"
-            )
         inner = ",".join(child.name for child in child_list)
         if len(child_list) > 1:
             inner = f"sharded:{inner}"
-        return inner, child_list, child_weights
+        return inner, child_list
 
     def _transition_recorder(self, child_index: int):
         def record(src: str, dst: str) -> None:
@@ -205,9 +176,9 @@ class ResilientBackend:
 
         The result list is in task order; a slot holds the task's
         :class:`SnarkProof`, or a :class:`QuarantinedTaskError` when the
-        task failed attributably on ``quarantine_threshold`` distinct
+        task failed attributably on :data:`QUARANTINE_THRESHOLD` distinct
         children.  The batch itself only raises when *no* child can take
-        work for longer than ``max_unavailable_seconds``.
+        work for longer than :data:`MAX_UNAVAILABLE_SECONDS`.
         """
         tasks = list(tasks)
         ctx = backend_span(trace, parent)
@@ -232,12 +203,10 @@ class ResilientBackend:
         last_failed_child: Dict[int, int] = {}
         reproves: Dict[int, int] = {}
         isolate: Set[int] = set()
-        effective_quarantine = min(
-            self.quarantine_threshold, len(self.children)
-        )
+        effective_quarantine = min(QUARANTINE_THRESHOLD, len(self.children))
         waited = 0.0
         round_budget = 4 + len(tasks) * (
-            effective_quarantine + self.max_reproves + 1
+            effective_quarantine + MAX_REPROVES + 1
         )
 
         try:
@@ -263,7 +232,7 @@ class ResilientBackend:
                         default=0.0,
                     )
                     wait = min(max(wait, 0.005), 0.25)
-                    if waited + wait > self.max_unavailable_seconds:
+                    if waited + wait > MAX_UNAVAILABLE_SECONDS:
                         raise ExecutionError(
                             f"no healthy children after waiting "
                             f"{waited:.2f}s; breakers: "
@@ -290,7 +259,7 @@ class ResilientBackend:
                     # children are all breaker-rejected); wait a beat.
                     time.sleep(0.005)
                     waited += 0.005
-                    if waited > self.max_unavailable_seconds:
+                    if waited > MAX_UNAVAILABLE_SECONDS:
                         raise ExecutionError(
                             "pending tasks cannot be placed on any "
                             "admissible child"
@@ -554,9 +523,7 @@ class ResilientBackend:
             verifier = self._verifiers.get_or_build(
                 spec, lambda s: s.build_verifier()
             )
-        effective_quarantine = min(
-            self.quarantine_threshold, len(self.children)
-        )
+        effective_quarantine = min(QUARANTINE_THRESHOLD, len(self.children))
         for index, proof in zip(group, proofs):
             if verifier is not None:
                 try:
@@ -567,7 +534,7 @@ class ResilientBackend:
                     good = False
                 if not good:
                     used = reproves.get(index, 0)
-                    if used < self.max_reproves:
+                    if used < MAX_REPROVES:
                         reproves[index] = used + 1
                         rstats.re_proves += 1
                         last_failed_child[index] = child_index

@@ -356,15 +356,8 @@ def apply_fault_plan(
         seen.add(id(node))
         if hasattr(node, "fault_injector"):
             node.fault_injector = injector
-        if min_retries is not None:
-            if hasattr(node, "max_retries"):
-                node.max_retries = max(node.max_retries, min_retries)
-            elif hasattr(node, "runtime_options"):
-                # PoolBackend forwards retry tuning to its runtime.
-                opts = node.runtime_options
-                opts["max_retries"] = max(
-                    opts.get("max_retries", 0), min_retries
-                )
+        if min_retries is not None and hasattr(node, "max_retries"):
+            node.max_retries = max(node.max_retries, min_retries)
         for child in getattr(node, "children", []) or []:
             walk(child)
         inner = getattr(node, "child", None)

@@ -12,9 +12,9 @@ a failed attempt is retried with backoff, and the success is billed as a
 :func:`record`.
 
 A retry ``policy`` is any object with the standard chaos hooks:
-``fault_injector`` (``(task_id, attempt)`` callable or None),
-``max_retries`` and ``retry_backoff_seconds``.  Attempts count from 1;
-a task has spent its budget after ``1 + max_retries``.
+``fault_injector`` (``(task_id, attempt)`` callable or None) and
+``max_retries``.  Attempts count from 1; a task has spent its budget
+after ``1 + max_retries``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from ..errors import ProofError
 from ..kernels.profile import collect_stages
 from .stats import RuntimeStats, TaskRecord
 from .trace import SpanContext
+
+#: Base delay before a retry, doubling per attempt (0.05 → 0.1 → 0.2 …);
+#: every substrate retries on this one schedule.
+RETRY_BACKOFF_SECONDS = 0.05
 
 #: ``(proofs, wall_seconds, stage_seconds)`` of one proved group.
 GroupResult = Tuple[List[SnarkProof], float, Dict[str, float]]
@@ -78,7 +82,7 @@ def backoff_or_raise(
 
     Raises :class:`~repro.errors.ProofError` once ``attempt`` spent the
     budget; otherwise counts the retry and emits ``retry`` on the task
-    span.  The backoff is ``retry_backoff_seconds · 2^(attempt-1)``.
+    span.  The backoff is ``RETRY_BACKOFF_SECONDS · 2^(attempt-1)``.
     """
     if attempt > policy.max_retries:
         raise ProofError(
@@ -89,7 +93,7 @@ def backoff_or_raise(
     ctx.for_task(task_id).emit(
         "retry", task_id=task_id, attempt=attempt, reason=reason
     )
-    return policy.retry_backoff_seconds * (2 ** (attempt - 1))
+    return RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1))
 
 
 def prove_with_retries(

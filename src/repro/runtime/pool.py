@@ -9,9 +9,10 @@ service setting (§1, §2.1 — a proving farm billing per proof):
   worker; the R1CS/PCS setup (expander generation, digesting) is paid
   once per worker, not once per task.
 * **Chunked dispatch with a bounded in-flight queue** — tasks travel in
-  chunks of ``chunk_size`` to amortize IPC, and at most ``max_in_flight``
-  chunks are outstanding at any moment, giving backpressure instead of
-  unbounded pickling of a million-task stream.
+  chunks of ``chunk_size`` to amortize IPC, and at most
+  :data:`IN_FLIGHT_CHUNKS_PER_WORKER` chunks per worker are outstanding
+  at any moment, giving backpressure instead of unbounded pickling of a
+  million-task stream.
 * **Robustness** — a failed attempt (worker exception or per-task
   timeout) is retried with backoff, failed multi-task chunks are split
   into singleton resubmissions so one poisoned task cannot sink its
@@ -61,6 +62,14 @@ from .stats import RuntimeStats
 from .trace import JsonlTraceSink, SpanContext, backend_span
 
 FaultInjector = Callable[[int, int], None]
+
+#: Outstanding chunks per worker: one proving, one queued behind it, so
+#: a worker never idles waiting for the dispatcher to pickle its next
+#: chunk, and the queue never holds more than two chunks per worker.
+IN_FLIGHT_CHUNKS_PER_WORKER = 2
+
+#: Dispatcher sleep when a poll pass found nothing to submit or collect.
+POLL_INTERVAL_SECONDS = 0.002
 
 #: Process-global worker state, populated once by :func:`_init_worker`.
 _WORKER_STATE: dict = {}
@@ -140,13 +149,12 @@ class ParallelProvingRuntime:
         workers:               Pool size; ``None`` → ``os.cpu_count()``;
                                ``1`` proves inline with no pool at all.
         chunk_size:            Tasks per dispatched chunk (IPC amortization).
-        max_in_flight:         Outstanding-chunk bound (backpressure);
-                               default ``2 × workers``.
         max_retries:           Extra attempts per task after the first
                                (so a task runs at most ``1 + max_retries``
-                               times before :class:`ProofError`).
-        retry_backoff_seconds: Base delay before a retry; doubles per
-                               attempt (0.05 → 0.1 → 0.2 …).
+                               times before :class:`ProofError`); the
+                               backoff between attempts is
+                               :data:`~repro.runtime.lifecycle.RETRY_BACKOFF_SECONDS`,
+                               doubling per attempt.
         task_timeout_seconds:  Per-task attempt budget.  In pooled mode an
                                attempt that outlives ``timeout × chunk_len``
                                is abandoned and resubmitted (the stale
@@ -154,7 +162,6 @@ class ParallelProvingRuntime:
                                discarded).  In serial mode a mid-call
                                preemption is impossible, so overruns are
                                only *recorded* in ``stats.timeouts``.
-        trace:                 Optional :class:`JsonlTraceSink`.
         fault_injector:        Optional picklable ``(task_id, attempt)``
                                callable that raises to simulate failures.
         lane_width:            When set, each multi-task chunk is proved
@@ -172,13 +179,9 @@ class ParallelProvingRuntime:
         workers: Optional[int] = None,
         *,
         chunk_size: int = 1,
-        max_in_flight: Optional[int] = None,
         max_retries: int = 2,
-        retry_backoff_seconds: float = 0.05,
         task_timeout_seconds: Optional[float] = None,
-        trace: Optional[JsonlTraceSink] = None,
         fault_injector: Optional[FaultInjector] = None,
-        poll_interval_seconds: float = 0.002,
         lane_width: Optional[int] = None,
     ):
         if workers is None:
@@ -202,13 +205,9 @@ class ParallelProvingRuntime:
         self.spec = spec
         self.workers = workers
         self.chunk_size = chunk_size
-        self.max_in_flight = max_in_flight or 2 * workers
         self.max_retries = max_retries
-        self.retry_backoff_seconds = retry_backoff_seconds
         self.task_timeout_seconds = task_timeout_seconds
-        self.trace = trace
         self.fault_injector = fault_injector
-        self.poll_interval_seconds = poll_interval_seconds
         #: Lazily built prover for the serial path, reused across runs so
         #: a long-lived ``workers=1`` runtime pays the R1CS/PCS setup once.
         self._serial_prover: Optional[SnarkProver] = None
@@ -229,16 +228,14 @@ class ParallelProvingRuntime:
         Raises :class:`ProofError` once any task exhausts its retry
         budget (``1 + max_retries`` attempts, counting timeouts).
 
-        ``trace`` overrides the constructor sink for this run; ``parent``
-        is the enclosing span id for correlated telemetry.  Both default
-        to the ambient span (see :func:`~repro.runtime.trace.use_span`)
-        when one is set, so a service dispatching through intermediate
-        layers still produces one connected span tree.
+        ``trace`` is this run's sink; ``parent`` is the enclosing span id
+        for correlated telemetry.  Both default to the ambient span (see
+        :func:`~repro.runtime.trace.use_span`) when one is set, so a
+        service dispatching through intermediate layers still produces
+        one connected span tree.
         """
         tasks = list(tasks)
-        self._ctx = backend_span(
-            trace if trace is not None else self.trace, parent
-        )
+        self._ctx = backend_span(trace, parent)
         stats = RuntimeStats(workers=self.workers)
         start = time.perf_counter()
         self._ctx.emit(
@@ -363,6 +360,7 @@ class ParallelProvingRuntime:
         submitted_at: Dict[int, float] = {}  # first submission per index
         results: Dict[int, SnarkProof] = {}
         next_handle = 0
+        max_in_flight = IN_FLIGHT_CHUNKS_PER_WORKER * self.workers
 
         def fail_item(item: _WorkItem, reason: str) -> None:
             """Retry a failed chunk; multi-task chunks split into singles."""
@@ -391,7 +389,7 @@ class ParallelProvingRuntime:
 
             # Submit while the in-flight window has room.
             progressed = False
-            while ready and len(in_flight) < self.max_in_flight:
+            while ready and len(in_flight) < max_in_flight:
                 item = ready.popleft()
                 payload = [
                     (index, tasks[index], attempt)
@@ -459,6 +457,6 @@ class ParallelProvingRuntime:
                     fail_item(item, "per-task timeout exceeded")
 
             if not progressed:
-                time.sleep(self.poll_interval_seconds)
+                time.sleep(POLL_INTERVAL_SECONDS)
 
         return [results[i] for i in range(len(tasks))]

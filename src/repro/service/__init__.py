@@ -64,12 +64,13 @@ __apidoc__ = """\
 **Submit/ticket lifecycle.** `ProofService.submit(payload, circuit_key=…,
 witness_key=…, priority=…, deadline_seconds=…)` never blocks: it either
 returns a `Ticket` or raises a typed `AdmissionError` whose `reason` is
-`"queue_full"` (hard bound `max_queue` hit), `"bulk_shed"` (queue above
-`high_watermark`; BULK rejected until depth falls below `low_watermark` —
-INTERACTIVE still boards), or `"service_closed"`. The ticket resolves
-once — `ticket.result(timeout)` blocks for the value, `ticket.source`
-says whether it was `"proved"`, served from `"cache"`, or `"coalesced"`
-onto an identical in-flight request. Deadlines shape scheduling and are
+`"queue_full"` (hard bound `max_queue` hit), `"bulk_shed"` (queue at
+`high_watermark`, 3/4 of `max_queue`; BULK rejected until depth falls to
+`low_watermark`, 1/2 of `max_queue` — INTERACTIVE still boards), or
+`"service_closed"`. The ticket resolves once — `ticket.result(timeout)`
+blocks for the value, `ticket.source` says whether it was `"proved"`,
+served from `"cache"`, or `"coalesced"` onto an identical in-flight
+request. Deadlines shape scheduling and are
 *recorded* when missed (`ServiceStats.deadline_misses`); they never drop
 a request. `close(drain=True)` flushes the queue; `close(drain=False)`
 fails pending tickets with `ServiceError`; `close(drain=True,
@@ -105,7 +106,7 @@ class, then earliest deadline, then arrival — and the batch is ordered
 the same way and capped at `max_batch_size`, the policy's one knob.
 
 **Cache semantics.** Results are keyed by `(circuit_key, witness_key)`.
-A finished key resolves new submissions instantly (LRU, `cache_capacity`
+A finished key resolves new submissions instantly (LRU, `CACHE_CAPACITY`
 entries); an in-flight key parks the new ticket on the leader
 (single-flight: N identical concurrent requests cost one proof). Pass
 `witness_key=None` to opt a request out of caching entirely. A failed

@@ -69,10 +69,12 @@ class RuntimeProofBackend:
 
     @classmethod
     def from_specs(
-        cls, specs: Sequence[ProverSpec], **kwargs
+        cls,
+        specs: Sequence[ProverSpec],
+        backend: Union[str, ProvingBackend] = "serial",
     ) -> "RuntimeProofBackend":
         """Build with keys derived from each spec's R1CS digest."""
-        return cls({spec_key(spec): spec for spec in specs}, **kwargs)
+        return cls({spec_key(spec): spec for spec in specs}, backend)
 
     def _spec_for(self, circuit_key: bytes) -> ProverSpec:
         try:

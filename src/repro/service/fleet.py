@@ -26,8 +26,8 @@ overload is **shed-or-scale** rather than shed-only:
   of a shed.
 
 * :func:`launch_fleet` is the one-call assembly used by ``python -m
-  repro serve --fleet``: spawn nodes, build the (optionally
-  resilient-wrapped) cluster backend over them, and return a
+  repro serve --fleet``: spawn nodes, build the resilient-wrapped
+  cluster backend over them, and return a
   :class:`Fleet` handle that supervises services and tears everything
   down in the right order.
 
@@ -49,6 +49,13 @@ from ..cluster.remote import RemoteBackend
 from ..errors import ClusterError, ServiceError
 from ..runtime.trace import JsonlTraceSink, SpanContext
 from .stats import DEGRADATION_LADDER
+
+#: Seconds a retiring node gets to finish in-flight proofs over the
+#: ``DRAIN`` frame before it is terminated anyway.
+DRAIN_TIMEOUT_SECONDS = 10.0
+
+#: Minimum gap between two scaling actions of a supervised fleet.
+SCALE_COOLDOWN_SECONDS = 1.0
 
 __all__ = [
     "DEGRADATION_LADDER",
@@ -102,12 +109,10 @@ class FleetActuator:
         pool: NodePool,
         cluster: ClusterBackend,
         *,
-        drain_timeout_seconds: float = 10.0,
         trace: Optional[JsonlTraceSink] = None,
     ):
         self.pool = pool
         self.cluster = cluster
-        self.drain_timeout_seconds = drain_timeout_seconds
         self._ctx = SpanContext(trace, "fleet")
         self._lock = threading.Lock()
         #: address → cluster member id for nodes this actuator manages.
@@ -153,10 +158,10 @@ class FleetActuator:
             if member_id is not None:
                 self._ctx.emit(
                     "node_drain", node=member_id,
-                    timeout_seconds=self.drain_timeout_seconds,
+                    timeout_seconds=DRAIN_TIMEOUT_SECONDS,
                 )
                 self._remove_member(member_id)
-            self.pool.retire(drain_timeout=self.drain_timeout_seconds)
+            self.pool.retire(drain_timeout=DRAIN_TIMEOUT_SECONDS)
             self._ctx.emit(
                 "node_leave",
                 node=member_id or f"remote:{address}",
@@ -281,10 +286,8 @@ class Fleet:
     pool: NodePool
     cluster: ClusterBackend
     actuator: FleetActuator
-    #: What to hand the service: the cluster, resilient-wrapped unless
-    #: ``launch_fleet(resilient=False)``.
+    #: What to hand the service: the cluster, resilient-wrapped.
     backend: object
-    drain_timeout_seconds: float = 10.0
     trace: Optional[JsonlTraceSink] = None
     _supervisors: List[FleetSupervisor] = field(default_factory=list)
 
@@ -296,17 +299,15 @@ class Fleet:
         min_nodes: int = 1,
         max_nodes: int = 4,
         interval_seconds: float = 0.25,
-        cooldown_seconds: float = 1.0,
         shrink_patience: int = 3,
-        start: bool = True,
     ) -> FleetSupervisor:
-        """Attach a shed-or-scale supervisor for ``service``."""
+        """Attach and start a shed-or-scale supervisor for ``service``."""
         scaler = Autoscaler(
             model,
             self.actuator,
             min_nodes=min_nodes,
             max_nodes=max_nodes,
-            cooldown_seconds=cooldown_seconds,
+            cooldown_seconds=SCALE_COOLDOWN_SECONDS,
             shrink_patience=shrink_patience,
             trace=self.trace,
         )
@@ -315,8 +316,7 @@ class Fleet:
             interval_seconds=interval_seconds, trace=self.trace,
         )
         self._supervisors.append(supervisor)
-        if start:
-            supervisor.start()
+        supervisor.start()
         return supervisor
 
     def close(self) -> None:
@@ -324,12 +324,6 @@ class Fleet:
         for supervisor in self._supervisors:
             supervisor.stop()
         self._supervisors.clear()
-        close = getattr(self.backend, "close", None)
-        if callable(close) and self.backend is not self.cluster:
-            try:
-                close()
-            except Exception:
-                pass
         try:
             self.cluster.close()
         except Exception:
@@ -347,48 +341,30 @@ def launch_fleet(
     node_backend: str = "serial",
     *,
     initial_nodes: int = 1,
-    resilient: bool = True,
-    drain_timeout_seconds: float = 10.0,
     trace: Optional[JsonlTraceSink] = None,
-    pool: Optional[NodePool] = None,
-    **cluster_kwargs,
 ) -> Fleet:
     """Spawn a local node fleet and return its :class:`Fleet` handle.
 
     ``node_backend`` is each node's *inner* selector (``serial``,
-    ``pool:2``, …); ``cluster_kwargs`` pass through to
-    :class:`ClusterBackend` (hedging knobs included).  With
-    ``resilient=True`` (default) the cluster is wrapped in a
+    ``pool:2``, …).  The cluster is wrapped in a
     :class:`~repro.resilience.ResilientBackend`, the composition the
     chaos drill serves through: breaker-level failover inside the
     cluster, quarantine and retry discipline outside it.
     """
-    own_pool = pool is None
-    if pool is None:
-        pool = NodePool(backend=node_backend)
+    from ..resilience import ResilientBackend
+
+    pool = NodePool(backend=node_backend)
     try:
         while pool.size < max(1, initial_nodes):
             pool.spawn()
-        cluster = ClusterBackend(pool.backends(), **cluster_kwargs)
+        cluster = ClusterBackend(pool.backends())
     except Exception:
-        if own_pool:
-            pool.close()
+        pool.close()
         raise
-    actuator = FleetActuator(
-        pool, cluster,
-        drain_timeout_seconds=drain_timeout_seconds, trace=trace,
-    )
-    if resilient:
-        from ..resilience import ResilientBackend
-
-        backend: object = ResilientBackend(cluster)
-    else:
-        backend = cluster
     return Fleet(
         pool=pool,
         cluster=cluster,
-        actuator=actuator,
-        backend=backend,
-        drain_timeout_seconds=drain_timeout_seconds,
+        actuator=FleetActuator(pool, cluster, trace=trace),
+        backend=ResilientBackend(cluster),
         trace=trace,
     )

@@ -43,6 +43,10 @@ from .stats import ServiceStats
 #: Maps a payload to its (circuit key, witness key) routing identity.
 Keyer = Callable[[Any], Tuple[bytes, Optional[bytes]]]
 
+#: Finished-result LRU size.  Single-flight dedup of in-flight requests
+#: does not depend on it.
+CACHE_CAPACITY = 1024
+
 
 class ProofService:
     """Accepts a request stream, serves proof results through tickets.
@@ -57,13 +61,10 @@ class ProofService:
                         (see :mod:`repro.service.backends`).
         policy:         Batch-formation knobs (:class:`BatchPolicy`).
         max_queue:      Hard queue bound; a submit beyond it raises
-                        :class:`AdmissionError` ("queue_full").
-        high_watermark: Queue depth at which BULK admission stops
-                        ("bulk_shed").  Default ``3/4 × max_queue``.
-        low_watermark:  Depth at which BULK admission resumes.  Default
-                        ``1/2 × max_queue``.
-        cache_capacity: Finished-result LRU size (0 disables caching but
-                        single-flight dedup still applies).
+                        :class:`AdmissionError` ("queue_full").  BULK
+                        admission stops ("bulk_shed") at the high
+                        watermark, ``3/4 × max_queue``, and resumes at
+                        the low watermark, ``1/2 × max_queue``.
         keyer:          Optional payload → (circuit_key, witness_key)
                         function so callers can omit explicit keys.
         trace:          Optional shared :class:`JsonlTraceSink`.
@@ -82,9 +83,6 @@ class ProofService:
         *,
         policy: Optional[BatchPolicy] = None,
         max_queue: int = 256,
-        high_watermark: Optional[int] = None,
-        low_watermark: Optional[int] = None,
-        cache_capacity: int = 1024,
         keyer: Optional[Keyer] = None,
         trace: Optional[JsonlTraceSink] = None,
         fault_injector=None,
@@ -95,19 +93,9 @@ class ProofService:
         self.backend = backend
         self.policy = policy or BatchPolicy()
         self.max_queue = max_queue
-        self.high_watermark = (
-            high_watermark if high_watermark is not None else (3 * max_queue) // 4
-        )
-        self.low_watermark = (
-            low_watermark if low_watermark is not None else max_queue // 2
-        )
-        if not 0 <= self.low_watermark <= self.high_watermark <= max_queue:
-            raise ServiceError(
-                f"watermarks must satisfy 0 <= low <= high <= max_queue, got "
-                f"low={self.low_watermark} high={self.high_watermark} "
-                f"max={max_queue}"
-            )
-        self.cache = ResultCache(capacity=cache_capacity)
+        self.high_watermark = (3 * max_queue) // 4
+        self.low_watermark = max_queue // 2
+        self.cache = ResultCache(capacity=CACHE_CAPACITY)
         self.keyer = keyer
         self.trace = trace
         self.fault_injector = fault_injector

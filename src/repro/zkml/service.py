@@ -24,8 +24,8 @@ from ..core.prover import SnarkProver, make_pcs
 from ..core.verifier import SnarkVerifier
 from ..core.proof import SnarkProof
 from ..errors import ZkmlError
-from ..field.prime_field import DEFAULT_FIELD, PrimeField
-from ..hashing.hashers import Hasher, get_hasher
+from ..field.prime_field import DEFAULT_FIELD
+from ..hashing.hashers import get_hasher
 from ..merkle.tree import MerkleTree
 from ..pipeline.system import BatchZkpSystem, SystemResult
 from .circuitize import circuitize
@@ -45,6 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: S = 2^20 system of Table 8 sits at ~28.
 VGG_STAGE_CAPS = {"encoder": 10_000, "merkle": 10_000, "sumcheck": 10_000}
 
+#: Hash of the model-parameter Merkle commitment (:attr:`MlaasService.model_root`).
+MODEL_HASHER = "sha256-hw"
+
 
 @dataclass
 class PredictionResponse:
@@ -61,16 +64,10 @@ class MlaasService:
     >>> # See examples/verifiable_ml.py for an end-to-end run.
     """
 
-    def __init__(
-        self,
-        model: SequentialModel,
-        field: PrimeField = DEFAULT_FIELD,
-        hasher: Optional[Hasher] = None,
-        num_col_checks: int = 10,
-    ):
+    def __init__(self, model: SequentialModel, num_col_checks: int = 10):
         self.model = model
-        self.field = field
-        self.hasher = hasher or get_hasher("sha256-hw")
+        self.field = DEFAULT_FIELD
+        self.hasher = get_hasher(MODEL_HASHER)
         self.num_col_checks = num_col_checks
         # Preprocessing (Figure 8): commit the model parameters once.
         self._param_tree = MerkleTree.from_blocks(
@@ -224,7 +221,6 @@ class MlaasService:
         *,
         backend: "BackendLike" = "serial",
         policy=None,
-        **service_kwargs,
     ) -> "ProofService":
         """Open a streaming front door over this model (Figure 8, online).
 
@@ -242,9 +238,7 @@ class MlaasService:
         :meth:`prove_predictions` on ``backend`` — any selector,
         including ``cluster:…`` / ``resilient:cluster:…`` fleet
         selectors, which are resolved once so their node connections
-        persist across the stream.  Extra keyword arguments
-        (``max_queue``, ``cache_capacity``, ``trace``, …) pass through
-        to :class:`~repro.service.ProofService`.
+        persist across the stream.
         """
         from ..service import ProofService
 
@@ -252,7 +246,6 @@ class MlaasService:
             _PredictionBackend(self, backend),
             policy=policy,
             keyer=self.request_keys,
-            **service_kwargs,
         )
 
 

@@ -126,6 +126,16 @@ class TestCli:
         assert cli_main([artifact, "--device", device]) == 1
         assert error in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, error", [
+        (["prove", "--gates", "1"], "error: need at least two gates"),
+        (["serve", "--gates", "1"], "error: need at least two gates"),
+        (["node", "--listen", "127.0.0.1:99999"],
+         "error: --listen wants HOST:PORT"),
+    ])
+    def test_bad_input_fails_typed(self, capsys, argv, error):
+        assert cli_main(argv) == 1
+        assert error in capsys.readouterr().err
+
     def test_prove_serial(self, capsys):
         assert cli_main(["prove", "--tasks", "2", "--gates", "32"]) == 0
         out = capsys.readouterr().out

@@ -16,7 +16,7 @@ from repro.cluster import (
     NodeServer,
     RemoteBackend,
 )
-from repro.cluster import protocol
+from repro.cluster import coordinator, protocol
 from repro.core import ProofTask, SnarkProver, make_pcs, random_circuit
 from repro.core.serialize import serialize_proof
 from repro.errors import (
@@ -289,14 +289,16 @@ def test_node_stats_gauges(node, setup):
         assert {"hits", "misses"} <= set(stats[gauge])
 
 
-def test_node_streams_chunked_results(node, setup, serial_wire):
+def test_node_streams_chunked_results(setup, serial_wire):
     spec, tasks = setup
-    backend = RemoteBackend(node.host, node.port, chunk=3)
+    server = NodeServer(backend="serial", chunk_size=3).start()
+    backend = RemoteBackend(server.host, server.port)
     try:
         proofs, _ = backend.prove_tasks(spec, tasks)
         assert _wire(proofs) == serial_wire
     finally:
         backend.close()
+        server.close()
 
 
 def test_node_rejects_skewed_library_version(node):
@@ -385,13 +387,11 @@ def test_cluster_cache_affinity_above_ninety_percent(setup):
 
 def test_cluster_routes_same_circuit_to_same_nodes(setup):
     spec, _ = setup
-    backend = ClusterBackend(
-        [SerialBackend() for _ in range(4)], fanout=2
-    )
+    backend = ClusterBackend([SerialBackend() for _ in range(4)])
     digest = spec.r1cs.digest()
     order = backend._affinity_order(digest)
     assert order == backend._affinity_order(digest)
-    assert len(order) == 2
+    assert sorted(order) == sorted(m.id for m in backend.members)
 
 
 class _DeadChild:
@@ -408,13 +408,14 @@ class _DeadChild:
         raise BackendUnavailableError("injected outage")
 
 
-def test_cluster_fails_over_and_emits_rebalance(tmp_path, setup, serial_wire):
+def test_cluster_fails_over_and_emits_rebalance(
+    tmp_path, setup, serial_wire, monkeypatch
+):
     spec, tasks = setup
     dead = _DeadChild()
-    backend = ClusterBackend(
-        [SerialBackend(), dead, SerialBackend()],
-        cooldown_seconds=30.0,  # stays open for the whole test
-    )
+    # The dead child's breaker stays open for the whole test.
+    monkeypatch.setattr(coordinator, "BREAKER_COOLDOWN_SECONDS", 30.0)
+    backend = ClusterBackend([SerialBackend(), dead, SerialBackend()])
     trace_path = tmp_path / "cluster.jsonl"
     sink = JsonlTraceSink(str(trace_path))
     proofs, _ = backend.prove_tasks(spec, tasks, trace=sink)
@@ -434,13 +435,11 @@ def test_cluster_fails_over_and_emits_rebalance(tmp_path, setup, serial_wire):
     assert dead.calls == calls_before
 
 
-def test_cluster_with_all_nodes_down_fails_typed(setup):
+def test_cluster_with_all_nodes_down_fails_typed(setup, monkeypatch):
     spec, tasks = setup
-    backend = ClusterBackend(
-        [_DeadChild(), _DeadChild()],
-        cooldown_seconds=60.0,
-        max_unavailable_seconds=0.2,
-    )
+    monkeypatch.setattr(coordinator, "BREAKER_COOLDOWN_SECONDS", 60.0)
+    monkeypatch.setattr(coordinator, "MAX_UNAVAILABLE_SECONDS", 0.2)
+    backend = ClusterBackend([_DeadChild(), _DeadChild()])
     with pytest.raises(BackendUnavailableError, match="no admissible node"):
         backend.prove_tasks(spec, tasks)
 

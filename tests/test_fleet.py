@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.cluster import autoscale, coordinator
 from repro.cluster import (
     Autoscaler,
     ClusterBackend,
@@ -222,10 +223,7 @@ class TestDegradationLadder:
         key = spec_key(spec)
         gated = GatedBackend(RuntimeProofBackend({key: spec}))
         policy = BatchPolicy(max_batch_size=1)
-        svc = ProofService(
-            gated, policy=policy, max_queue=8,
-            high_watermark=2, low_watermark=1,
-        )
+        svc = ProofService(gated, policy=policy, max_queue=4)  # high 3
         try:
             task = ProofTask(0, cc.witness, cc.public_values)
             svc.submit(
@@ -392,10 +390,11 @@ class TestDrainProtocol:
 # -- NodePool termination escalation -------------------------------------------
 
 
-def test_node_pool_close_escalates_past_sigterm_ignorer():
+def test_node_pool_close_escalates_past_sigterm_ignorer(monkeypatch):
     """A child ignoring SIGTERM must not wedge close(): the shared
     deadline expires and the pool escalates to SIGKILL."""
-    pool = NodePool(terminate_timeout=0.5)
+    monkeypatch.setattr(autoscale, "NODE_TERMINATE_TIMEOUT_SECONDS", 0.5)
+    pool = NodePool()
     stubborn = subprocess.Popen([
         sys.executable, "-c",
         "import signal, time; "
@@ -408,7 +407,7 @@ def test_node_pool_close_escalates_past_sigterm_ignorer():
     pool.close()
     elapsed = time.monotonic() - start
     assert stubborn.poll() is not None  # killed, not still sleeping
-    assert elapsed < 5.0  # bounded by terminate_timeout, not the sleep
+    assert elapsed < 5.0  # bounded by the terminate timeout, not the sleep
     assert pool.size == 0
 
 
@@ -554,7 +553,7 @@ class TestFleetActuator:
         pool = ServerPool()
         pool.spawn()
         cluster = ClusterBackend(pool.backends())
-        actuator = FleetActuator(pool, cluster, drain_timeout_seconds=5.0)
+        actuator = FleetActuator(pool, cluster)
         try:
             assert actuator.size == 1
             assert len(actuator._members) == 1  # adopt() mapped the seed node
@@ -699,7 +698,7 @@ def test_prediction_backend_resolves_selector_once():
 # -- the chaos drill (ISSUE acceptance) ----------------------------------------
 
 
-def test_shed_or_scale_chaos_drill(setup, serial_wire):
+def test_shed_or_scale_chaos_drill(setup, serial_wire, monkeypatch):
     """Poisson-ish load over `resilient:cluster:` of real node
     subprocesses; one node hard-exits mid-stream while the supervisor
     scales back up.  Every admitted ticket must resolve byte-identical
@@ -714,8 +713,9 @@ def test_shed_or_scale_chaos_drill(setup, serial_wire):
     try:
         pool.spawn(extra_args=("--die-after", "4"))
         pool.spawn()
-        cluster = ClusterBackend(pool.backends(), cooldown_seconds=0.05)
-        actuator = FleetActuator(pool, cluster, drain_timeout_seconds=5.0)
+        monkeypatch.setattr(coordinator, "BREAKER_COOLDOWN_SECONDS", 0.05)
+        cluster = ClusterBackend(pool.backends())
+        actuator = FleetActuator(pool, cluster)
         assert len(actuator._members) == 2
         backend = RuntimeProofBackend(
             {key: spec}, backend=ResilientBackend(cluster)

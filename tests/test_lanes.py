@@ -390,8 +390,7 @@ class TestLaneBackend:
     def test_composed_auto_hardens_to_cap(self):
         pool = resolve_backend("lanes:auto:pool:2")
         assert pool.name == f"lanes:{AUTO_LANE_CAP}:pool:2"
-        assert pool.runtime_options["lane_width"] == AUTO_LANE_CAP
-        assert pool.runtime_options["chunk_size"] == AUTO_LANE_CAP
+        assert pool.lane_width == AUTO_LANE_CAP
         piped = resolve_backend("lanes:auto:pipelined:2")
         assert piped.name == f"lanes:{AUTO_LANE_CAP}:pipelined:2"
         assert piped.lane_width == AUTO_LANE_CAP
@@ -400,6 +399,8 @@ class TestLaneBackend:
         for backend in (pool, piped):
             proofs, _ = backend.prove_tasks(spec, tasks)
             assert _wire(F, proofs) == _wire(F, serial)
+        # The pool's runtime carries one lane group per chunk.
+        assert pool._runtimes.get(spec).chunk_size == AUTO_LANE_CAP
 
     def test_selector_resolves_named_variants(self):
         assert isinstance(resolve_backend("lanes"), LanedBackend)

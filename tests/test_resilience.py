@@ -41,6 +41,7 @@ from repro.resilience import (
     split_results,
     task_key,
 )
+from repro.resilience import backend as resilient_module
 from repro.runtime import JsonlTraceSink, ProverSpec
 
 F = DEFAULT_FIELD
@@ -386,13 +387,13 @@ class TestApplyFaultPlan:
             assert child.fault_injector is injector
             assert child.max_retries == 2
 
-    def test_min_retries_reaches_pool_runtime_options(self):
+    def test_min_retries_reaches_pool(self):
         backend = resolve_backend("resilient:pool:2")
         injector = FaultInjector.from_plan("crash:0.1,seed=1")
         apply_fault_plan(backend, injector, min_retries=3)
         pool = backend.children[0]
         assert pool.fault_injector is injector
-        assert pool.runtime_options["max_retries"] == 3
+        assert pool.max_retries == 3
 
     def test_min_retries_never_lowers(self):
         backend = SerialBackend(max_retries=5)
@@ -443,12 +444,13 @@ class TestChaosParity:
         assert _wire(proofs) == fault_free
         assert stats.proofs_generated == len(tasks)
 
-    def test_corruption_is_caught_and_reproved(self, setup, fault_free):
+    def test_corruption_is_caught_and_reproved(
+        self, setup, fault_free, monkeypatch
+    ):
         _, spec, tasks = setup
+        monkeypatch.setattr(resilient_module, "MAX_REPROVES", 4)
         backend = ResilientBackend(
-            resolve_backend("sharded:serial,serial"),
-            verify_on_return=True,
-            max_reproves=4,
+            resolve_backend("sharded:serial,serial"), verify_on_return=True,
         )
         injector = FaultInjector.from_plan("corrupt:0.3,seed=13")
         apply_fault_plan(backend, injector, min_retries=2)
@@ -534,13 +536,13 @@ class TestResilientBackend:
         root = next(e for e in events if e["event"] == "resilient_start")
         assert all(e["span"].startswith(root["span"]) for e in failovers)
 
-    def test_dead_child_trips_breaker_then_recovers(self, setup, fault_free):
+    def test_dead_child_trips_breaker_then_recovers(
+        self, setup, fault_free, monkeypatch
+    ):
         _, spec, tasks = setup
-        backend = ResilientBackend(
-            resolve_backend("sharded:serial,serial"),
-            failure_threshold=1,
-            cooldown_seconds=0.01,
-        )
+        monkeypatch.setattr(resilient_module, "BREAKER_FAILURE_THRESHOLD", 1)
+        monkeypatch.setattr(resilient_module, "BREAKER_COOLDOWN_SECONDS", 0.01)
+        backend = ResilientBackend(resolve_backend("sharded:serial,serial"))
         injector = FaultInjector.from_plan("down=0@0x1,seed=4")
         apply_fault_plan(backend, injector)
         proofs, _ = backend.prove_tasks(spec, tasks)
@@ -565,12 +567,6 @@ class TestResilientBackend:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ExecutionError):
             ResilientBackend([])
-        with pytest.raises(ExecutionError):
-            ResilientBackend(SerialBackend(), quarantine_threshold=0)
-        with pytest.raises(ExecutionError):
-            ResilientBackend(SerialBackend(), max_reproves=-1)
-        with pytest.raises(ExecutionError):
-            ResilientBackend([SerialBackend()], weights=[1.0, 2.0])
 
     def test_registry_selector(self):
         backend = resolve_backend("resilient:sharded:serial,serial")

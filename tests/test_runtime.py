@@ -153,7 +153,6 @@ class TestRobustness:
         _, spec, tasks = setup
         runtime = ParallelProvingRuntime(
             spec, workers=2, fault_injector=poison_task1, max_retries=1,
-            retry_backoff_seconds=0.01,
         )
         with pytest.raises(ProofError, match="failed after 2 attempts"):
             runtime.prove_tasks(tasks)
@@ -172,7 +171,6 @@ class TestRobustness:
         runtime = ParallelProvingRuntime(
             spec, workers=2, fault_injector=sleep_task0_first_attempt,
             task_timeout_seconds=0.15, max_retries=2,
-            retry_backoff_seconds=0.01,
         )
         proofs, stats = runtime.prove_tasks(tasks)
         assert stats.timeouts >= 1
@@ -182,7 +180,6 @@ class TestRobustness:
         _, spec, tasks = setup
         runtime = ParallelProvingRuntime(
             spec, workers=1, fault_injector=crash_task2_once,
-            retry_backoff_seconds=0.01,
         )
         proofs, stats = runtime.prove_tasks(tasks)
         assert stats.retries == 1
@@ -195,10 +192,9 @@ class TestRobustness:
         path = str(tmp_path / "trace.jsonl")
         with JsonlTraceSink(path) as sink:
             runtime = ParallelProvingRuntime(
-                spec, workers=1, trace=sink,
-                task_timeout_seconds=1e-6, max_retries=0,
+                spec, workers=1, task_timeout_seconds=1e-6, max_retries=0,
             )
-            proofs, stats = runtime.prove_tasks(tasks)
+            proofs, stats = runtime.prove_tasks(tasks, trace=sink)
         assert len(proofs) == len(tasks)  # recorded, not preempted
         assert stats.timeouts == len(tasks)
         assert verify_all(spec.build_verifier(), proofs, tasks)
@@ -311,9 +307,9 @@ class TestTrace:
         path = str(tmp_path / "trace.jsonl")
         with JsonlTraceSink(path) as sink:
             runtime = ParallelProvingRuntime(
-                spec, workers=2, trace=sink, fault_injector=crash_task2_once,
+                spec, workers=2, fault_injector=crash_task2_once,
             )
-            runtime.prove_tasks(tasks)
+            runtime.prove_tasks(tasks, trace=sink)
         events = [json.loads(line) for line in open(path)]
         kinds = {e["event"] for e in events}
         assert {"run_start", "submit", "complete", "retry", "run_end"} <= kinds

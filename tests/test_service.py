@@ -270,10 +270,11 @@ class TestAdmission:
 
     def test_queue_full_is_typed_not_blocking(self, circuits, backend):
         cc, _, key = circuits["a"]
-        svc = self._service(backend, max_queue=4, high_watermark=4,
-                            low_watermark=2)
-        for i in range(4):
-            svc.submit(_task(cc, i), circuit_key=key)
+        svc = self._service(backend, max_queue=4)
+        for i in range(4):  # INTERACTIVE boards past the high watermark
+            svc.submit(
+                _task(cc, i), circuit_key=key, priority=Priority.INTERACTIVE
+            )
         before = time.monotonic()
         with pytest.raises(AdmissionError) as err:
             svc.submit(_task(cc, 99), circuit_key=key)
@@ -283,8 +284,7 @@ class TestAdmission:
 
     def test_bulk_shed_spares_interactive(self, circuits, backend):
         cc, _, key = circuits["a"]
-        svc = self._service(backend, max_queue=16, high_watermark=3,
-                            low_watermark=1)
+        svc = self._service(backend, max_queue=4)  # high watermark 3
         for i in range(3):
             svc.submit(_task(cc, i), circuit_key=key)
         with pytest.raises(AdmissionError) as err:
@@ -300,20 +300,20 @@ class TestAdmission:
         self, circuits, backend
     ):
         cc, _, key = circuits["a"]
-        svc = self._service(backend, max_queue=16, high_watermark=3,
-                            low_watermark=1)
-        for i in range(3):
+        svc = self._service(backend, max_queue=8)  # watermarks 6 and 4
+        assert (svc.high_watermark, svc.low_watermark) == (6, 4)
+        for i in range(6):
             svc.submit(_task(cc, i), circuit_key=key)
         with pytest.raises(AdmissionError):
             svc.submit(_task(cc, 7), circuit_key=key)
         # Drain manually to just above the low watermark: still shedding.
         with svc._cond:
-            svc._pending[:] = svc._pending[:2]
+            svc._pending[:] = svc._pending[:5]
         with pytest.raises(AdmissionError):
             svc.submit(_task(cc, 8), circuit_key=key)
         # At/below the low watermark bulk admission resumes.
         with svc._cond:
-            svc._pending[:] = svc._pending[:1]
+            svc._pending[:] = svc._pending[:4]
         svc.submit(_task(cc, 9), circuit_key=key)
 
     def test_closed_service_rejects(self, circuits, backend):
@@ -327,9 +327,6 @@ class TestAdmission:
     def test_invalid_configuration_rejected(self, backend):
         with pytest.raises(ServiceError):
             ProofService(backend, max_queue=0, start=False)
-        with pytest.raises(ServiceError):
-            ProofService(backend, max_queue=8, high_watermark=2,
-                         low_watermark=4, start=False)
 
     def test_missing_keyer_and_key(self, circuits, backend):
         cc, _, _ = circuits["a"]
@@ -581,10 +578,8 @@ class TestEndToEnd:
         cc, _, key = circuits["a"]
         gated = GatedBackend(backend)
         policy = BatchPolicy(max_batch_size=16)
-        svc = ProofService(
-            gated, policy=policy, max_queue=50,
-            high_watermark=50, low_watermark=25,  # isolate the hard bound
-        )
+        svc = ProofService(gated, policy=policy, max_queue=50)
+        svc.high_watermark = 50  # isolate the hard bound
         tickets, rejected = [], 0
 
         def push(i, priority):

@@ -353,7 +353,7 @@ class TestMlaasService:
             for s in (41, 42)
         ]
         policy = BatchPolicy(max_batch_size=4)
-        with service.serve(policy=policy, max_queue=16) as front:
+        with service.serve(policy=policy) as front:
             tickets = [
                 front.submit(
                     x, priority=Priority.INTERACTIVE, deadline_seconds=300.0
