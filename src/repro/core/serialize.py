@@ -27,7 +27,8 @@ from ..sumcheck.noninteractive import SumcheckProof
 from .proof import PublicBinding, SnarkProof
 
 MAGIC = b"RPZK"
-VERSION = 1
+#: 2: RFC 6962-layout SHA-256 Merkle digests and SHAKE-256 challenges.
+VERSION = 2
 
 
 class ByteWriter:

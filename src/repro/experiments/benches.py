@@ -116,8 +116,8 @@ def run_hotpath(gates: int = 4096, reps: int = 3) -> dict:
         "gates": gates,
         "reps": reps,
         "hasher": spec.hasher_name,
-        # One Merkle layer per call: 64 blocks is the SWAR tier, 4096
-        # the wide numpy tier of ``hash_kernels``.
+        # One Merkle layer per call, small and large: each node is one
+        # hashlib SHA-256 of ``0x01 ‖ left ‖ right``.
         "compress_us_per_node_64": _compress_us_per_node(64),
         "compress_us_per_node_4096": _compress_us_per_node(4096),
         "reference_seconds": ref_seconds,

@@ -437,25 +437,23 @@ _EXTENSION_SPECS = [
                 threshold=1.2,
                 description="fast kernels must beat reference by ≥1.2x",
             ),
-            # Loose ceilings (5x the measured 6.5 / 0.8 µs) that a fallen
-            # tier would still break — SWAR on 4096 blocks reads ≥ 4.5,
-            # the scalar loop ≈ 100 — and that give the trend gate a
-            # direction for both metrics.
+            # Loose ceilings (hashlib reads ≈ 0.5 µs per node at both
+            # sizes) that a per-node slowdown of the Merkle layer would
+            # still break, and that give the trend gate a direction for
+            # both metrics.
             Guard(
-                name="compress_swar_tier",
+                name="compress_layer_64",
                 metric="compress_us_per_node_64",
                 op="<=",
                 threshold=30.0,
-                description="a 64-block Merkle layer (SWAR tier) costs "
-                "≤30 µs per node",
+                description="a 64-node Merkle layer costs ≤30 µs per node",
             ),
             Guard(
-                name="compress_wide_tier",
+                name="compress_layer_4096",
                 metric="compress_us_per_node_4096",
                 op="<=",
                 threshold=4.0,
-                description="a 4096-block Merkle layer (wide numpy tier) "
-                "costs ≤4 µs per node",
+                description="a 4096-node Merkle layer costs ≤4 µs per node",
             ),
         ),
         # Full mode runs at 2^16 gates so the ledger's ``warm_proof_ms``

@@ -1,11 +1,11 @@
 """Hashing substrate (system S2 in DESIGN.md).
 
-* From-scratch SHA-256 (:mod:`repro.hashing.sha256`) incl. the raw 64-byte
-  block compression used by Merkle interior nodes.
-* A hasher registry (:mod:`repro.hashing.hashers`) with ``sha256``,
-  ``sha256-hw`` (hashlib-backed, bit-identical) and ``quick`` (fast
-  non-cryptographic) backends.
-* A Fiat–Shamir :class:`Transcript`.
+* From-scratch SHA-256 (:mod:`repro.hashing.sha256`), the reference twin.
+* A hasher registry (:mod:`repro.hashing.hashers`) with ``sha256`` and
+  ``sha256-hw`` (hashlib-backed, digest-identical) backends over the
+  domain-separated Merkle layout (leaf ``0x00 ‖ data``, node
+  ``0x01 ‖ left ‖ right``).
+* A Fiat–Shamir :class:`Transcript` (SHA-256 absorb, SHAKE-256 squeeze).
 """
 
 from .hashers import DIGEST_SIZE, Hasher, available_hashers, get_hasher
@@ -20,7 +20,7 @@ from .mimc import (
     power_is_permutation,
     select_alpha,
 )
-from .sha256 import SHA256_ROUNDS, Sha256, compress_block, sha256
+from .sha256 import SHA256_ROUNDS, Sha256, sha256
 from .transcript import Transcript
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "mimc_merkle_root",
     "Sha256",
     "sha256",
-    "compress_block",
     "SHA256_ROUNDS",
     "Hasher",
     "get_hasher",

@@ -6,13 +6,9 @@ in GPU registers.  We implement the full algorithm in pure Python — the
 compression function, padding, and streaming interface — and cross-check it
 against ``hashlib`` in the test suite.
 
-Two entry points matter to the Merkle module:
-
-* :func:`sha256` — hash arbitrary bytes (with standard padding).
-* :func:`compress_block` — one *raw* compression of a 64-byte block into a
-  32-byte digest, no padding.  This mirrors what the paper's per-layer GPU
-  kernels do: each interior Merkle node is one compression of the
-  concatenation of two child digests.
+It is the reference twin of the ``hashlib``-backed ``sha256-hw`` hasher:
+the Merkle layout (:mod:`repro.hashing.hashers`) only ever needs full,
+padded SHA-256 digests, so both hashers compute the same bytes.
 """
 
 from __future__ import annotations
@@ -149,17 +145,6 @@ class Sha256:
 def sha256(data: bytes) -> bytes:
     """One-shot SHA-256 digest of ``data``."""
     return Sha256(data).digest()
-
-
-def compress_block(block: bytes) -> bytes:
-    """Raw compression of exactly 64 bytes (one 512-bit block), no padding.
-
-    This is the unit of work of the paper's per-layer Merkle kernels: each
-    interior node is ``compress(left_digest ‖ right_digest)``.
-    """
-    if len(block) != 64:
-        raise HashError(f"compress_block needs exactly 64 bytes, got {len(block)}")
-    return struct.pack(">8I", *_compress(_H0, block))
 
 
 #: Number of compression rounds — used by the GPU cost model (§3.1).

@@ -7,20 +7,20 @@ the same protocol messages and squeeze identical field challenges, making
 the interactive sum-check non-interactive.
 
 The construction is the standard hash-chain sponge: an internal 32-byte
-state is updated as ``state = H(state ‖ tag ‖ message)`` on every absorb,
-and challenges are squeezed as ``H(state ‖ counter)`` interpreted as a
-field element (with rejection-free reduction — fine for the statistical
-soundness budget of this reproduction).
+state is updated as ``state = SHA-256(state ‖ tag ‖ message)`` on every
+absorb, and each squeeze is one ``SHAKE-256(state ‖ tag ‖ counter ‖ n)``
+read, long enough for the whole challenge vector: ``byte_length + 16``
+bytes per field element (reduction bias < 2^-128), 8 per index.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from typing import List, Sequence
 
 from ..errors import HashError
 from ..field.prime_field import PrimeField
-from .hashers import Hasher, get_hasher
 
 
 class Transcript:
@@ -35,13 +35,12 @@ class Transcript:
     True
     """
 
-    __slots__ = ("_hasher", "_state", "_counter")
+    __slots__ = ("_state", "_counter")
 
-    def __init__(self, label: bytes, hasher: Hasher = None):
+    def __init__(self, label: bytes):
         if not isinstance(label, bytes):
             raise HashError("transcript label must be bytes")
-        self._hasher = hasher or get_hasher("sha256-hw")
-        self._state = self._hasher.hash_bytes(b"repro/transcript/v1:" + label)
+        self._state = hashlib.sha256(b"repro/transcript/v2:" + label).digest()
         self._counter = 0
 
     # -- absorbing ---------------------------------------------------------
@@ -49,7 +48,7 @@ class Transcript:
     def absorb_bytes(self, tag: bytes, data: bytes) -> None:
         """Mix tagged bytes into the state (domain-separated by length)."""
         header = struct.pack("<I", len(tag)) + tag + struct.pack("<Q", len(data))
-        self._state = self._hasher.hash_bytes(self._state + header + data)
+        self._state = hashlib.sha256(self._state + header + data).digest()
         self._counter = 0
 
     def absorb_field(self, tag: bytes, field: PrimeField, value: int) -> None:
@@ -67,43 +66,41 @@ class Transcript:
 
     def challenge_bytes(self, tag: bytes, n: int = 32) -> bytes:
         """Derive ``n`` pseudorandom bytes bound to everything absorbed."""
-        out = b""
-        while len(out) < n:
-            block = self._hasher.hash_bytes(
-                self._state + tag + struct.pack("<Q", self._counter)
-            )
-            self._counter += 1
-            out += block
-        return out[:n]
+        out = hashlib.shake_256(
+            self._state + tag + struct.pack("<QQ", self._counter, n)
+        ).digest(n)
+        self._counter += 1
+        return out
 
     def challenge_field(self, tag: bytes, field: PrimeField) -> int:
         """Derive one field challenge (raw int in [0, p))."""
-        # Sample 16 extra bytes beyond the modulus size so the modular
-        # reduction bias is < 2^-128.
-        width = field.byte_length + 16
-        return int.from_bytes(self.challenge_bytes(tag, width), "little") % (
-            field.modulus
-        )
+        return self.challenge_field_vector(tag, field, 1)[0]
 
     def challenge_field_vector(
         self, tag: bytes, field: PrimeField, n: int
     ) -> List[int]:
-        return [
-            self.challenge_field(tag + b"/" + str(i).encode(), field) for i in range(n)
-        ]
+        """Derive ``n`` field challenges from one squeeze."""
+        # 16 bytes beyond the modulus size keep the reduction bias < 2^-128.
+        width = field.byte_length + 16
+        return _reduce(self.challenge_bytes(tag, n * width), width, field.modulus)
 
     def challenge_indices(self, tag: bytes, bound: int, n: int) -> List[int]:
         """Derive ``n`` indices in ``[0, bound)`` (for Merkle spot checks)."""
         if bound <= 0:
             raise HashError("index bound must be positive")
-        out = []
-        for i in range(n):
-            raw = self.challenge_bytes(tag + b"/" + str(i).encode(), 8)
-            out.append(int.from_bytes(raw, "little") % bound)
-        return out
+        return _reduce(self.challenge_bytes(tag, 8 * n), 8, bound)
 
     def fork(self, label: bytes) -> "Transcript":
         """Create an independent child transcript (for parallel sub-proofs)."""
-        child = Transcript(label, self._hasher)
+        child = Transcript(label)
         child.absorb_bytes(b"fork-parent", self._state)
         return child
+
+
+def _reduce(raw: bytes, width: int, bound: int) -> List[int]:
+    """Little-endian ``width``-byte chunks of ``raw``, each mod ``bound``."""
+    from_bytes = int.from_bytes
+    return [
+        from_bytes(raw[i : i + width], "little") % bound
+        for i in range(0, len(raw), width)
+    ]

@@ -6,10 +6,11 @@ costs; this package is the functional prover's analogue.  Three pieces:
 * **Batch primitives** — whole-vector field kernels
   (:mod:`~repro.kernels.field_kernels`: sum-check folds, the eq-table
   doubling kernel, coefficient-sparse row combination, encoder SpMV,
-  specialized degree-2/3 round polynomials) and batched SHA-256
-  (:mod:`~repro.kernels.hash_kernels`: whole Merkle layers compressed
-  per call, in numpy lanes when wide and SWAR big ints when narrow).  Every kernel has a naive reference twin selected by
-  :func:`use_reference_kernels`, and the fast path is byte-identical.
+  specialized degree-2/3 round polynomials).  Every kernel has a naive
+  reference twin selected by :func:`use_reference_kernels`, and the fast
+  path is byte-identical.  Merkle hashing needs no kernel of its own:
+  every node is a full SHA-256 that ``hashlib`` computes
+  (:mod:`repro.hashing.hashers`).
 * **Setup memoization** — :class:`SpecCache` keys built provers by
   circuit digest + PCS knobs so the batch workload ("one circuit, many
   witnesses") pays derivation once per process, and
@@ -36,13 +37,6 @@ from .field_kernels import (
     product_round_quadratic,
     spmv,
     sumcheck_tables,
-)
-from .hash_kernels import (
-    SWAR_MAX_LANES,
-    SWAR_MIN_LANES,
-    WIDE_MIN_BLOCKS,
-    sha256_compress_many,
-    sha256_many,
 )
 from .profile import (
     STAGE_CHILDREN,
@@ -82,12 +76,6 @@ __all__ = [
     "evaluate_table",
     "evaluate_table_bits",
     "pack_vector",
-    # hash kernels
-    "sha256_compress_many",
-    "sha256_many",
-    "SWAR_MIN_LANES",
-    "SWAR_MAX_LANES",
-    "WIDE_MIN_BLOCKS",
     # spec cache
     "SpecCache",
     "default_spec_cache",
@@ -114,15 +102,6 @@ two are element-for-element identical — the golden-parity suite pins
 this — so proofs serialize to the same bytes either way.  The reference
 path exists for parity testing, for the `bench_hotpath` experiment's
 before/after measurement, and for bisecting a suspected kernel bug.
-
-**Batched SHA-256.** Merkle interior nodes need the *raw* 64-byte block
-compression (no padding), which `hashlib` cannot compute — so a whole
-layer is compressed per call, the tier picked by the number of blocks:
-from 192 blocks one `uint32[n]` numpy lane per message word and state
-register (≈ 0.95 ms + 0.6 µs per block); from 4 blocks SWAR — one 32-bit
-word per 64-bit big-int lane, `&`/`|`/`^` lane-parallel, masked shifts
-for rotations, 32 guard bits absorbing carries (~24x over the scalar
-loop at 64 lanes); below that the scalar twin.  Byte-identical output.
 
 **SpecCache.** `default_spec_cache().get_prover(spec)` memoizes
 `ProverSpec.build_prover()` by *value* (circuit digest, field modulus,

@@ -107,6 +107,9 @@ def _fold_multiproof(proof: MerkleMultiProof, hasher: Hasher) -> bytes:
     for leaf in proof.leaves:
         if len(leaf) != DIGEST_SIZE:
             raise MerkleError("bad leaf digest size")
+    for node in proof.nodes:
+        if len(node) != DIGEST_SIZE:
+            raise MerkleError("bad node digest size")
     current: Dict[int, bytes] = dict(zip(proof.indices, proof.leaves))
     if len(current) != len(proof.indices):
         raise MerkleError("duplicate leaf indices")

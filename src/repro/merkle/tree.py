@@ -5,6 +5,9 @@ hash each block to a 256-bit leaf, then iteratively compress pairs of
 digests until a single Merkle root remains.  Every layer halves, so a tree
 over ``N`` blocks performs ``2N − 1 ≈ N + N/2 + … + 1`` hashes — the count
 the paper uses to size its per-layer kernel thread allocations (§4).
+Leaves and nodes use the RFC 6962 §2.1 layout: leaf
+``SHA-256(0x00 ‖ block)``, node ``SHA-256(0x01 ‖ left ‖ right)``
+(:class:`~repro.hashing.hashers.Hasher`).
 
 This module provides:
 
@@ -160,7 +163,7 @@ class MerkleTree:
         return [self.open(i) for i in indices]
 
     def hash_count(self) -> int:
-        """Total compressions performed — the paper's ≈2N work metric."""
+        """Total interior-node hashes performed — the paper's ≈2N work metric."""
         return sum(len(layer) for layer in self.layers[1:])
 
     def __repr__(self) -> str:
@@ -219,17 +222,7 @@ def merkle_root_streaming(
     The root is identical to :class:`MerkleTree`'s.
     """
     hasher = hasher or get_hasher("sha256")
-    # Leaf-hash in bounded chunks: the batched kernels get full lanes while
-    # the block iterable is still consumed incrementally.
-    layer: List[bytes] = []
-    chunk: List[bytes] = []
-    for block in blocks:
-        chunk.append(block)
-        if len(chunk) >= 256:
-            layer.extend(hasher.hash_many(chunk))
-            chunk = []
-    if chunk:
-        layer.extend(hasher.hash_many(chunk))
+    layer = hasher.hash_many(blocks)  # consumes the blocks one at a time
     if not layer:
         raise MerkleError("cannot build a Merkle tree over zero leaves")
     layer = pad_leaves(layer, hasher)

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from repro.errors import HashError
 from repro.hashing import (
-    DIGEST_SIZE,
     Sha256,
     available_hashers,
-    compress_block,
     get_hasher,
     sha256,
 )
@@ -91,31 +89,9 @@ class TestStreaming:
         assert Sha256(b"abc").hexdigest() == sha256(b"abc").hex()
 
 
-class TestCompressBlock:
-    def test_requires_exactly_64_bytes(self):
-        with pytest.raises(HashError):
-            compress_block(b"\x00" * 63)
-        with pytest.raises(HashError):
-            compress_block(b"\x00" * 65)
-
-    def test_returns_32_bytes(self):
-        assert len(compress_block(b"\x00" * 64)) == 32
-
-    def test_deterministic_and_sensitive(self):
-        a = compress_block(b"\x01" * 64)
-        assert a == compress_block(b"\x01" * 64)
-        assert a != compress_block(b"\x01" * 63 + b"\x02")
-
-    def test_differs_from_padded_hash(self):
-        """Raw compression must not equal the padded SHA-256 of the block
-        (domain separation between leaves and interior nodes)."""
-        block = b"\x07" * 64
-        assert compress_block(block) != sha256(block)
-
-
 class TestHasherRegistry:
     def test_available(self):
-        assert set(available_hashers()) >= {"sha256", "sha256-hw", "quick"}
+        assert available_hashers() == ["sha256", "sha256-hw"]
 
     def test_unknown_raises(self):
         with pytest.raises(HashError):
@@ -128,20 +104,23 @@ class TestHasherRegistry:
         assert scratch.hash_bytes(data) == hw.hash_bytes(data)
         left, right = b"\x01" * 32, b"\x02" * 32
         assert scratch.compress(left, right) == hw.compress(left, right)
+        # The Merkle operations, on a leaf that is two digests long.
+        messages = [left + right, data, b""]
+        assert scratch.hash_many(messages) == hw.hash_many(messages)
+        assert hw.hash_many(messages) == [
+            hashlib.sha256(b"\x00" + m).digest() for m in messages
+        ]
+        layer = [left, right] + hw.hash_many(messages[1:])
+        assert scratch.compress_layer(layer) == hw.compress_layer(layer)
+        assert hw.compress_layer(layer)[0] == hashlib.sha256(
+            b"\x01" + left + right
+        ).digest()
 
     def test_compress_validates_digest_size(self):
         h = get_hasher("sha256")
         with pytest.raises(HashError):
             h.compress(b"\x00" * 31, b"\x00" * 32)
-
-    def test_quick_hasher_properties(self):
-        q = get_hasher("quick")
-        assert len(q.hash_bytes(b"x")) == DIGEST_SIZE
-        assert q.hash_bytes(b"x") == q.hash_bytes(b"x")
-        assert q.hash_bytes(b"x") != q.hash_bytes(b"y")
-
-    @given(data=st.binary(max_size=128))
-    @settings(max_examples=30)
-    def test_quick_no_trivial_collisions_with_suffix(self, data):
-        q = get_hasher("quick")
-        assert q.hash_bytes(data) != q.hash_bytes(data + b"\x00")
+        with pytest.raises(HashError):
+            h.compress_layer([b"\x00" * 32, b"\x00" * 31])
+        with pytest.raises(HashError):
+            h.compress_layer([b"\x00" * 32] * 3)

@@ -2,10 +2,12 @@
 
 Every flipped byte (XOR 0xFF) and every truncation of a real proof blob,
 sampled one position in ``STRIDE``, must end as a ``ProofError`` or a
-``verify`` that returns False.  Random byte strings fed to the decoders
-may only raise ``ProofError``.
+``verify`` that returns False.  ``pytest -m sweep`` runs every position
+(``STRIDE = 1``) and counts the accepted and untyped cases.  Random byte
+strings fed to the decoders may only raise ``ProofError``.
 """
 
+import itertools
 import struct
 
 import pytest
@@ -54,6 +56,24 @@ def test_truncations_are_rejected(subject):
     blob, rejected = subject
     for length in range(0, len(blob), STRIDE):
         assert rejected(blob[:length]), f"truncation to {length} accepted"
+
+
+@pytest.mark.sweep
+def test_every_flip_and_truncation_is_rejected(subject):
+    blob, rejected = subject
+    flips = (
+        blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:] for at in range(len(blob))
+    )
+    truncations = (blob[:length] for length in range(len(blob)))
+    accepted, untyped = 0, []
+    for case in itertools.chain(flips, truncations):
+        try:
+            accepted += not rejected(case)
+        except Exception as exc:  # counted: only ProofError is typed
+            untyped.append(type(exc).__name__)
+    print(f"\n{len(blob)} flips, {len(blob)} truncations: "
+          f"{accepted} accepted, {len(untyped)} untyped {sorted(set(untyped))}")
+    assert accepted == 0 and not untyped
 
 
 @settings(max_examples=300, deadline=None)

@@ -31,7 +31,6 @@ from repro.field import fast61
 from repro.field.multilinear import MultilinearPolynomial
 from repro.field.primes import MERSENNE61
 from repro.hashing.hashers import get_hasher
-from repro.hashing.sha256 import compress_block, sha256
 from repro.kernels import (
     EncoderCache,
     SpecCache,
@@ -40,8 +39,6 @@ from repro.kernels import (
     exclusive_stage_seconds,
     field_kernels,
     kernels_enabled,
-    sha256_compress_many,
-    sha256_many,
     spec_cache_key,
     stage,
     use_reference_kernels,
@@ -240,42 +237,6 @@ class TestFieldKernelParity:
         assert kernels_enabled()
 
 
-# -- SWAR hash kernels --------------------------------------------------------
-
-
-class TestHashKernels:
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 65])
-    def test_sha256_many_matches_scalar(self, n, rng):
-        blocks = [bytes([rng.randrange(256)]) * (i + 1) for i in range(n)]
-        assert sha256_many(blocks) == [sha256(b) for b in blocks]
-
-    @pytest.mark.parametrize("n", [1, 3, 64, 100])
-    def test_compress_many_matches_scalar(self, n, rng):
-        blocks = [
-            bytes(rng.randrange(256) for _ in range(64)) for _ in range(n)
-        ]
-        assert sha256_compress_many(blocks) == [
-            compress_block(b) for b in blocks
-        ]
-
-    def test_hasher_hash_many(self, rng):
-        blocks = [bytes([i]) * 64 for i in range(40)]
-        for name in ("sha256", "sha256-hw"):
-            hasher = get_hasher(name)
-            assert hasher.hash_many(blocks) == [
-                hasher.hash_bytes(b) for b in blocks
-            ]
-
-    def test_compress_layer(self):
-        hasher = get_hasher("sha256-hw")
-        layer = [bytes([i]) * 32 for i in range(8)]
-        got = hasher.compress_layer(layer)
-        assert got == [
-            hasher.compress(layer[i], layer[i + 1])
-            for i in range(0, 8, 2)
-        ]
-
-
 # -- merkle / encoder integration ---------------------------------------------
 
 
@@ -293,7 +254,9 @@ class TestMerkleAndEncoder:
         tree = MerkleTree.from_field_vectors(F, cols)
         manual = MerkleTree(
             [
-                tree.hasher.hash_bytes(b"".join(F.to_bytes(v) for v in col))
+                tree.hasher.hash_bytes(
+                    b"\x00" + b"".join(F.to_bytes(v) for v in col)
+                )
                 for col in cols
             ],
             tree.hasher,

@@ -1,5 +1,7 @@
 """Merkle tree tests: construction, openings, tampering, streaming."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,8 +72,22 @@ class TestConstruction:
         F = DEFAULT_FIELD
         cols = [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 1, 1]]
         tree = MerkleTree.from_field_vectors(F, cols, HASHER)
-        want_leaf = HASHER.hash_bytes(F.vector_to_bytes([4, 5, 6]))
+        want_leaf = HASHER.hash_bytes(b"\x00" + F.vector_to_bytes([4, 5, 6]))
         assert tree.leaf(1) == want_leaf
+
+    def test_rfc6962_layout(self):
+        tree = MerkleTree.from_blocks(blocks(2), HASHER)
+        left, right = tree.layers[0]
+        assert left == hashlib.sha256(b"\x00" + blocks(2)[0]).digest()
+        assert tree.root == hashlib.sha256(b"\x01" + left + right).digest()
+
+    def test_a_leaf_never_passes_as_a_node(self):
+        """Domain separation: the leaf hash of the 64 bytes ``l ‖ r`` is
+        not the parent node of the sibling digests ``l`` and ``r``."""
+        tree = MerkleTree.from_blocks(blocks(2), HASHER)
+        left, right = tree.layers[0]
+        assert HASHER.hash_many([left + right]) != [tree.root]
+        assert MerkleTree.from_blocks([left + right], HASHER).root != tree.root
 
 
 class TestOpenings:
@@ -131,7 +147,7 @@ class TestOpenings:
 class TestComputeRoots:
     """The level-by-level batched fold equals ``compute_root`` per path."""
 
-    @pytest.mark.parametrize("hasher_name", ["sha256", "sha256-hw", "quick"])
+    @pytest.mark.parametrize("hasher_name", ["sha256", "sha256-hw"])
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
     def test_matches_per_path_roots(self, n, hasher_name):
         hasher = get_hasher(hasher_name)
@@ -206,13 +222,15 @@ class TestStreamingAndHelpers:
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 31])
     def test_streaming_matches_tree(self, n):
         data = blocks(n)
-        assert merkle_root_streaming(data, HASHER) == MerkleTree.from_blocks(
-            data, HASHER
-        ).root
+        root = MerkleTree.from_blocks(data, HASHER).root
+        assert merkle_root_streaming(data, HASHER) == root
+        assert merkle_root_streaming(iter(data), HASHER) == root
 
     def test_streaming_empty_raises(self):
         with pytest.raises(MerkleError):
             merkle_root_streaming([], HASHER)
+        with pytest.raises(MerkleError):
+            merkle_root_streaming(iter([]), HASHER)
 
     def test_iter_layer_sizes(self):
         assert list(iter_layer_sizes(8)) == [8, 4, 2, 1]

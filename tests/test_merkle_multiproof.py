@@ -124,6 +124,16 @@ class TestRejection:
         bad = dataclasses.replace(proof, nodes=proof.nodes + (b"\x00" * 32,))
         assert not bad.verify(tree.root, HASHER)
 
+    def test_short_node_is_rejected_not_raised(self):
+        proof = MerkleMultiProof(
+            indices=(0,), leaves=(b"\0" * 32,), nodes=(b"\0" * 31,), depth=1
+        )
+        assert not proof.verify(b"\0" * 32, HASHER)
+        tree = make_tree()
+        proof = open_multi(tree, [1, 2])
+        bad = dataclasses.replace(proof, nodes=(proof.nodes[0][:-1],) + proof.nodes[1:])
+        assert not bad.verify(tree.root, HASHER)
+
     def test_swapped_indices(self):
         """Moving an opened leaf to a different index must fail."""
         tree = make_tree()
