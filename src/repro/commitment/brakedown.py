@@ -51,6 +51,7 @@ from ..kernels.field_kernels import (
     combine_rows,
     eq_table,
     eq_table_lanes,
+    one_lane,
     pack_vector,
     product_pair_sum,
     vectorised,
@@ -101,54 +102,53 @@ class Commitment:
 
 
 @dataclass
-class ProverState:
-    """Everything the prover retains between commit and open.
-
-    ``matrix`` and ``encoded`` are 2-D ``uint64`` arrays on the
-    Mersenne-61 fast path and lists of int rows otherwise.
-    """
-
-    matrix: Sequence[Sequence[int]]  # R×C coefficient matrix
-    encoded: Sequence[Sequence[int]]  # R×(qC) codeword matrix U
-    tree: MerkleTree
-    params: PcsParams
-
-
-@dataclass
 class EncodedRows:
     """The encode half of a commit: codeword rows awaiting the Merkle half.
 
-    Produced by :meth:`BrakedownPCS.encode_rows` and consumed by
-    :meth:`BrakedownPCS.commit_encoded` — the boundary the pipelined
-    executor schedules across, so proof *i+1* can be encoding while
-    proof *i* hashes.  Same containers as :class:`ProverState`: the fast
-    path's ``uint64`` arrays go to the Merkle half (and on to the open
-    stage) without a round-trip through Python ints.
+    Produced by :meth:`BrakedownPCS.encode_rows_lanes` for a lane group
+    (S31) — a one-proof commit is a group of one — and consumed by
+    :meth:`BrakedownPCS.commit_encoded_lanes`: the boundary the pipelined
+    executor schedules across, so group *i+1* can be encoding while group
+    *i* hashes.  On the Mersenne-61 fast path the matrices stay stacked
+    ``uint64`` arrays (``[L, R, C]`` / ``[L, R, Q]``), so every later
+    kernel covers all lanes in one dispatch and nothing round-trips
+    through Python ints; otherwise they are per-lane lists of int rows.
     """
 
-    matrix: Sequence[Sequence[int]]  # R×C coefficient matrix
-    encoded: Sequence[Sequence[int]]  # R×(qC) codeword matrix U
+    matrices: Sequence  # [L, R, C] coefficient matrices
+    codewords: Sequence  # [L, R, Q] codeword matrices U
+
+    @property
+    def lanes(self) -> int:
+        return len(self.matrices)
+
+    @property
+    def matrix(self) -> Sequence[Sequence[int]]:
+        """The first lane's R×C matrix — the one lane of a one-proof commit."""
+        return self.matrices[0]
+
+    @property
+    def encoded(self) -> Sequence[Sequence[int]]:
+        """The first lane's R×(qC) codeword matrix."""
+        return self.codewords[0]
 
 
 @dataclass
-class LanedState:
-    """Prover state for a lane-group commit (S31).
+class ProverState(EncodedRows):
+    """Everything the prover retains between commit and open.
 
-    The per-lane coefficient and codeword matrices stay stacked as
-    ``uint64`` arrays (``[L, R, C]`` / ``[L, R, Q]``) so the open stage
-    can combine rows for every lane in one kernel dispatch; only the
-    Merkle trees are per-lane objects (their roots differ, which is
-    where the lanes' transcripts — and all later challenges — diverge).
+    The encoded rows plus one Merkle tree per lane (their roots differ,
+    which is where the lanes' transcripts — and all later challenges —
+    diverge).
     """
 
-    matrices: "np.ndarray"   # [L, R, C] coefficient matrices
-    codewords: "np.ndarray"  # [L, R, Q] codeword matrices
     trees: List[MerkleTree]
     params: PcsParams
 
     @property
-    def lanes(self) -> int:
-        return len(self.trees)
+    def tree(self) -> MerkleTree:
+        """The first lane's tree — the one tree of a one-proof commit."""
+        return self.trees[0]
 
 
 @dataclass(frozen=True)
@@ -270,47 +270,14 @@ class BrakedownPCS:
 
     def encode_rows(self, evals: Sequence[int]) -> EncodedRows:
         """The encode half of a commit: shape into rows and encode each."""
-        params = self.params
-        expected = 1 << params.num_vars
-        if len(evals) != expected:
-            raise CommitmentError(
-                f"expected {expected} evaluations, got {len(evals)}"
-            )
-        cols = params.num_cols
-        if self._fast_path():
-            # The table is normalised once and reshaped, not copied; one
-            # 2-D SpMV sweep per encoder stage covers every row
-            # (bit-identical to per-row encode).
-            matrix = _f61.to_f61(evals).reshape(params.num_rows, cols)
-            with _stage("encode"):
-                return EncodedRows(matrix, self.encoder._encode_batch61(matrix))
-        p = self.field.modulus
-        evals = to_ints(evals)
-        matrix = [
-            [v % p for v in evals[r * cols : (r + 1) * cols]]
-            for r in range(params.num_rows)
-        ]
-        with _stage("encode"):
-            encoded = [self.encoder.encode(row) for row in matrix]
-        return EncodedRows(matrix=matrix, encoded=encoded)
+        return self.encode_rows_lanes(one_lane(evals))
 
     def commit_encoded(
         self, rows: EncodedRows
     ) -> Tuple[Commitment, ProverState]:
         """The Merkle half of a commit: hash the codeword columns."""
-        params = self.params
-        with _stage("merkle"):
-            if isinstance(rows.encoded, np.ndarray):
-                leaves = self._column_leaves(rows.encoded[None])
-                tree = MerkleTree(leaves, self.hasher)
-            else:
-                tree = MerkleTree.from_field_vectors(
-                    self.field, list(zip(*rows.encoded)), self.hasher
-                )
-        commitment = Commitment(root=tree.root, params=params)
-        return commitment, ProverState(
-            matrix=rows.matrix, encoded=rows.encoded, tree=tree, params=params
-        )
+        (commitment,), state = self.commit_encoded_lanes(rows)
+        return commitment, state
 
     def _column_leaves(self, codewords: "np.ndarray") -> List[bytes]:
         """Leaf digests of every column of a ``[L, R, Q]`` codeword stack.
@@ -331,60 +298,74 @@ class BrakedownPCS:
             [raw[i * stride : (i + 1) * stride] for i in range(lanes * q_len)]
         )
 
-    def _fast_path(self) -> bool:
-        return vectorised(self.field)
+    def encode_rows_lanes(self, evals_lanes: Sequence[Sequence[int]]) -> EncodedRows:
+        """Encode ``L`` lanes' evaluation tables (an ``[L, 2^num_vars]``
+        array or a sequence of tables).
 
-    # -- laned commit/open (S31) ----------------------------------------------
-
-    def encode_rows_lanes(self, evals_lanes: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
-        """Encode ``L`` lanes' evaluation tables in one batched SpMV sweep.
-
-        ``evals_lanes`` is ``[L, 2^num_vars]`` uint64; the lanes' row
-        matrices are stacked to ``(L·R, C)`` so each encoder stage runs
-        once for the whole lane-group.  Row-independence of the encoder
-        makes the stacked pass bit-identical to encoding each lane alone.
-        Returns ``(matrices [L, R, C], codewords [L, R, Q])``.
+        On the fast path the lanes' row matrices are stacked to
+        ``(L·R, C)`` so each encoder stage runs once for the whole group
+        (a table is normalised once and reshaped, not copied);
+        row-independence of the encoder makes the stacked pass
+        bit-identical to encoding each row alone.
         """
         params = self.params
-        if not self._fast_path():
-            raise CommitmentError("encode_rows_lanes requires the fast61 path")
-        evals_lanes = np.asarray(evals_lanes, dtype=np.uint64)
         expected = 1 << params.num_vars
-        if evals_lanes.ndim != 2 or evals_lanes.shape[1] != expected:
-            raise CommitmentError(
-                f"lane evals shape {evals_lanes.shape} != (L, {expected})"
-            )
-        lanes = evals_lanes.shape[0]
+        for evals in evals_lanes:
+            if len(evals) != expected:
+                raise CommitmentError(
+                    f"expected {expected} evaluations, got {len(evals)}"
+                )
         rows, cols = params.num_rows, params.num_cols
-        matrices = evals_lanes.reshape(lanes, rows, cols)
+        if vectorised(self.field):
+            if isinstance(evals_lanes, np.ndarray):
+                stack = _f61.to_f61(evals_lanes)
+            else:
+                stack = np.stack([_f61.to_f61(evals) for evals in evals_lanes])
+            lanes = stack.shape[0]
+            matrices = stack.reshape(lanes, rows, cols)
+            with _stage("encode"):
+                flat = self.encoder._encode_batch61(stack.reshape(lanes * rows, cols))
+            return EncodedRows(matrices, flat.reshape(lanes, rows, flat.shape[1]))
+        p = self.field.modulus
+        matrices = [
+            [[v % p for v in evals[r * cols : (r + 1) * cols]] for r in range(rows)]
+            for evals in map(to_ints, evals_lanes)
+        ]
         with _stage("encode"):
-            flat = self.encoder._encode_batch61(
-                matrices.reshape(lanes * rows, cols)
-            )
-            codewords = flat.reshape(lanes, rows, flat.shape[1])
-        return matrices, codewords
+            codewords = [[self.encoder.encode(row) for row in m] for m in matrices]
+        return EncodedRows(matrices, codewords)
 
     def commit_encoded_lanes(
-        self, matrices: "np.ndarray", codewords: "np.ndarray"
-    ) -> Tuple[List[Commitment], LanedState]:
+        self, rows: EncodedRows
+    ) -> Tuple[List[Commitment], ProverState]:
         """The Merkle half of a lane-group commit: one forest, one pass.
 
-        All lanes' column blocks are packed from the stacked codeword
-        array and leaf-hashed with a single :meth:`Hasher.hash_many`
-        call; :func:`~repro.merkle.tree.build_forest` then compresses
-        every lane's tree level in one batched dispatch per level.
+        All lanes' columns are leaf-hashed with a single
+        :meth:`Hasher.hash_many` call; :func:`~repro.merkle.tree.build_forest`
+        then compresses every lane's tree level in one batched dispatch
+        per level.
         """
         params = self.params
-        lanes, _, q_len = codewords.shape
+        lanes = rows.lanes
         with _stage("merkle"):
-            leaves = self._column_leaves(codewords)
+            if isinstance(rows.codewords, np.ndarray):
+                leaves = self._column_leaves(rows.codewords)
+            else:
+                leaves = self.hasher.hash_many(
+                    [
+                        pack_vector(self.field, column)
+                        for codeword in rows.codewords
+                        for column in zip(*codeword)
+                    ]
+                )
+            q_len = len(leaves) // lanes
             trees = build_forest(
                 [leaves[lane * q_len : (lane + 1) * q_len] for lane in range(lanes)],
                 self.hasher,
             )
         commitments = [Commitment(root=tree.root, params=params) for tree in trees]
-        return commitments, LanedState(
-            matrices=matrices, codewords=codewords, trees=trees, params=params
+        return commitments, ProverState(
+            rows.matrices, rows.codewords, trees=trees, params=params
         )
 
     # -- evaluation -----------------------------------------------------------------
@@ -402,20 +383,16 @@ class BrakedownPCS:
 
     def evaluate(self, state: ProverState, point: Sequence[int]) -> int:
         """Honest evaluation ``q_rowᵀ·M·q_col`` from the prover's matrix."""
-        z_lo, z_hi = self._split_point(point)
-        q_col = eq_table(self.field, z_lo)
-        q_row = eq_table(self.field, z_hi)
-        combined = combine_rows(self.field, state.matrix, q_row)
-        return product_pair_sum(self.field, combined, q_col)
+        return self.evaluate_lanes(state, [point])[0]
 
     def evaluate_lanes(
-        self, state: LanedState, points: Sequence[Sequence[int]]
+        self, state: ProverState, points: Sequence[Sequence[int]]
     ) -> List[int]:
         """Honest per-lane evaluations at per-lane points, one kernel pass.
 
-        Value-identical to calling :meth:`evaluate` per lane (all fast61
-        arithmetic is exact), with the row combination and final dot
-        product batched across the lane-group.
+        The row combination and final dot product cover the whole lane
+        group (all fast61 arithmetic is exact, so each lane's value is
+        what it would be alone).
         """
         splits = [self._split_point(point) for point in points]
         q_cols = eq_table_lanes(self.field, [lo for lo, _ in splits])
@@ -429,27 +406,54 @@ class BrakedownPCS:
         self, state: ProverState, point: Sequence[int], transcript: Transcript
     ) -> EvalProof:
         """Produce an evaluation proof bound to ``transcript``."""
+        return self.open_lanes(state, [point], [transcript])[0]
+
+    def open_lanes(
+        self,
+        state: ProverState,
+        points: Sequence[Sequence[int]],
+        transcripts: Sequence[Transcript],
+    ) -> List[EvalProof]:
+        """Produce one evaluation proof per lane, row math batched.
+
+        Each lane keeps its own transcript (roots differ, so challenges
+        differ lane-for-lane), but the two row combinations — the only
+        O(R·C) work — run once for the whole group.
+        """
         params = state.params
         field = self.field
-        z_lo, z_hi = self._split_point(point)
-        transcript.absorb_bytes(b"pcs/root", state.tree.root)
-        transcript.absorb_field_vector(b"pcs/point", field, list(point))
+        splits = [self._split_point(point) for point in points]
+        for tree, point, transcript in zip(state.trees, points, transcripts):
+            transcript.absorb_bytes(b"pcs/root", tree.root)
+            transcript.absorb_field_vector(b"pcs/point", field, list(point))
 
         # Proximity test: random row combination.
-        r_coeffs = transcript.challenge_field_vector(
-            b"pcs/proximity", field, params.num_rows
-        )
-        proximity_row = combine_rows(field, state.matrix, r_coeffs)
-        transcript.absorb_field_vector(b"pcs/prox-row", field, proximity_row)
+        r_lanes = [
+            transcript.challenge_field_vector(
+                b"pcs/proximity", field, params.num_rows
+            )
+            for transcript in transcripts
+        ]
+        proximity_rows = combine_rows(field, state.matrices, r_lanes)
+        for row, transcript in zip(proximity_rows, transcripts):
+            transcript.absorb_field_vector(b"pcs/prox-row", field, row)
 
         # Evaluation row: eq(z_hi)ᵀ · M.
-        q_row = eq_table(field, z_hi)
-        evaluation_row = combine_rows(field, state.matrix, q_row)
-        transcript.absorb_field_vector(b"pcs/eval-row", field, evaluation_row)
+        q_rows = eq_table_lanes(field, [hi for _, hi in splits])
+        evaluation_rows = combine_rows(field, state.matrices, q_rows)
+        for row, transcript in zip(evaluation_rows, transcripts):
+            transcript.absorb_field_vector(b"pcs/eval-row", field, row)
 
-        return self._finish_opening(
-            state.encoded, state.tree, transcript, proximity_row, evaluation_row
-        )
+        return [
+            self._finish_opening(*lane)
+            for lane in zip(
+                state.codewords,
+                state.trees,
+                transcripts,
+                proximity_rows,
+                evaluation_rows,
+            )
+        ]
 
     def _finish_opening(
         self,
@@ -486,62 +490,6 @@ class BrakedownPCS:
             columns=columns,
             multiproof=open_multi(tree, opened) if compress else None,
         )
-
-    def open_lanes(
-        self,
-        state: LanedState,
-        points: Sequence[Sequence[int]],
-        transcripts: Sequence[Transcript],
-    ) -> List[EvalProof]:
-        """Produce one evaluation proof per lane, row math batched.
-
-        Each lane keeps its own transcript (roots differ, so challenges
-        differ lane-for-lane), but the two row combinations — the only
-        O(R·C) work — run once for the whole group.  The emitted proofs
-        are byte-identical to per-lane :meth:`open` calls.
-        """
-        params = state.params
-        field = self.field
-        lanes = state.lanes
-        splits = [self._split_point(point) for point in points]
-        for lane in range(lanes):
-            transcripts[lane].absorb_bytes(b"pcs/root", state.trees[lane].root)
-            transcripts[lane].absorb_field_vector(
-                b"pcs/point", field, list(points[lane])
-            )
-
-        r_lanes = np.asarray(
-            [
-                transcripts[lane].challenge_field_vector(
-                    b"pcs/proximity", field, params.num_rows
-                )
-                for lane in range(lanes)
-            ],
-            dtype=np.uint64,
-        )
-        proximity_rows = combine_rows(field, state.matrices, r_lanes)
-        for lane in range(lanes):
-            transcripts[lane].absorb_field_vector(
-                b"pcs/prox-row", field, proximity_rows[lane]
-            )
-
-        q_rows = eq_table_lanes(field, [hi for _, hi in splits])
-        evaluation_rows = combine_rows(field, state.matrices, q_rows)
-        for lane in range(lanes):
-            transcripts[lane].absorb_field_vector(
-                b"pcs/eval-row", field, evaluation_rows[lane]
-            )
-
-        return [
-            self._finish_opening(
-                state.codewords[lane],
-                state.trees[lane],
-                transcripts[lane],
-                proximity_rows[lane],
-                evaluation_rows[lane],
-            )
-            for lane in range(lanes)
-        ]
 
     # -- verify ---------------------------------------------------------------------------
 

@@ -21,7 +21,6 @@ from .circuit import (
     compile_builder,
     random_circuit,
 )
-from .constraint import ConstraintSumcheckProver
 from .lanes import LanedProof
 from .gadgets import (
     abs_value,
@@ -36,7 +35,7 @@ from .gadgets import (
     to_bits,
 )
 from .proof import PublicBinding, SnarkProof
-from .prover import PIPELINE_STAGES, SnarkProver, StagedProof, make_pcs
+from .prover import PIPELINE_STAGES, SnarkProver, make_pcs
 from .r1cs import R1CS, next_power_of_two
 from .serialize import (
     deserialize_proof,
@@ -54,9 +53,7 @@ __all__ = [
     "random_circuit",
     "R1CS",
     "next_power_of_two",
-    "ConstraintSumcheckProver",
     "SnarkProver",
-    "StagedProof",
     "LanedProof",
     "PIPELINE_STAGES",
     "SnarkVerifier",

@@ -186,28 +186,25 @@ class R1CS:
         ``uint64`` arrays on the Mersenne-61 fast path, int lists otherwise.
         """
         padded = self.pad_witness(z) if len(z) == self.num_vars else z
-        if self._use_f61():
-            x = _f61.as_f61(padded)
-            return tuple(op.apply(x) for op in self._f61_ops(transpose=False))
-        padded = to_ints(padded)
-        return (
-            self._matvec(self.a_rows, padded),
-            self._matvec(self.b_rows, padded),
-            self._matvec(self.c_rows, padded),
-        )
+        az, bz, cz = self.matvec_tables_lanes(_kernels.one_lane(padded))
+        return az[0], bz[0], cz[0]
 
     def matvec_tables_lanes(self, z_lanes) -> Tuple[object, object, object]:
-        """Laned matvec: ``[L, padded_vars] → three [L, padded_constraints]``.
+        """Laned matvec of padded witnesses: three ``[L, padded_constraints]``
+        lane groups.
 
-        One batched SpMV per matrix pushes every lane's witness through
-        the edge set together (S31).  Requires the vectorised Mersenne-61
-        path; callers gate on :meth:`_use_f61` before building lanes.
+        On the fast path one batched SpMV per matrix pushes every lane's
+        witness through the edge set together (S31); otherwise each lane
+        is an int list.
         """
-        if not self._use_f61():
-            raise CircuitError("matvec_tables_lanes requires the fast61 path")
-        x = _f61.as_f61(z_lanes)
-        op_a, op_b, op_c = self._f61_ops(transpose=False)
-        return (op_a.apply_batch(x), op_b.apply_batch(x), op_c.apply_batch(x))
+        if self._use_f61():
+            x = _f61.as_f61(z_lanes)
+            return tuple(op.apply_batch(x) for op in self._f61_ops(transpose=False))
+        lanes = [to_ints(z) for z in z_lanes]
+        return tuple(
+            [self._matvec(rows, z) for z in lanes]
+            for rows in (self.a_rows, self.b_rows, self.c_rows)
+        )
 
     def is_satisfied(self, z: Sequence[int]) -> bool:
         return not _kernels.constraint_violation(
@@ -239,41 +236,10 @@ class R1CS:
         ``eq_x`` must cover the padded constraint domain.  A ``uint64``
         array on the Mersenne-61 fast path, an int list otherwise.
         """
-        if len(eq_x) != self.padded_constraints:
-            raise CircuitError(
-                f"eq_x length {len(eq_x)} != padded constraints "
-                f"{self.padded_constraints}"
-            )
-        p = self.field.modulus
-        if self._use_f61():
-            # Vectorised: scale the eq-table by each batching coefficient
-            # and push it through the transposed edge sets.
-            eq_arr = _f61.as_f61(eq_x)
-            total = np.zeros(self.padded_vars, dtype=np.uint64)
-            for coeff, op in zip(
-                (coeff_a, coeff_b, coeff_c), self._f61_ops(transpose=True)
-            ):
-                if coeff % p:
-                    part = op.apply(_f61.f61_scale(coeff, eq_arr))
-                    total = _f61.f61_add(total, part)
-            return total
-        eq_x = to_ints(eq_x)
-        out = [0] * self.padded_vars
-        for coeff, rows in (
-            (coeff_a, self.a_rows),
-            (coeff_b, self.b_rows),
-            (coeff_c, self.c_rows),
-        ):
-            coeff %= p
-            if coeff == 0:
-                continue
-            for i, row in enumerate(rows):
-                scale = (coeff * eq_x[i]) % p
-                if scale == 0:
-                    continue
-                for j, v in row:
-                    out[j] = (out[j] + scale * v) % p
-        return out
+        (table,) = self.combined_row_table_lanes(
+            _kernels.one_lane(eq_x), [coeff_a], [coeff_b], [coeff_c]
+        )
+        return table
 
     def combined_row_table_lanes(
         self,
@@ -284,29 +250,45 @@ class R1CS:
     ):
         """Laned :meth:`combined_row_table`: per-lane eq-tables/coefficients.
 
-        ``eq_lanes`` is ``[L, padded_constraints]``; each coefficient
-        sequence holds one batching challenge per lane.  Returns a
-        ``[L, padded_vars]`` array.  A zero coefficient contributes a
-        zero row through the edge set, so (unlike the scalar path's
-        skip) no lane-dependent branching is needed — the result is
-        identical value-for-value.
+        ``eq_lanes`` holds one eq-table per lane; each coefficient
+        sequence holds one batching challenge per lane.  On the fast path
+        the result is a ``[L, padded_vars]`` array: the eq-tables scaled
+        by each coefficient column go through the transposed edge sets
+        together (a zero coefficient contributes a zero row, so no
+        lane-dependent branching is needed).  Otherwise each lane is an
+        int list.
         """
-        if not self._use_f61():
-            raise CircuitError("combined_row_table_lanes requires the fast61 path")
+        for eq_x in eq_lanes:
+            if len(eq_x) != self.padded_constraints:
+                raise CircuitError(
+                    f"eq_x length {len(eq_x)} != padded constraints "
+                    f"{self.padded_constraints}"
+                )
         p = self.field.modulus
-        eq_arr = _f61.as_f61(eq_lanes)
-        if eq_arr.ndim != 2 or eq_arr.shape[1] != self.padded_constraints:
-            raise CircuitError(
-                f"eq_lanes shape {eq_arr.shape} != (L, {self.padded_constraints})"
-            )
-        total = None
-        for coeffs, op in zip(
-            (coeffs_a, coeffs_b, coeffs_c), self._f61_ops(transpose=True)
-        ):
-            c_col = _f61.as_f61([c % p for c in coeffs])[:, None]
-            part = op.apply_batch(_f61.f61_mul(eq_arr, c_col))
-            total = part if total is None else _f61.f61_add(total, part)
-        return total
+        coeffs = (coeffs_a, coeffs_b, coeffs_c)
+        if self._use_f61():
+            eq_arr = _f61.as_f61(eq_lanes)
+            total = None
+            for column, op in zip(coeffs, self._f61_ops(transpose=True)):
+                c_op = _kernels.lane_scalars([c % p for c in column])
+                part = op.apply_batch(_f61.f61_mul(eq_arr, c_op))
+                total = part if total is None else _f61.f61_add(total, part)
+            return total
+        out = []
+        for lane, eq_x in enumerate(map(to_ints, eq_lanes)):
+            table = [0] * self.padded_vars
+            for column, rows in zip(coeffs, (self.a_rows, self.b_rows, self.c_rows)):
+                coeff = column[lane] % p
+                if coeff == 0:
+                    continue
+                for i, row in enumerate(rows):
+                    scale = (coeff * eq_x[i]) % p
+                    if scale == 0:
+                        continue
+                    for j, v in row:
+                        table[j] = (table[j] + scale * v) % p
+            out.append(table)
+        return out
 
     def mle_eval(
         self, rows: List[SparseRow], eq_x: Sequence[int], eq_y: Sequence[int]

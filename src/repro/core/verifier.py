@@ -16,9 +16,9 @@ from ..field.multilinear import eq_eval
 from ..hashing.transcript import Transcript
 from ..sumcheck.prover import evaluation_point
 from ..sumcheck.verifier import verify_product_rounds
-from .constraint import DEGREE as CONSTRAINT_DEGREE
+from .lanes import CONSTRAINT_DEGREE, _bits_point
 from .proof import SnarkProof
-from .prover import TRANSCRIPT_LABEL, _bits_point, make_pcs
+from .prover import TRANSCRIPT_LABEL, make_pcs
 from .r1cs import R1CS
 
 

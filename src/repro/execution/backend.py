@@ -83,7 +83,7 @@ class ProvingBackend(Protocol):
 class SerialBackend(LanedBackend):
     """In-process serial execution: :class:`LanedBackend` at width 1.
 
-    Each task is proved by the scalar ``prove`` — the floor every other
+    Each task is proved as a lane group of one — the floor every other
     backend must beat.  Retries default *off*, so a fault fails loudly.
     """
 

@@ -17,12 +17,13 @@ Grouping and parity:
   contiguous ``lane_width``-sized windows of the task list.
 * The ragged final group is proved at its own width — numpy has no
   fixed launch geometry, so a short group costs a short dispatch — and
-  a group of one by the scalar ``prove``.  ``lanes:auto``, which is also
-  ``BatchProver.prove_all``'s default, sizes groups by working set.
-* Proofs are byte-identical to the reference oracle,
-  :meth:`~repro.core.prover.SnarkProver.prove`, lane for lane — each
-  lane keeps its own transcript; only the array arithmetic is shared
-  (see :mod:`repro.core.lanes`).  ``serial``
+  a group of one on the same machine (DESIGN decision 24).
+  ``lanes:auto``, which is also ``BatchProver.prove_all``'s default,
+  sizes groups by working set.
+* Every lane's proof is byte-identical to its proof in a group of one,
+  :meth:`~repro.core.prover.SnarkProver.prove` — each lane keeps its own
+  transcript; only the array arithmetic is shared (see
+  :mod:`repro.core.lanes`).  ``serial``
   (:class:`~repro.execution.SerialBackend`) is this backend at width 1.
 
 Stage accounting: one :func:`~repro.runtime.lifecycle.prove_group`
@@ -69,7 +70,7 @@ __all__ = [
 #: ``lanes:auto`` sizing (measured in docs/PERFORMANCE.md §9).  A group's
 #: stacked witness table holds at most ``AUTO_LANE_BUDGET`` field
 #: elements — past that the ``[lanes, n]`` operands leave the cache and
-#: lanes stop beating the scalar prover — and no group is wider than
+#: wider groups stop beating narrower ones — and no group is wider than
 #: ``AUTO_LANE_CAP``: wider still gains a little speed at small circuits
 #: but costs ≈ 0.24 MiB of peak memory per lane.
 AUTO_LANE_CAP = 16
@@ -84,9 +85,8 @@ def resolve_lane_width(
     ``width`` is an integer lane count, taken as given, or ``"auto"``:
     ``min(AUTO_LANE_CAP, AUTO_LANE_BUDGET // padded_vars, n_tasks)``, at
     least 1 — sized by the working set and never wider than the batch.
-    Off the vectorised Mersenne-61 ``fast_path`` lanes only run in
-    lockstep, so ``auto`` is 1 there; a width-1 group is proved by the
-    scalar prover.
+    Off the vectorised Mersenne-61 ``fast_path`` a lane group is per-lane
+    int lists, which share no dispatch, so ``auto`` is 1 there.
     """
     if width == "auto":
         budget = AUTO_LANE_BUDGET // padded_vars if fast_path else 1
@@ -101,7 +101,8 @@ class LanedBackend:
     """Prove same-circuit tasks in lockstep lanes (S31).
 
     ``lane_width`` is the group size (``"auto"`` sizes it from the batch
-    and the circuit, see :func:`resolve_lane_width`).  Execution is
+    and the circuit, see :func:`resolve_lane_width`); every group, one
+    task included, is one ``prove_lanes`` dispatch.  Execution is
     in-process and serial across groups — parallel substrates compose
     around it (``lanes:8:pool:4`` gives each pool worker a lane-group
     per dispatch) or outside it (``resilient:lanes:8``).

@@ -6,7 +6,7 @@ other stages of *its* proof run; the pipelined design (Figure 4a)
 streams each stage's kernel across many proofs so proof *i* is in
 sum-check while proof *i+1* is in Merkle and *i+2* is encoding.
 :class:`PipelinedBackend` is that discipline on the S24 backend seam,
-driving the :class:`~repro.core.StagedProof` checkpoints
+driving the :class:`~repro.core.LanedProof` checkpoints
 (``encode → merkle → sumcheck → open``) through per-stage worker queues.
 
 Sizing follows the paper's measured-cost methodology: a warmup slice of
@@ -141,13 +141,12 @@ StageGroup(stages=('sumcheck', 'open'), workers=1)]
 
 
 class _Unit:
-    """One pipeline traveller: a task — or a lane group of tasks (S31).
+    """One pipeline traveller: a lane group of tasks (S31), one task
+    being a group of one.
 
-    A unit owns a staged machine (:class:`StagedProof` for a single
-    task, :class:`~repro.core.lanes.LanedProof` for a group — the two
-    share the checkpoint interface) plus retry/profiling bookkeeping.
-    Stage events are emitted on the *lead* task's span; completion
-    records fan out per lane.
+    A unit owns a staged machine (:class:`~repro.core.lanes.LanedProof`)
+    plus retry/profiling bookkeeping.  Stage events are emitted on the
+    *lead* task's span; completion records fan out per lane.
     """
 
     __slots__ = (
@@ -162,7 +161,9 @@ class _Unit:
 
     def restart(self, prover) -> None:
         """A fresh staged machine and profile, back at ``encode``."""
-        self.staged = _begin(prover, self.tasks)
+        self.staged = prover.begin_lanes(
+            [t.witness for t in self.tasks], [t.public_values for t in self.tasks]
+        )
         self.profile = StageProfile()
         self.prove_seconds = 0.0
 
@@ -170,10 +171,6 @@ class _Unit:
     def task(self) -> ProofTask:
         """The lead task — the span stage events hang off."""
         return self.tasks[0]
-
-    @property
-    def laned(self) -> bool:
-        return len(self.tasks) > 1
 
     def run_stage(self, task_ctx) -> None:
         """Run the next stage, timed and profiled, between its events."""
@@ -191,15 +188,6 @@ class _Unit:
             "stage_done", task_id=self.task.task_id, stage=name,
             seconds=dt, attempt=self.attempt,
         )
-
-
-def _begin(prover, tasks: List[ProofTask]):
-    """The staged machine for a group: scalar for one task, laned for more."""
-    if len(tasks) == 1:
-        return prover.begin_proof(tasks[0].witness, tasks[0].public_values)
-    return prover.begin_lanes(
-        [t.witness for t in tasks], [t.public_values for t in tasks]
-    )
 
 
 _SENTINEL = object()
@@ -352,7 +340,7 @@ class PipelinedBackend:
         task_ctx = ctx.for_task(task.task_id)
         while not unit.staged.done:
             unit.run_stage(task_ctx)
-        return [unit.staged.proof], unit.prove_seconds, unit.profile.as_dict()
+        return unit.staged.proofs, unit.prove_seconds, unit.profile.as_dict()
 
     # -- the pipeline proper ---------------------------------------------------
 
@@ -376,10 +364,7 @@ class PipelinedBackend:
         pending = [len(tasks) - warmed]
 
         def finalize(unit: _Unit) -> None:
-            if unit.laned:
-                unit_proofs = list(unit.staged.proofs)
-            else:
-                unit_proofs = [unit.staged.proof]
+            unit_proofs = list(unit.staged.proofs)
             if corrupt is not None:
                 unit_proofs = [
                     corrupt(proof, task.task_id)

@@ -272,14 +272,18 @@ def f61_columns_sum(a: np.ndarray) -> np.ndarray:
     return f61_axis_sum(a, axis=0)
 
 
-def f61_rows_sum(a: np.ndarray) -> np.ndarray:
-    """Exact per-lane sum over the *last* axis, reduced mod p.
+def f61_rows_sum(a: np.ndarray) -> List[int]:
+    """Exact per-lane sums over the *last* axis, reduced mod p, as ints.
 
     ``[lanes, n] → [lanes]`` — the lane-vectorised counterpart of
     :func:`f61_sum`, used by the sum-check round kernels to produce one
-    round evaluation per proof lane from a single numpy pass.
+    round evaluation per proof lane from a single numpy pass.  The two
+    limb sums recombine in Python ints: for the few lanes of a group
+    that is cheaper than :func:`_recombine`'s ufunc chain.
     """
-    return f61_axis_sum(a, axis=-1)
+    lo = (a & _M32).sum(axis=-1, dtype=np.uint64).tolist()
+    hi = (a >> _S32).sum(axis=-1, dtype=np.uint64).tolist()
+    return [(l + (h << 32)) % _P61_INT for l, h in zip(lo, hi)]
 
 
 def f61_dot(a: np.ndarray, b: np.ndarray) -> int:
@@ -287,13 +291,6 @@ def f61_dot(a: np.ndarray, b: np.ndarray) -> int:
     if a.shape != b.shape:
         raise FieldError(f"dot shape mismatch: {a.shape} vs {b.shape}")
     return f61_sum(f61_mul(a, b))
-
-
-def f61_rows_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-lane inner products: ``[lanes, n] · [lanes, n] → [lanes]``."""
-    if a.shape != b.shape:
-        raise FieldError(f"dot shape mismatch: {a.shape} vs {b.shape}")
-    return f61_rows_sum(f61_mul(a, b))
 
 
 class F61SpMV:
@@ -379,20 +376,3 @@ class F61SpMV:
                 np.add.reduceat(contrib, starts, axis=1, out=hi[r0:r1, k0:k1])
         y[:, self._dst] = _recombine(lo, hi)
         return y
-
-    def apply_lanes(self, x: np.ndarray) -> np.ndarray:
-        """Apply to a lane-batched stack: ``(L, R, n_in) → (L, R, n_out)``.
-
-        Lanes are independent rows of one flattened batch, so ``L``
-        proofs' worth of encoder rows go through a single gather /
-        multiply / segment-sum dispatch — the lane-vectorised commit.
-        """
-        if x.ndim != 3 or x.shape[2] != self.n_in:
-            raise FieldError(f"lane batch shape {x.shape} != (L, R, {self.n_in})")
-        lanes, rows = x.shape[0], x.shape[1]
-        flat = self.apply_batch(x.reshape(lanes * rows, self.n_in))
-        return flat.reshape(lanes, rows, self.n_out)
-
-    def apply_list(self, x: Sequence[int]) -> List[int]:
-        """List-in/list-out convenience wrapper."""
-        return self.apply(as_f61(x)).tolist()

@@ -5,8 +5,8 @@ size them to measured costs (§3, §4).  The functional prover's analogue of
 a "kernel" is a whole-vector pass, and every kernel here has two bodies
 selected by the *container* it is handed:
 
-* a ``uint64`` ndarray over Mersenne-61 — ``[n]`` for one proof or
-  ``[lanes, n]`` for a lane-group (S31) — runs on the exact numpy
+* a ``uint64`` ndarray over Mersenne-61 — ``[n]`` for one table or
+  ``[lanes, n]`` for a lane group (S31) — runs on the exact numpy
   arithmetic of :mod:`repro.field.fast61` along the last axis and
   returns arrays.  This is the prover's native representation from
   ``pad_witness`` to the opened columns: **arrays in, arrays out**, no
@@ -16,6 +16,11 @@ selected by the *container* it is handed:
   little per-element work as possible — ``zip`` over slices instead of
   indexing, products accumulated lazily and reduced once per output —
   and returns lists of ints.
+
+A lane group off the array path — any field but Mersenne-61, the
+reference kernels, or a sum-check's small-table tail — is a list of
+per-lane int lists; the kernels run their int body once per lane and
+return one result per lane.
 
 Every kernel also has a ``_reference_*`` twin — the naive per-element loop
 the codebase used before this layer — selected by
@@ -31,6 +36,7 @@ List values are *raw ints already reduced mod p* (the
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as _np
@@ -52,6 +58,8 @@ __all__ = [
     "sumcheck_tables",
     "eq_table",
     "eq_table_lanes",
+    "one_lane",
+    "lane_scalars",
     "combine_rows",
     "spmv",
     "product_round_quadratic",
@@ -78,45 +86,57 @@ def vectorised(field: "PrimeField") -> bool:
     return kernels_enabled() and field.modulus == _f61._P61_INT
 
 
-def _is_lanes(x: object, ndim: int = 2) -> bool:
-    """True when ``x`` is a lane-batched ndarray of rank ``ndim``."""
-    return isinstance(x, _np.ndarray) and x.ndim == ndim
+def one_lane(table: Sequence[int]):
+    """``table`` as a lane group of one: a ``[1, n]`` view of an array,
+    else a one-element list."""
+    return table[None] if isinstance(table, _np.ndarray) else [table]
 
 
-def _lane_challenges(r: object, lanes: int, p: int) -> List[int]:
-    """Normalize a scalar-or-per-lane challenge to ``lanes`` reduced ints.
+def lane_scalars(values: Sequence[int]):
+    """One reduced scalar per lane as the multiply operand of ``[L, …]``
+    arrays: an ``[L, 1]`` column, or for a group of one a NumPy scalar,
+    which keeps numpy on its contiguous array-by-scalar loops."""
+    if len(values) == 1:
+        return _np.uint64(values[0])
+    return _f61.as_f61(values)[:, None]
 
-    Laned sum-checks draw an independent Fiat–Shamir challenge per lane
-    (transcripts diverge after the commitment roots), so folds take a
-    vector of challenges; a scalar is broadcast for convenience.
+
+def _is_lane_group(x: object) -> bool:
+    """True for a lane group: an ``[L, n]`` array or a list of per-lane
+    int lists (``to_ints`` gives the per-lane lists of either)."""
+    if isinstance(x, _np.ndarray):
+        return x.ndim == 2
+    return len(x) > 0 and isinstance(x[0], list)
+
+
+def _laned(arrays: bool = True):
+    """Give a table kernel its lane-group form.
+
+    A lane group runs the kernel once per lane on int lists and returns
+    one result per lane — except ``[L, n]`` arrays on the vectorised
+    path when the kernel has its own array body (``arrays``), which
+    advance every lane in one dispatch.
     """
-    if isinstance(r, (list, tuple, _np.ndarray)):
-        rs = [int(v) % p for v in to_ints(r)]
-    else:
-        rs = [int(r) % p] * lanes
-    if len(rs) != lanes:
-        raise ValueError(f"{len(rs)} challenges for {lanes} lanes")
-    return rs
+
+    def wrap(kernel):
+        @functools.wraps(kernel)
+        def run(field: "PrimeField", *tables):
+            first = tables[0]
+            if _is_lane_group(first) and not (
+                arrays and isinstance(first, _np.ndarray) and vectorised(field)
+            ):
+                lanes = zip(*map(to_ints, tables))
+                return [kernel(field, *rows) for rows in lanes]
+            return kernel(field, *tables)
+
+        return run
+
+    return wrap
 
 
 def _sum_last(x: "_np.ndarray"):
     """Exact last-axis sum: an int for a table, a list of ints per lane."""
-    return _f61.f61_sum(x) if x.ndim == 1 else _f61.f61_rows_sum(x).tolist()
-
-
-def _round_evals(evals: list) -> list:
-    """Evaluations per point → ``[g(0), …]``, one such list per lane if laned."""
-    if isinstance(evals[0], list):
-        return [list(lane) for lane in zip(*evals)]
-    return evals
-
-
-def _per_lane(reference, field: "PrimeField", *tables):
-    """Apply a scalar reference twin to each lane of ``[lanes, n]`` tables."""
-    return [
-        reference(field, *(lane.tolist() for lane in lanes))
-        for lanes in zip(*tables)
-    ]
+    return _f61.f61_sum(x) if x.ndim == 1 else _f61.f61_rows_sum(x)
 
 
 # -- sum-check folds ---------------------------------------------------------
@@ -125,19 +145,15 @@ def _per_lane(reference, field: "PrimeField", *tables):
 def _reference_fold_table(field: PrimeField, table: Sequence[int], r: int) -> List[int]:
     """Naive fold: ``A[b] ← A[b] + r·(A[b+half] − A[b])`` by index.
 
-    A ``[lanes, n]`` array folds each lane at its own challenge (``r``
-    may be per-lane), returning a ``[lanes, n//2]`` array.
+    A lane group folds each lane at its own challenge (``r`` is one
+    challenge per lane) and returns per-lane int lists.
     """
+    if _is_lane_group(table):
+        return [
+            _reference_fold_table(field, t, ri)
+            for t, ri in zip(to_ints(table), to_ints(r))
+        ]
     p = field.modulus
-    if _is_lanes(table):
-        rs = _lane_challenges(r, table.shape[0], p)
-        return _np.asarray(
-            [
-                _reference_fold_table(field, lane.tolist(), ri)
-                for lane, ri in zip(table, rs)
-            ],
-            dtype=_np.uint64,
-        )
     table = to_ints(table)
     r %= p
     half = len(table) // 2
@@ -149,44 +165,77 @@ def fold_table(field: PrimeField, table: Sequence[int], r: int) -> List[int]:
 
     Pairs entry ``b`` with ``b + half`` — the most-significant live
     variable is bound, matching every sum-check prover in the repo.
-    Laned form: a ``[lanes, n]`` array with a per-lane challenge vector
-    folds every lane in one pass → ``[lanes, n//2]``.
+    Laned form: a lane group with one challenge per lane folds every lane
+    → ``[lanes, n//2]``; an ``[L, n]`` array takes the challenges as a
+    sequence or as their :func:`lane_scalars` operand, in one pass (as
+    does a stack of such tables, the operand broadcasting over it).
     """
     p = field.modulus
-    if isinstance(table, _np.ndarray):
-        if not vectorised(field):
-            return _reference_fold_table(field, table, r)
+    if isinstance(table, _np.ndarray) and vectorised(field):
         half = table.shape[-1] // 2
         lo, hi = table[..., :half], table[..., half:]
         if table.ndim == 1:
             r_op = _np.uint64(r % p)
+        elif isinstance(r, (_np.ndarray, _np.integer)):
+            r_op = r                   # built by fold_product_tables
         else:
-            r_op = _f61.as_f61(_lane_challenges(r, table.shape[0], p))[:, None]
+            r_op = lane_scalars([v % p for v in r])
         return _f61.f61_add(lo, _f61.f61_mul(_f61.f61_sub(hi, lo), r_op))
-    if not kernels_enabled():
+    if not kernels_enabled() or isinstance(table, _np.ndarray):
         return _reference_fold_table(field, table, r)
-    r %= p
-    half = len(table) // 2
+    if _is_lane_group(table):
+        return [_fold_list(p, t, ri % p) for t, ri in zip(table, r)]
+    return _fold_list(p, table, r % p)
+
+
+def _fold_list(p: int, table: List[int], r: int) -> List[int]:
+    """The int body of :func:`fold_table` for a reduced challenge."""
     # zip of the table against its own upper half stops at `half` pairs;
     # no per-element index arithmetic survives in the loop body.
+    half = len(table) // 2
     return [(lo + r * (hi - lo)) % p for lo, hi in zip(table, table[half:])]
 
 
+def _tail(tables: Sequence[Sequence[int]]) -> List[Sequence[int]]:
+    """Arrays of fewer than ``_NP_MIN`` entries leave for int lists —
+    ``[L, n]`` arrays for per-lane lists, so the rule is ``L·n``."""
+    first = tables[0]
+    if isinstance(first, _np.ndarray) and first.size < _NP_MIN:
+        return [table.tolist() for table in tables]
+    return list(tables)
+
+
 def fold_product_tables(
-    field: PrimeField, tables: Sequence[Sequence[int]], r: int
-) -> List[List[int]]:
+    field: PrimeField, tables: List[Sequence[int]], r: int
+) -> List[Sequence[int]]:
     """Fold every factor table of a sum-check prover at the same challenge.
 
-    The one small-table tail of the array-native path: once a prover's
-    tables drop below ``_NP_MIN`` entries its last rounds run on int
-    lists (measured at 2^10 gates: 7.6 ms per warm proof with the tail,
-    9.3 ms without; see docs/PERFORMANCE.md).
+    ``tables`` is the prover's own list, folded in place and returned:
+    each table is replaced as soon as its fold exists, so at most one
+    full table is alive beside the folded halves.  ``r`` is one
+    challenge, or one per lane for a lane group's tables (whose
+    :func:`lane_scalars` operand is built once for all of them).  Arrays
+    that fit in one ``f61`` block together fold as one stack, so each
+    ufunc dispatches once per round rather than once per table.  The one
+    small-table tail of the array-native path: once the tables drop below
+    ``_NP_MIN`` entries (``L·n`` for a lane group) the last rounds run on
+    int lists (measured at 2^10 gates: 7.6 ms per warm proof with the
+    tail, 9.3 ms without; see docs/PERFORMANCE.md).
     """
-    folded = [fold_table(field, table, r) for table in tables]
-    first = folded[0]
-    if isinstance(first, _np.ndarray) and first.ndim == 1 and first.size < _NP_MIN:
-        return [table.tolist() for table in folded]
-    return folded
+    first = tables[0]
+    stacked = False
+    if isinstance(first, _np.ndarray) and vectorised(field):
+        p = field.modulus
+        r = lane_scalars([v % p for v in r]) if first.ndim == 2 else _np.uint64(r % p)
+        stacked = len(tables) * first.size <= _f61._BLOCK
+    del first
+    if stacked:
+        tables[:] = fold_table(field, _np.array(tables), r)
+    else:
+        for i, table in enumerate(tables):
+            tables[i] = fold_table(field, table, r)
+    tables[:] = _tail(tables)
+    return tables
 
 
 def sumcheck_tables(
@@ -197,9 +246,13 @@ def sumcheck_tables(
     On the vectorised path tables of at least ``_NP_MIN`` entries become
     canonical ``uint64`` arrays — an array is adopted without a copy —
     and stay arrays until :func:`fold_product_tables` hands the short
-    tail to lists; anything else becomes reduced int lists.
+    tail to lists; anything else becomes reduced int lists.  A lane
+    group's tables (canonical already) only take the same tail rule.
     """
-    if vectorised(field) and len(tables[0]) >= _NP_MIN:
+    first = tables[0]
+    if _is_lane_group(first):
+        return _tail(tables)
+    if vectorised(field) and len(first) >= _NP_MIN:
         return [_f61.to_f61(table) for table in tables]
     p = field.modulus
     return [[v % p for v in to_ints(table)] for table in tables]
@@ -237,6 +290,15 @@ def _eq_double(arr: "_np.ndarray", n: int, challenges: Sequence) -> "_np.ndarray
     return arr
 
 
+def _eq_head(p: int, point: Sequence[int]) -> List[int]:
+    """The eq-table of reduced ``point`` built on ints by doubling."""
+    table = [1]
+    for r in point:
+        one_minus = (1 - r) % p
+        table = [t * one_minus % p for t in table] + [t * r % p for t in table]
+    return table
+
+
 def eq_table(field: PrimeField, point: Sequence[int]) -> List[int]:
     """Table of ``eq(point, b)`` for all ``b ∈ {0,1}^n`` (doubling kernel).
 
@@ -251,14 +313,10 @@ def eq_table(field: PrimeField, point: Sequence[int]) -> List[int]:
         return _reference_eq_table(field, point)
     p = field.modulus
     point = [r % p for r in to_ints(point)]
-    # Doublings done on ints: all of them, or up to ``_NP_MIN`` entries.
-    head = _NP_MIN.bit_length() - 1 if vectorised(field) else len(point)
-    table = [1]
-    for r in point[:head]:
-        one_minus = (1 - r) % p
-        table = [t * one_minus % p for t in table] + [t * r % p for t in table]
     if not vectorised(field):
-        return table
+        return _eq_head(p, point)
+    head = _NP_MIN.bit_length() - 1
+    table = _eq_head(p, point[:head])
     arr = _np.empty(1 << len(point), dtype=_np.uint64)
     arr[: len(table)] = table
     return _eq_double(arr, len(table), map(_np.uint64, point[head:]))
@@ -266,41 +324,45 @@ def eq_table(field: PrimeField, point: Sequence[int]) -> List[int]:
 
 def _reference_eq_table_lanes(
     field: PrimeField, points: Sequence[Sequence[int]]
-) -> "_np.ndarray":
+) -> List[List[int]]:
     """Naive laned eq-tables: one per-lane doubling construction each."""
-    return _np.asarray(
-        [_reference_eq_table(field, point) for point in points],
-        dtype=_np.uint64,
-    )
+    return [_reference_eq_table(field, point) for point in points]
 
 
 def eq_table_lanes(
     field: PrimeField, points: Sequence[Sequence[int]]
-) -> "_np.ndarray":
+) -> Sequence[Sequence[int]]:
     """Eq-tables for ``lanes`` points at once: ``[L, m] → [L, 2^m]``.
 
-    Each doubling round scales the whole lane block by the per-lane
-    challenge column — ``m`` dispatches total for all lanes, versus
-    ``L·m`` for per-lane construction.  Lanes carry *different* points
-    (their transcripts diverge at the commitment roots), which is why
-    this is a separate entry point rather than a broadcast of
-    :func:`eq_table`.
+    On the vectorised path each doubling round scales the whole lane
+    block by the per-lane challenge column — ``m`` dispatches total for
+    all lanes, versus ``L·m`` for per-lane construction — after a head
+    built on ints while the block holds at most ``_NP_MIN`` entries.
+    Lanes carry *different* points (their transcripts diverge at the
+    commitment roots), which is why this is a separate entry point
+    rather than a broadcast of :func:`eq_table`.  Off it the result is
+    per-lane int lists.
     """
-    points = [list(point) for point in points]
+    points = [to_ints(point) for point in points]
     if not points:
         return _np.zeros((0, 1), dtype=_np.uint64)
     m = len(points[0])
     if any(len(point) != m for point in points):
         raise ValueError("eq_table_lanes points must share one length")
     if not vectorised(field):
-        return _reference_eq_table_lanes(field, points)
+        if not kernels_enabled():
+            return _reference_eq_table_lanes(field, points)
+        return [eq_table(field, point) for point in points]
     p = field.modulus
+    points = [[r % p for r in point] for point in points]
+    head = min(m, max(0, (_NP_MIN // len(points)).bit_length() - 1))
+    heads = [_eq_head(p, point[:head]) for point in points]
+    if head == m:
+        return _np.array(heads, dtype=_np.uint64)
     arr = _np.empty((len(points), 1 << m), dtype=_np.uint64)
-    arr[:, 0] = 1
-    columns = (
-        _f61.as_f61([point[i] % p for point in points])[:, None] for i in range(m)
-    )
-    return _eq_double(arr, 1, columns)
+    arr[:, : 1 << head] = heads
+    columns = (lane_scalars([point[i] for point in points]) for i in range(head, m))
+    return _eq_double(arr, 1 << head, columns)
 
 
 # -- row combination (Brakedown commit/open/verify) --------------------------
@@ -311,15 +373,15 @@ def _reference_combine_rows(
 ) -> List[int]:
     """The original per-element indexed accumulation.
 
-    Laned form: a ``[L, R, C]`` matrix stack with ``[L, R]`` coefficients
-    combines each lane independently → ``[L, C]`` array.
+    Laned form: per-lane matrices (``[L, R, C]``) with per-lane
+    coefficients (``[L, R]``) combine each lane → per-lane int lists.
     """
+    if _is_lane_group(coeffs):
+        return [
+            _reference_combine_rows(field, m, c)
+            for m, c in zip(matrix, to_ints(coeffs))
+        ]
     p = field.modulus
-    if _is_lanes(matrix, ndim=3):
-        return _np.asarray(
-            _per_lane(_reference_combine_rows, field, matrix, _np.asarray(coeffs)),
-            dtype=_np.uint64,
-        )
     matrix, coeffs = to_ints(matrix), to_ints(coeffs)
     width = len(matrix[0]) if matrix else 0
     out = [0] * width
@@ -341,20 +403,21 @@ def combine_rows(
     combinations.  An ``[R, C]`` array (the prover's stored matrix) is
     one 2-D modular multiply plus an exact limb-split column sum — row
     counts are far below the 2^29 overflow bound; a ``[L, R, C]`` stack
-    with ``[L, R]`` coefficients does the same for every lane → ``[L, C]``.
-    On lists, zero coefficients (common: boolean-point eq-tables are
-    one-hot) skip their row entirely, unit coefficients skip the
-    multiply, and reduction happens once per output column.
+    with ``[L, R]`` coefficients does the same for every lane → ``[L, C]``,
+    and per-lane list matrices with per-lane coefficient lists combine
+    lane by lane.  On lists, zero coefficients (common: boolean-point
+    eq-tables are one-hot) skip their row entirely, unit coefficients
+    skip the multiply, and reduction happens once per output column.
     """
-    if isinstance(matrix, _np.ndarray):
-        if not vectorised(field):
-            return _reference_combine_rows(field, matrix, coeffs)
+    if isinstance(matrix, _np.ndarray) and vectorised(field):
         c_arr = _f61.to_f61(coeffs)
         k = min(matrix.shape[-2], c_arr.shape[-1])
         contrib = _f61.f61_mul(matrix[..., :k, :], c_arr[..., :k, None])
         return _f61.f61_axis_sum(contrib, axis=-2)
-    if not kernels_enabled():
+    if not kernels_enabled() or isinstance(matrix, _np.ndarray):
         return _reference_combine_rows(field, matrix, coeffs)
+    if _is_lane_group(coeffs):
+        return [combine_rows(field, m, c) for m, c in zip(matrix, to_ints(coeffs))]
     p = field.modulus
     width = len(matrix[0]) if matrix else 0
     out = [0] * width
@@ -419,16 +482,15 @@ def spmv(
 # -- specialized sum-check round polynomials ---------------------------------
 
 
+@_laned(arrays=False)
 def _reference_product_round_quadratic(
     field: PrimeField, ta: Sequence[int], tb: Sequence[int]
 ) -> List[int]:
     """The generic interpolation loop specialized to two factors.
 
-    Laned form: ``[L, n]`` half-tables → one ``[g0, g1, g2]`` per lane.
+    Laned form: one ``[g0, g1, g2]`` per lane.
     """
     p = field.modulus
-    if _is_lanes(ta):
-        return _per_lane(_reference_product_round_quadratic, field, ta, tb)
     ta, tb = to_ints(ta), to_ints(tb)
     half = len(ta) // 2
     evals = [0, 0, 0]
@@ -458,6 +520,34 @@ def _interpolants(table: "_np.ndarray", points: int) -> List["_np.ndarray"]:
     return out
 
 
+def _round_sums(term, tables: Sequence["_np.ndarray"], points: int) -> list:
+    """``[g(0), …, g(points − 1)]`` of a round, ``g(t) = Σ_b term(…)``
+    over the tables' interpolants at ``t`` — one such list per lane for
+    ``[L, n]`` tables.
+
+    Points are stacked on a new leading axis, as many per dispatch as fit
+    in one ``f61`` block, so on small tables every ufunc of ``term`` and
+    the limb-split sum run once per round rather than once per point; on
+    large ones a point is a block-sized dispatch already, and stacking
+    would only add memory.
+    """
+    columns = [_interpolants(table, points) for table in tables]
+    half = tables[0].shape[-1] // 2
+    per = max(1, _f61._BLOCK // max(1, tables[0].size // 2))
+    sums: List[int] = []  # ordered by point, then lane
+    for t0 in range(0, points, per):
+        args = [
+            _np.array(part) if len(part) > 1 else part[0][None]
+            for part in (column[t0 : t0 + per] for column in columns)
+        ]
+        sums += _f61.f61_rows_sum(term(*args).reshape(-1, half))
+    if tables[0].ndim == 1:
+        return sums
+    lanes = tables[0].shape[0]
+    return [sums[lane::lanes] for lane in range(lanes)]
+
+
+@_laned()
 def product_round_quadratic(
     field: PrimeField, ta: Sequence[int], tb: Sequence[int]
 ) -> List[int]:
@@ -468,14 +558,9 @@ def product_round_quadratic(
     products on arrays (``[L, n]`` tables → one triple per lane), or
     unbounded ints reduced once per evaluation point on lists.
     """
-    if isinstance(ta, _np.ndarray):
-        if not vectorised(field):
-            return _reference_product_round_quadratic(field, ta, tb)
-        a, b = _interpolants(ta, 3), _interpolants(_f61.as_f61(tb), 3)
-        return _round_evals(
-            [_sum_last(_f61.f61_mul(a[t], b[t])) for t in range(3)]
-        )
-    if not kernels_enabled():
+    if isinstance(ta, _np.ndarray) and vectorised(field):
+        return _round_sums(_f61.f61_mul, (ta, _f61.as_f61(tb)), 3)
+    if not kernels_enabled() or isinstance(ta, _np.ndarray):
         return _reference_product_round_quadratic(field, ta, tb)
     p = field.modulus
     half = len(ta) // 2
@@ -487,6 +572,7 @@ def product_round_quadratic(
     return [g0 % p, g1 % p, g2 % p]
 
 
+@_laned(arrays=False)
 def _reference_constraint_round_cubic(
     field: PrimeField,
     eq: Sequence[int],
@@ -496,11 +582,9 @@ def _reference_constraint_round_cubic(
 ) -> List[int]:
     """The original stepped-interpolation loop of the constraint prover.
 
-    Laned form: ``[L, n]`` tables → one ``[g0..g3]`` quadruple per lane.
+    Laned form: one ``[g0..g3]`` quadruple per lane.
     """
     p = field.modulus
-    if _is_lanes(eq):
-        return _per_lane(_reference_constraint_round_cubic, field, eq, az, bz, cz)
     eq, az, bz, cz = to_ints(eq), to_ints(az), to_ints(bz), to_ints(cz)
     half = len(eq) // 2
     evals = [0, 0, 0, 0]
@@ -529,6 +613,7 @@ def _constraint_terms(e, a, b, c) -> "_np.ndarray":
     return _f61.f61_mul(e, _f61.f61_sub(_f61.f61_mul(a, b), c))
 
 
+@_laned()
 def constraint_round_cubic(
     field: PrimeField,
     eq: Sequence[int],
@@ -544,17 +629,10 @@ def constraint_round_cubic(
     (``[L, n]`` tables → one quadruple per lane, the per-round cost flat
     in the lane count), lazily reduced ints on lists.
     """
-    if isinstance(eq, _np.ndarray):
-        if not vectorised(field):
-            return _reference_constraint_round_cubic(field, eq, az, bz, cz)
-        e, a, b, c = (_interpolants(_f61.as_f61(t), 4) for t in (eq, az, bz, cz))
-        return _round_evals(
-            [
-                _sum_last(_constraint_terms(e[t], a[t], b[t], c[t]))
-                for t in range(4)
-            ]
-        )
-    if not kernels_enabled():
+    if isinstance(eq, _np.ndarray) and vectorised(field):
+        tables = [_f61.as_f61(t) for t in (eq, az, bz, cz)]
+        return _round_sums(_constraint_terms, tables, 4)
+    if not kernels_enabled() or isinstance(eq, _np.ndarray):
         return _reference_constraint_round_cubic(field, eq, az, bz, cz)
     p = field.modulus
     half = len(eq) // 2
@@ -573,12 +651,7 @@ def constraint_round_cubic(
     return [g0 % p, g1 % p, g2 % p, g3 % p]
 
 
-def _ints_or_lanes(table: Sequence[int]):
-    """Int rows of a table: ``[table]``, or one row per lane of ``[L, n]``."""
-    rows = to_ints(table)
-    return rows if _is_lanes(table) else [rows]
-
-
+@_laned()
 def constraint_claimed_sum(
     field: PrimeField,
     eq: Sequence[int],
@@ -588,18 +661,15 @@ def constraint_claimed_sum(
 ) -> int:
     """``Σ_b eq[b]·(az[b]·bz[b] − cz[b]) mod p`` (sum-check #1's claim).
 
-    Laned form: ``[L, n]`` tables → one claimed sum per lane.
+    Laned form: one claimed sum per lane.
     """
     if isinstance(eq, _np.ndarray) and vectorised(field):
         return _sum_last(_constraint_terms(*map(_f61.as_f61, (eq, az, bz, cz))))
-    p = field.modulus
-    sums = [
-        sum(e * (a * b - c) for e, a, b, c in zip(*rows)) % p
-        for rows in zip(*map(_ints_or_lanes, (eq, az, bz, cz)))
-    ]
-    return sums if _is_lanes(eq) else sums[0]
+    rows = map(to_ints, (eq, az, bz, cz))
+    return sum(e * (a * b - c) for e, a, b, c in zip(*rows)) % field.modulus
 
 
+@_laned()
 def constraint_violation(
     field: PrimeField,
     az: Sequence[int],
@@ -608,34 +678,28 @@ def constraint_violation(
 ) -> bool:
     """True when some constraint fails ``az·bz = cz`` (satisfaction check).
 
-    Laned form: ``[L, n]`` tables → one boolean per lane, so a single
-    bad witness in a lane-group is attributable to its lane.
+    Laned form: one boolean per lane, so a single bad witness in a
+    lane group is attributable to its lane.
     """
     if isinstance(az, _np.ndarray) and vectorised(field):
         a, b, c = map(_f61.as_f61, (az, bz, cz))
         bad = _f61.f61_sub(_f61.f61_mul(a, b), c).any(axis=-1)
         return bad.tolist()
     p = field.modulus
-    bad = [
-        any((a * b - c) % p for a, b, c in zip(*rows))
-        for rows in zip(*map(_ints_or_lanes, (az, bz, cz)))
-    ]
-    return bad if _is_lanes(az) else bad[0]
+    rows = map(to_ints, (az, bz, cz))
+    return any((a * b - c) % p for a, b, c in zip(*rows))
 
 
+@_laned()
 def product_pair_sum(field: PrimeField, ta: Sequence[int], tb: Sequence[int]) -> int:
     """``Σ_b ta[b]·tb[b]`` with one final reduction (claimed-sum kernel).
 
-    Laned form: ``[L, n]`` tables → one pair sum per lane.
+    Laned form: one pair sum per lane.
     """
     if isinstance(ta, _np.ndarray) and vectorised(field):
         return _sum_last(_f61.f61_mul(ta, _f61.as_f61(tb)))
-    p = field.modulus
-    sums = [
-        sum(a * b for a, b in zip(*rows)) % p
-        for rows in zip(*map(_ints_or_lanes, (ta, tb)))
-    ]
-    return sums if _is_lanes(ta) else sums[0]
+    rows = map(to_ints, (ta, tb))
+    return sum(a * b for a, b in zip(*rows)) % field.modulus
 
 
 # -- multilinear point evaluation --------------------------------------------

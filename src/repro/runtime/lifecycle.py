@@ -6,7 +6,7 @@ the fault hook fires, the prover runs under one stage-profiling window,
 a failed attempt is retried with backoff, and the success is billed as a
 :class:`~repro.runtime.stats.TaskRecord` plus ``complete`` /
 ``stage_timing`` events on the task span.  The steps live here once:
-:func:`prove_group` (width 1 is the scalar ``prove``), the retry loop
+:func:`prove_group` (one lane-group machine at every width), the retry loop
 :func:`prove_with_retries` over :func:`fire_faults` and
 :func:`backoff_or_raise` (which the asynchronous schedulers share), and
 :func:`record`.
@@ -38,20 +38,14 @@ GroupResult = Tuple[List[SnarkProof], float, Dict[str, float]]
 
 
 def prove_group(prover, tasks: Sequence[ProofTask]) -> GroupResult:
-    """Prove ``tasks`` under one :func:`collect_stages` window.
-
-    One task takes the scalar ``prove`` (same bytes, without the cost of
-    ``[1, n]`` lane arrays); more are one fused ``prove_lanes`` dispatch.
-    """
+    """Prove ``tasks`` as one ``prove_lanes`` dispatch under one
+    :func:`collect_stages` window — a task alone is a group of one."""
     t0 = time.perf_counter()
     with collect_stages() as profile:
-        if len(tasks) == 1:
-            proofs = [prover.prove(tasks[0].witness, tasks[0].public_values)]
-        else:
-            proofs = prover.prove_lanes(
-                [task.witness for task in tasks],
-                [task.public_values for task in tasks],
-            )
+        proofs = prover.prove_lanes(
+            [task.witness for task in tasks],
+            [task.public_values for task in tasks],
+        )
     return proofs, time.perf_counter() - t0, profile.as_dict()
 
 

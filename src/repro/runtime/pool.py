@@ -106,7 +106,7 @@ def _prove_chunk(
     whole chunk is one :func:`~repro.runtime.lifecycle.prove_group` —
     one fused lane dispatch, byte-identical to the per-task path — and
     the injector fires for every task of it.  Retried singletons are
-    groups of one, which ``prove_group`` hands to the scalar prover.
+    groups of one.
     """
     prover: SnarkProver = _WORKER_STATE["prover"]
     fault: Optional[FaultInjector] = _WORKER_STATE.get("fault")

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.commitment.brakedown import BrakedownPCS
 from repro.core import ProofTask, SnarkProver, make_pcs, random_circuit
-from repro.core.constraint import ConstraintSumcheckProver
 from repro.core.serialize import serialize_proof
 from repro.encoder.sparse import SparseMatrix
 from repro.encoder.spielman import SpielmanEncoder
@@ -191,7 +190,7 @@ class TestPrimitivesEqualBigInt:
         fast61.f61_scale(12345, a)
         fast61.f61_sum(a)
         fast61.f61_axis_sum(mat, axis=0)
-        fast61.f61_rows_dot(mat, mat)
+        fast61.f61_rows_sum(mat)
         for x, keep in zip((a, b, col, mat, wide), frozen):
             assert (x == keep).all()
 
@@ -260,7 +259,7 @@ class TestArrayNativePin:
         assert is_table(rows.encoded, params.num_rows, params.codeword_length)
         assert np.shares_memory(rows.matrix, z)  # reshaped, not copied
         _, state = pcs.commit_encoded(rows)
-        assert state.matrix is rows.matrix and state.encoded is rows.encoded
+        assert state.matrices is rows.matrices and state.codewords is rows.codewords
         sumcheck = ProductSumcheckProver(F, [combined, z])
         assert sumcheck._tables[1] is z  # adopted without a copy
 
@@ -451,9 +450,18 @@ class TestNoUint64Leaks:
             lambda: drive(lambda: ProductSumcheckProver(F, [xs, ys, xs])),
             lambda: drive(lambda: ProductSumcheckProver(F, [a, b, a])),
         )
+
+        def drive_constraint(tables):
+            tables = field_kernels.sumcheck_tables(F, tables)
+            out = [field_kernels.constraint_claimed_sum(F, *tables)]
+            for r in randoms:
+                out.append(field_kernels.constraint_round_cubic(F, *tables))
+                tables = field_kernels.fold_product_tables(F, tables, r)
+            return out
+
         self._check(
-            lambda: drive(lambda: ConstraintSumcheckProver(F, xs, ys, xs, ys)),
-            lambda: drive(lambda: ConstraintSumcheckProver(F, a, b, a, b)),
+            lambda: drive_constraint([xs, ys, xs, ys]),
+            lambda: drive_constraint([a, b, a, b]),
         )
 
     def test_encoder_and_sparse_matrix(self, rng):

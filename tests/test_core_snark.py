@@ -7,7 +7,6 @@ import pytest
 from repro.core import (
     BatchProver,
     CircuitBuilder,
-    ConstraintSumcheckProver,
     ProofTask,
     SnarkProver,
     SnarkVerifier,
@@ -18,6 +17,7 @@ from repro.core import (
 )
 from repro.errors import ProofError
 from repro.field import DEFAULT_FIELD, MultilinearPolynomial, eq_table
+from repro.kernels import field_kernels
 from repro.sumcheck import evaluation_point, verify_product_rounds
 
 F = DEFAULT_FIELD
@@ -33,41 +33,42 @@ def setup():
     return cc, prover, verifier, proof
 
 
+def _constraint_tables(cc, z, rng):
+    """Sum-check #1's factor tables (eq(τ,·), Az, Bz, Cz) for witness ``z``."""
+    az, bz, cz = cc.r1cs.matvec_tables(z)
+    tau = F.rand_vector(cc.r1cs.constraint_vars, rng)
+    return field_kernels.sumcheck_tables(F, (eq_table(F, tau), az, bz, cz))
+
+
 class TestConstraintSumcheck:
+    """Sum-check #1 on the round kernels the prover drives."""
+
     def test_zero_sum_on_satisfying_witness(self, rng):
         cc = random_circuit(F, 32, seed=5)
-        z = cc.r1cs.pad_witness(cc.witness)
-        az, bz, cz = cc.r1cs.matvec_tables(z)
-        tau = F.rand_vector(cc.r1cs.constraint_vars, rng)
-        prover = ConstraintSumcheckProver(F, eq_table(F, tau), az, bz, cz)
-        assert prover.claimed_sum == 0
+        tables = _constraint_tables(cc, cc.r1cs.pad_witness(cc.witness), rng)
+        assert field_kernels.constraint_claimed_sum(F, *tables) == 0
 
     def test_rounds_verify_and_finalize(self, rng):
         cc = random_circuit(F, 16, seed=6)
-        z = cc.r1cs.pad_witness(cc.witness)
-        az, bz, cz = cc.r1cs.matvec_tables(z)
-        tau = F.rand_vector(cc.r1cs.constraint_vars, rng)
-        prover = ConstraintSumcheckProver(F, eq_table(F, tau), az, bz, cz)
+        tables = _constraint_tables(cc, cc.r1cs.pad_witness(cc.witness), rng)
         rounds, chals = [], []
-        for _ in range(prover.num_vars):
-            rounds.append(prover.round_polynomial())
+        for _ in range(cc.r1cs.constraint_vars):
+            rounds.append(field_kernels.constraint_round_cubic(F, *tables))
             r = F.rand(rng)
             chals.append(r)
-            prover.fold(r)
+            tables = field_kernels.fold_product_tables(F, tables, r)
         final = verify_product_rounds(F, 0, rounds, chals, 3)
-        assert final == prover.final_value()
-        e, va, vb, vc = prover.final_values()
+        e, va, vb, vc = (int(t[0]) for t in tables)
+        assert all(len(t) == 1 for t in tables)
         assert final == (e * (va * vb - vc)) % F.modulus
 
     def test_nonzero_on_bad_witness(self, rng):
         cc = random_circuit(F, 16, seed=7)
         z = cc.r1cs.pad_witness(cc.witness)
         z[2] = (z[2] + 1) % F.modulus
-        az, bz, cz = cc.r1cs.matvec_tables(z)
-        tau = F.rand_vector(cc.r1cs.constraint_vars, rng)
-        prover = ConstraintSumcheckProver(F, eq_table(F, tau), az, bz, cz)
+        tables = _constraint_tables(cc, z, rng)
         # Whp nonzero: eq(tau) weights make cancellation negligible.
-        assert prover.claimed_sum != 0
+        assert field_kernels.constraint_claimed_sum(F, *tables) != 0
 
 
 class TestCompleteness:

@@ -3,8 +3,10 @@
 ``tests/vectors/`` holds serialized proofs of ``random_circuit`` at three
 sizes × two seeds and a ``manifest.json`` of their SHA-256 digests
 (``python tests/vectors/regenerate.py`` rewrites them).  Every vector must
-verify, a re-prove must reproduce it byte for byte, and the same bytes
-under any other format version must fail typed.
+verify, a re-prove must reproduce it byte for byte — on the fast kernels,
+on the reference kernels, and in every lane of a two-lane group: the
+committed bytes are the oracle independent of the one prover machine —
+and the same bytes under any other format version must fail typed.
 """
 
 import hashlib
@@ -19,8 +21,10 @@ from repro.core.serialize import (
     deserialize_proof,
     deserialize_proof_bundle,
 )
+from repro.core.serialize import serialize_proof
 from repro.errors import ProofError
 from repro.field import DEFAULT_FIELD as F
+from repro.kernels import use_reference_kernels
 from tests.vectors import regenerate
 
 MANIFEST = json.loads((regenerate.HERE / "manifest.json").read_text())
@@ -50,9 +54,35 @@ def test_vector_matches_manifest_and_verifies(vector):
     assert verifier.verify(proof, cc.public_values)
 
 
-@pytest.mark.parametrize("vector", VECTORS, ids=IDS)
-def test_reprove_is_byte_identical(vector):
-    assert regenerate.prove(vector["gates"], vector["seed"]) == _blob(vector)
+def _reprove_reference(vector):
+    with use_reference_kernels():
+        return [regenerate.prove(vector["gates"], vector["seed"])]
+
+
+def _reprove_two_lanes(vector):
+    cc, prover, _ = regenerate.setup(vector["gates"], vector["seed"])
+    proofs = prover.prove_lanes([cc.witness] * 2, [cc.public_values] * 2)
+    return [serialize_proof(proof, F) for proof in proofs]
+
+
+REPROVES = {
+    None: lambda v: [regenerate.prove(v["gates"], v["seed"])],
+    "reference": _reprove_reference,
+    "lanes2": _reprove_two_lanes,
+}
+
+
+@pytest.mark.parametrize(
+    "vector, mode",
+    [
+        pytest.param(v, mode, id=v["file"] if mode is None else f"{mode}-{v['file']}")
+        for mode in REPROVES
+        for v in VECTORS
+    ],
+)
+def test_reprove_is_byte_identical(vector, mode):
+    blobs = REPROVES[mode](vector)
+    assert blobs == [_blob(vector)] * len(blobs)
 
 
 def _header(version: int) -> bytes:

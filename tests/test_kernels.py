@@ -20,7 +20,6 @@ import pytest
 
 from repro.commitment.brakedown import BrakedownPCS
 from repro.core import ProofTask, SnarkProver, SnarkVerifier, random_circuit
-from repro.core.constraint import ConstraintSumcheckProver
 from repro.core.serialize import serialize_proof
 from repro.encoder.spielman import SpielmanEncoder
 from repro.errors import ExecutionError
@@ -106,7 +105,7 @@ class TestFast61:
         want = [0] * n_out
         for s, d, ww in zip(src, dst, w):
             want[d] = (want[d] + x[s] * ww) % P
-        assert op.apply_list(x) == want
+        assert op.apply(fast61.as_f61(x)).tolist() == want
         batch = np.array([_rand_vec(rng, n_in) for _ in range(5)], dtype=np.uint64)
         got = op.apply_batch(batch)
         for row_in, row_out in zip(batch, got):
@@ -114,7 +113,7 @@ class TestFast61:
 
     def test_spmv_empty_edges(self):
         op = fast61.F61SpMV([], [], [], 4, 6)
-        assert op.apply_list([1, 2, 3, 4]) == [0] * 6
+        assert op.apply(fast61.as_f61([1, 2, 3, 4])).tolist() == [0] * 6
 
 
 # -- field kernels vs reference twins -----------------------------------------
@@ -293,26 +292,31 @@ class TestSumcheckArrayState:
             prover.fold(rng.randrange(P))
         return out
 
+    def _drive_constraint(self, tables, rng):
+        """Sum-check #1's rounds on the kernels: claim, round polys, finals."""
+        tables = field_kernels.sumcheck_tables(F, tables)
+        out = [field_kernels.constraint_claimed_sum(F, *tables)]
+        while len(tables[0]) > 1:
+            out.append(field_kernels.constraint_round_cubic(F, *tables))
+            tables = field_kernels.fold_product_tables(F, tables, rng.randrange(P))
+        return out, [int(t[0]) for t in tables]
+
     def test_constraint_prover_array_matches_list(self):
-        rng_a, rng_b = random.Random(7), random.Random(7)
-        n = 256
-        eq = _rand_vec(random.Random(1), n)
-        az = _rand_vec(random.Random(2), n)
-        bz = _rand_vec(random.Random(3), n)
-        cz = _rand_vec(random.Random(4), n)
-        fast = ConstraintSumcheckProver(F, eq, az, bz, cz)
-        assert isinstance(fast._eq, np.ndarray)
-        with use_reference_kernels():
-            ref = ConstraintSumcheckProver(F, eq, az, bz, cz)
-        assert isinstance(ref._eq, list)
-        assert fast.claimed_sum == ref.claimed_sum
-        rounds_fast = self._drive(fast, rng_a)
-        with use_reference_kernels():
-            rounds_ref = self._drive(ref, rng_b)
-        assert rounds_fast == rounds_ref
-        finals = fast.final_values()
-        assert finals == ref.final_values()
-        assert all(type(v) is int for v in finals)
+        # 4 × 256 entries fold as one stack from the first round; 4 × 4096
+        # fold table by table until the stack fits one f61 block.
+        for n in (256, 4096):
+            rng_a, rng_b = random.Random(7), random.Random(7)
+            tables = [_rand_vec(random.Random(seed), n) for seed in (1, 2, 3, 4)]
+            assert isinstance(
+                field_kernels.sumcheck_tables(F, tables)[0], np.ndarray
+            )
+            fast, finals_fast = self._drive_constraint(tables, rng_a)
+            with use_reference_kernels():
+                assert isinstance(field_kernels.sumcheck_tables(F, tables)[0], list)
+                ref, finals_ref = self._drive_constraint(tables, rng_b)
+            assert fast == ref
+            assert finals_fast == finals_ref
+            assert all(type(v) is int for v in finals_fast)
 
     def test_product_prover_array_matches_list(self):
         rng_a, rng_b = random.Random(9), random.Random(9)
@@ -340,10 +344,10 @@ class TestSumcheckArrayState:
         n = 256
         eq = [-1] * n
         az = bz = cz = [1] * n
-        prover = ConstraintSumcheckProver(F, eq, az, bz, cz)
-        assert isinstance(prover._eq, np.ndarray)
-        assert prover._eq.tolist() == [P - 1] * n
-        assert prover.claimed_sum == 0
+        tables = field_kernels.sumcheck_tables(F, [eq, az, bz, cz])
+        assert isinstance(tables[0], np.ndarray)
+        assert tables[0].tolist() == [P - 1] * n
+        assert field_kernels.constraint_claimed_sum(F, *tables) == 0
 
 
 # -- multilinear evaluation ---------------------------------------------------

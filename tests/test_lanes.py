@@ -4,11 +4,12 @@ Four properties pin the lane dimension down:
 
 1. **Kernel parity** — every laned kernel matches its naive reference
    twin element-for-element at ``[lanes, n]`` shape, and each lane
-   matches the scalar kernel applied to that lane alone, across the
-   fast-path field (M61) and two fallback fields (M31, p=97).
-2. **Byte identity** — ``prove_lanes`` emits proofs byte-identical to
-   the per-proof path lane-for-lane, including the degenerate
-   ``lanes=1`` group and the ragged final group of a batch.
+   matches the one-table kernel applied to that lane alone, across the
+   fast-path field (M61) and three fallback fields (M31, p=97 and the
+   254-bit BN254 scalar field, whose lanes are per-lane int lists).
+2. **Byte identity** — every lane of ``prove_lanes`` emits its width-1
+   bytes, at widths that cross the small-table tail on different
+   rounds, including the ragged final group of a batch.
 3. **Selector surface** — ``lanes:<W>``/``lanes:auto`` resolve, pad,
    and compose (a composed ``auto`` hardens to ``AUTO_LANE_CAP``);
    ``resolve_lane_width`` behaves.
@@ -25,6 +26,7 @@ from repro.core import BatchProver, ProofTask, SnarkVerifier, random_circuit
 from repro.core.lanes import LanedProof
 from repro.core.prover import PIPELINE_STAGES, make_pcs
 from repro.core.serialize import serialize_proof
+from repro.errors import ProofError
 from repro.execution import (
     AUTO_LANE_BUDGET,
     AUTO_LANE_CAP,
@@ -33,7 +35,7 @@ from repro.execution import (
     resolve_lane_width,
 )
 from repro.field import DEFAULT_FIELD, PrimeField, fast61
-from repro.field.primes import MERSENNE61
+from repro.field.primes import BN254_SCALAR, MERSENNE61
 from repro.hashing.hashers import get_hasher
 from repro.kernels import field_kernels, use_reference_kernels
 from repro.merkle.tree import MerkleTree, build_forest
@@ -42,23 +44,28 @@ from repro.runtime import ProverSpec
 F = DEFAULT_FIELD
 P = MERSENNE61
 
-#: The acceptance matrix: the M61 fast path plus two fallback moduli
-#: (a non-M61 Mersenne prime and a tiny odd prime) that must take the
-#: reference/lockstep code paths yet produce identical bytes.
-FIELDS = [F, PrimeField(2**31 - 1, check=False), PrimeField(97, check=False)]
-FIELD_IDS = ["m61", "m31", "p97"]
+#: The acceptance matrix: the M61 fast path plus three fallback moduli
+#: (a non-M61 Mersenne prime, a tiny odd prime, and a field too wide for
+#: ``uint64``) that must take the int-list lane form yet produce
+#: identical bytes.
+FIELDS = [
+    F,
+    PrimeField(2**31 - 1, check=False),
+    PrimeField(97, check=False),
+    PrimeField(BN254_SCALAR, check=False),
+]
+FIELD_IDS = ["m61", "m31", "p97", "bn254"]
 
 
 def _lane_mat(rng, lanes, n, p):
-    """A ``[lanes, n]`` uint64 array of random residues."""
-    return np.array(
-        [[rng.randrange(p) for _ in range(n)] for _ in range(lanes)],
-        dtype=np.uint64,
-    )
+    """``[lanes, n]`` random residues: a uint64 array when they fit,
+    per-lane int lists otherwise."""
+    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(lanes)]
+    return np.array(rows, dtype=np.uint64) if p < 1 << 64 else rows
 
 
 def _as_int_lists(arr):
-    return [[int(v) for v in lane] for lane in np.asarray(arr)]
+    return [[int(v) for v in lane] for lane in arr]
 
 
 # -- laned kernel parity ------------------------------------------------------
@@ -83,21 +90,12 @@ class TestLanedKernelParity:
             )
             assert _as_int_lists(fast)[lane] == [int(v) % p for v in scalar]
 
-    def test_fold_table_scalar_challenge_broadcasts(self, field, rng):
-        p = field.modulus
-        table = _lane_mat(rng, 3, 8, p)
-        r = rng.randrange(p)
-        fast = field_kernels.fold_table(field, table, r)
-        assert _as_int_lists(fast) == _as_int_lists(
-            field_kernels.fold_table(field, table, [r, r, r])
-        )
-
     def test_eq_table_lanes(self, field, rng):
         p = field.modulus
         points = [[rng.randrange(p) for _ in range(4)] for _ in range(self.LANES)]
         fast = field_kernels.eq_table_lanes(field, points)
         ref = field_kernels._reference_eq_table_lanes(field, points)
-        assert fast.shape == (self.LANES, 16)
+        assert [len(lane) for lane in fast] == [16] * self.LANES
         assert _as_int_lists(fast) == _as_int_lists(ref)
         for lane, point in enumerate(points):
             scalar = field_kernels.eq_table(field, point)
@@ -105,17 +103,13 @@ class TestLanedKernelParity:
 
     def test_combine_rows(self, field, rng):
         p = field.modulus
-        mats = np.array(
-            [
-                [[rng.randrange(p) for _ in range(9)] for _ in range(6)]
-                for _ in range(self.LANES)
-            ],
-            dtype=np.uint64,
-        )
+        mats = [_lane_mat(rng, 6, 9, p) for _ in range(self.LANES)]
+        if p < 1 << 64:
+            mats = np.array(mats, dtype=np.uint64)
         coeffs = _lane_mat(rng, self.LANES, 6, p)
         # Exercise the sparse skips: zero and unit coefficients.
-        coeffs[0, 0] = 0
-        coeffs[1, 2] = 1
+        coeffs[0][0] = 0
+        coeffs[1][2] = 1
         fast = field_kernels.combine_rows(field, mats, coeffs)
         ref = field_kernels._reference_combine_rows(field, mats, coeffs)
         assert _as_int_lists(fast) == _as_int_lists(ref)
@@ -127,34 +121,44 @@ class TestLanedKernelParity:
             )
             assert _as_int_lists(fast)[lane] == [int(v) % p for v in scalar]
 
+    # At 5 lanes, 12 entries stack every point into one dispatch; 1536
+    # and 4096 fit two points and one point per f61 block.
+    ROUND_SIZES = (12, 1536, 4096)
+
     def test_product_round_quadratic(self, field, rng):
         p = field.modulus
-        ta = _lane_mat(rng, self.LANES, 12, p)
-        tb = _lane_mat(rng, self.LANES, 12, p)
-        fast = field_kernels.product_round_quadratic(field, ta, tb)
-        ref = field_kernels._reference_product_round_quadratic(field, ta, tb)
-        assert [[int(v) % p for v in lane] for lane in fast] == [
-            [int(v) % p for v in lane] for lane in ref
-        ]
-        for lane in range(self.LANES):
-            scalar = field_kernels.product_round_quadratic(
-                field, [int(v) for v in ta[lane]], [int(v) for v in tb[lane]]
-            )
-            assert [int(v) % p for v in fast[lane]] == [int(v) % p for v in scalar]
+        for n in self.ROUND_SIZES:
+            ta = _lane_mat(rng, self.LANES, n, p)
+            tb = _lane_mat(rng, self.LANES, n, p)
+            fast = field_kernels.product_round_quadratic(field, ta, tb)
+            ref = field_kernels._reference_product_round_quadratic(field, ta, tb)
+            assert [[int(v) % p for v in lane] for lane in fast] == [
+                [int(v) % p for v in lane] for lane in ref
+            ]
+            for lane in range(self.LANES):
+                scalar = field_kernels.product_round_quadratic(
+                    field, [int(v) for v in ta[lane]], [int(v) for v in tb[lane]]
+                )
+                assert [int(v) % p for v in fast[lane]] == [
+                    int(v) % p for v in scalar
+                ]
 
     def test_constraint_round_cubic(self, field, rng):
         p = field.modulus
-        tables = [_lane_mat(rng, self.LANES, 12, p) for _ in range(4)]
-        fast = field_kernels.constraint_round_cubic(field, *tables)
-        ref = field_kernels._reference_constraint_round_cubic(field, *tables)
-        assert [[int(v) % p for v in lane] for lane in fast] == [
-            [int(v) % p for v in lane] for lane in ref
-        ]
-        for lane in range(self.LANES):
-            scalar = field_kernels.constraint_round_cubic(
-                field, *([int(v) for v in t[lane]] for t in tables)
-            )
-            assert [int(v) % p for v in fast[lane]] == [int(v) % p for v in scalar]
+        for n in self.ROUND_SIZES:
+            tables = [_lane_mat(rng, self.LANES, n, p) for _ in range(4)]
+            fast = field_kernels.constraint_round_cubic(field, *tables)
+            ref = field_kernels._reference_constraint_round_cubic(field, *tables)
+            assert [[int(v) % p for v in lane] for lane in fast] == [
+                [int(v) % p for v in lane] for lane in ref
+            ]
+            for lane in range(self.LANES):
+                scalar = field_kernels.constraint_round_cubic(
+                    field, *([int(v) for v in t[lane]] for t in tables)
+                )
+                assert [int(v) % p for v in fast[lane]] == [
+                    int(v) % p for v in scalar
+                ]
 
     def test_constraint_claimed_sum(self, field, rng):
         p = field.modulus
@@ -170,16 +174,15 @@ class TestLanedKernelParity:
         p = field.modulus
         az = _lane_mat(rng, 3, 8, p)
         bz = _lane_mat(rng, 3, 8, p)
-        cz = np.array(
-            [[(int(a) * int(b)) % p for a, b in zip(la, lb)] for la, lb in zip(az, bz)],
-            dtype=np.uint64,
-        )
+        cz = [[(int(a) * int(b)) % p for a, b in zip(la, lb)] for la, lb in zip(az, bz)]
+        if p < 1 << 64:
+            cz = np.array(cz, dtype=np.uint64)
         assert field_kernels.constraint_violation(field, az, bz, cz) == [
             False,
             False,
             False,
         ]
-        cz[1, 3] = (int(cz[1, 3]) + 1) % p
+        cz[1][3] = (int(cz[1][3]) + 1) % p
         assert field_kernels.constraint_violation(field, az, bz, cz) == [
             False,
             True,
@@ -207,6 +210,30 @@ class TestLanedKernelParity:
             ref = field_kernels.fold_table(field, table, rs)
         assert _as_int_lists(fast) == _as_int_lists(ref)
 
+    def test_list_lanes_match_array_lanes(self, field, rng):
+        """Per-lane int lists — the form off the fast path and in the
+        sum-check tail — give what ``[L, n]`` arrays give."""
+        p = field.modulus
+        tables = [_lane_mat(rng, self.LANES, 8, p) for _ in range(4)]
+        lists = [_as_int_lists(t) for t in tables]
+        rs = [rng.randrange(p) for _ in range(self.LANES)]
+        for kernel, n in (
+            (field_kernels.constraint_round_cubic, 4),
+            (field_kernels.constraint_claimed_sum, 4),
+            (field_kernels.product_round_quadratic, 2),
+            (field_kernels.product_pair_sum, 2),
+        ):
+            assert kernel(field, *lists[:n]) == [
+                [int(v) for v in x] if isinstance(x, list) else int(x)
+                for x in kernel(field, *tables[:n])
+            ]
+        folded = field_kernels.fold_product_tables(field, lists, rs)
+        assert folded == [
+            _as_int_lists(t)
+            for t in field_kernels.fold_product_tables(field, tables, rs)
+        ]
+        assert all(type(t) is list for t in folded)
+
 
 # -- laned fast61 primitives --------------------------------------------------
 
@@ -215,41 +242,12 @@ class TestLanedFast61:
     def test_axis_and_rows_sum(self, rng):
         a = _lane_mat(rng, 4, 37, P)
         rows = fast61.f61_rows_sum(a)
-        assert [int(v) for v in rows] == [
-            sum(int(x) for x in lane) % P for lane in a
-        ]
+        assert all(type(v) is int for v in rows)
+        assert rows == [sum(int(x) for x in lane) % P for lane in a]
         cols = fast61.f61_axis_sum(a, axis=0)
         assert [int(v) for v in cols] == [
             sum(int(a[i, j]) for i in range(4)) % P for j in range(37)
         ]
-
-    def test_rows_dot(self, rng):
-        a = _lane_mat(rng, 4, 23, P)
-        b = _lane_mat(rng, 4, 23, P)
-        got = fast61.f61_rows_dot(a, b)
-        assert [int(v) for v in got] == [
-            sum(int(x) * int(y) for x, y in zip(la, lb)) % P
-            for la, lb in zip(a, b)
-        ]
-
-    def test_spmv_apply_lanes_matches_per_lane_apply(self, rng):
-        n_in, n_out, nnz = 24, 31, 60
-        src = [rng.randrange(n_in) for _ in range(nnz)]
-        dst = [rng.randrange(n_out) for _ in range(nnz)]
-        w = [rng.randrange(P) for _ in range(nnz)]
-        spmv = fast61.F61SpMV(src, dst, w, n_in, n_out)
-        x = np.array(
-            [[[rng.randrange(P) for _ in range(n_in)] for _ in range(3)]
-             for _ in range(4)],
-            dtype=np.uint64,
-        )
-        laned = spmv.apply_lanes(x)
-        assert laned.shape == (4, 3, n_out)
-        for lane in range(4):
-            for row in range(3):
-                assert laned[lane, row].tolist() == spmv.apply(
-                    x[lane, row]
-                ).tolist()
 
 
 # -- batched Merkle forest ----------------------------------------------------
@@ -310,16 +308,26 @@ def _wire(field, proofs):
     return [serialize_proof(p, field) for p in proofs]
 
 
+#: (field, width) pairs: width 3 (the bare field id) and the powers of
+#: two cross the small-table tail (``L·n < _NP_MIN``) on different rounds.
+WIDTH_CASES = [
+    pytest.param(field, width, id=fid if width == 3 else f"{fid}-w{width}")
+    for field, fid in zip(FIELDS, FIELD_IDS)
+    for width in (1, 2, 3, 16)
+]
+
+
 class TestLanedProofByteIdentity:
-    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-    def test_prove_lanes_matches_per_proof_path(self, field):
-        spec, tasks = _make_spec_and_tasks(field, 24, 3)
+    @pytest.mark.parametrize("field, width", WIDTH_CASES)
+    def test_prove_lanes_matches_per_proof_path(self, field, width):
+        """Every lane of a group emits its width-1 bytes, and verifies."""
+        spec, tasks = _make_spec_and_tasks(field, 96, width)
         prover = spec.build_prover()
-        serial = [prover.prove(t.witness, t.public_values) for t in tasks]
+        alone = [prover.prove(t.witness, t.public_values) for t in tasks]
         laned = prover.prove_lanes(
             [t.witness for t in tasks], [t.public_values for t in tasks]
         )
-        assert _wire(field, laned) == _wire(field, serial)
+        assert _wire(field, laned) == _wire(field, alone)
         verifier = SnarkVerifier(
             spec.r1cs,
             make_pcs(field, spec.r1cs, num_col_checks=6),
@@ -328,6 +336,21 @@ class TestLanedProofByteIdentity:
         assert all(
             verifier.verify(p, t.public_values) for p, t in zip(laned, tasks)
         )
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_reference_kernels_emit_the_same_bytes(self, field):
+        """The one machine under the reference kernels (per-lane int lists
+        from round 0) proves what it proves on the default kernels."""
+        spec, tasks = _make_spec_and_tasks(field, 96, 2)
+        prover = spec.build_prover()
+        witnesses = [t.witness for t in tasks]
+        publics = [t.public_values for t in tasks]
+        fast = prover.prove_lanes(witnesses, publics)
+        with use_reference_kernels():
+            ref = prover.prove_lanes(witnesses, publics)
+            alone = prover.prove(witnesses[0], publics[0])
+        assert _wire(field, ref) == _wire(field, fast)
+        assert _wire(field, [alone]) == _wire(field, fast[:1])
 
     def test_single_lane_is_byte_identical(self):
         spec, tasks = _make_spec_and_tasks(F, 24, 1)
@@ -440,20 +463,21 @@ class TestLaneBackend:
             assert _wire(F, laned) == _wire(F, serial)
             assert len(stats.records) == 7
 
-    def test_width_one_groups_take_the_scalar_prover(self):
-        """A 1-task batch and a ragged tail of one go through ``prove``."""
+    def test_width_one_groups_take_the_lane_machine(self):
+        """A 1-task batch and a ragged tail of one are groups of one on
+        ``prove_lanes``; nothing calls a per-proof ``prove``."""
         spec, tasks = _make_spec_and_tasks(F, 24, 5)
         serial, _ = resolve_backend("serial").prove_tasks(spec, tasks)
         prover = spec.build_prover()
-        real_lanes, real_prove, calls = prover.prove_lanes, prover.prove, []
+        real_lanes, calls = prover.prove_lanes, []
         prover.prove_lanes = lambda ws, pvs: (
             calls.append(len(ws)), real_lanes(ws, pvs)
         )[1]
-        prover.prove = lambda w, pv: (calls.append("scalar"), real_prove(w, pv))[1]
+        prover.prove = lambda w, pv: pytest.fail("a group bypassed prove_lanes")
         for lane_width, batch, want in (
-            (4, tasks, [4, "scalar"]),
-            ("auto", tasks[:1], ["scalar"]),
-            (1, tasks[:3], ["scalar"] * 3),
+            (4, tasks, [4, 1]),
+            ("auto", tasks[:1], [1]),
+            (1, tasks[:3], [1] * 3),
         ):
             backend = LanedBackend(lane_width)
             backend.adopt_prover(spec, prover)
@@ -464,6 +488,20 @@ class TestLaneBackend:
             assert [r.task_id for r in stats.records] == [
                 t.task_id for t in batch
             ]
+
+    def test_begin_proof_is_a_group_of_one(self):
+        spec, tasks = _make_spec_and_tasks(F, 24, 2)
+        prover = spec.build_prover()
+        staged = prover.begin_proof(tasks[0].witness, tasks[0].public_values)
+        assert isinstance(staged, LanedProof) and staged.lanes == 1
+        staged.run_all()
+        assert staged.proofs == [staged.proof]
+        pair = prover.begin_lanes(
+            [t.witness for t in tasks], [t.public_values for t in tasks]
+        )
+        pair.run_all()
+        with pytest.raises(ProofError):
+            pair.proof
 
     def test_auto_width_matches_serial(self):
         spec, tasks = _make_spec_and_tasks(F, 24, 5)
@@ -525,20 +563,19 @@ class TestDefaultBatchPath:
     def test_default_is_lane_groups_on_the_live_prover(self):
         spec, tasks = _make_spec_and_tasks(F, 24, AUTO_LANE_CAP + 1)
         prover = spec.build_prover()
-        real_lanes, real_prove, calls = prover.prove_lanes, prover.prove, []
+        real_lanes, calls = prover.prove_lanes, []
         prover.prove_lanes = lambda ws, pvs: (
             calls.append(len(ws)), real_lanes(ws, pvs)
         )[1]
-        prover.prove = lambda w, pv: (calls.append("scalar"), real_prove(w, pv))[1]
         batch = BatchProver(prover)
         batch.prove_all(tasks)
-        assert calls == [AUTO_LANE_CAP, "scalar"]
+        assert calls == [AUTO_LANE_CAP, 1]
         del calls[:]
         batch.prove_all(tasks[:3], backend="serial")
-        assert calls == ["scalar"] * 3
+        assert calls == [1] * 3
         del calls[:]
         list(batch.prove_stream(tasks[:2]))
-        assert calls == ["scalar"] * 2
+        assert calls == [1] * 2
 
     def test_default_under_reference_kernels(self):
         spec, tasks = _make_spec_and_tasks(F, 24, 4)
@@ -551,12 +588,17 @@ class TestDefaultBatchPath:
         assert len(stats.per_proof_seconds) == 4
 
     def test_default_on_other_fields_is_scalar(self):
+        """Off the M61 path ``lanes:auto`` proves one task per group."""
         field = FIELDS[1]
         spec, tasks = _make_spec_and_tasks(field, 24, 3)
         prover = spec.build_prover()
-        prover.prove_lanes = lambda *_: pytest.fail("lanes ran off the M61 path")
+        real_lanes, widths = prover.prove_lanes, []
+        prover.prove_lanes = lambda ws, pvs: (
+            widths.append(len(ws)), real_lanes(ws, pvs)
+        )[1]
         batch = BatchProver(prover)
         proofs, _ = batch.prove_all(tasks)
+        assert widths == [1] * 3
         serial, _ = batch.prove_all(tasks, backend="serial")
         assert _wire(field, proofs) == _wire(field, serial)
 
