@@ -44,8 +44,9 @@ def main() -> None:
     print(f"\nOpen at a random point: value = {value}")
     print(
         f"  proof: {len(proof.proximity_row)}-element proximity row + "
-        f"{len(proof.evaluation_row)}-element evaluation row + "
-        f"{len(proof.columns)} column openings "
+        f"{len(proof.evaluation_rows[0])}-element evaluation row + "
+        f"{len(proof.columns)} opened columns + "
+        f"{len(proof.nodes)} multiproof nodes "
         f"({proof.size_bytes(F)} bytes total)"
     )
 
@@ -62,19 +63,15 @@ def main() -> None:
     print(f"  claim a wrong evaluation        -> rejected: {wrong_value}")
 
     bad_row = dataclasses.replace(
-        proof, evaluation_row=[(v + 1) % F.modulus for v in proof.evaluation_row]
+        proof,
+        evaluation_rows=[[(v + 1) % F.modulus for v in proof.evaluation_rows[0]]],
     )
     caught = not pcs.verify(commitment, point, value, bad_row, Transcript(b"demo"))
     print(f"  forge the evaluation row        -> rejected: {caught}")
 
     bad_col = dataclasses.replace(
         proof,
-        columns=[
-            dataclasses.replace(
-                proof.columns[0],
-                values=[(v + 1) % F.modulus for v in proof.columns[0].values],
-            )
-        ]
+        columns=[[(v + 1) % F.modulus for v in proof.columns[0]]]
         + list(proof.columns[1:]),
     )
     caught = not pcs.verify(commitment, point, value, bad_col, Transcript(b"demo"))
@@ -84,6 +81,21 @@ def main() -> None:
     com_other, _ = pcs.commit(other.evals)
     caught = not pcs.verify(com_other, point, value, proof, Transcript(b"demo"))
     print(f"  swap in another commitment root -> rejected: {caught}")
+
+    # One opening covers any number of points: a boolean point's row is a
+    # plain matrix row, and points sharing a row half share its row.
+    corner = [1] * num_vars
+    points = [point, corner]
+    values = [value, poly.evals[-1]]
+    many = pcs.open_many(state, points, Transcript(b"demo"))
+    ok = pcs.verify_many(commitment, points, values, many, Transcript(b"demo"))
+    print(
+        f"\nOpen at {len(points)} points together: "
+        f"{len(many.evaluation_rows)} evaluation rows, {many.size_bytes(F)} bytes "
+        f"(vs {2 * proof.size_bytes(F)} for two openings) -> "
+        f"{'ACCEPT' if ok else 'REJECT'}"
+    )
+    assert ok
 
 
 if __name__ == "__main__":

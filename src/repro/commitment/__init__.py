@@ -6,7 +6,6 @@ testing and tensor-point evaluation openings.
 
 from .brakedown import (
     BrakedownPCS,
-    ColumnOpening,
     Commitment,
     DEFAULT_COLUMN_CHECKS,
     EvalProof,
@@ -36,7 +35,6 @@ __all__ = [
     "Commitment",
     "ProverState",
     "EvalProof",
-    "ColumnOpening",
     "PcsParams",
     "split_num_vars",
     "DEFAULT_COLUMN_CHECKS",

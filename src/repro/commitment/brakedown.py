@@ -14,19 +14,23 @@ Scheme (for a multilinear polynomial ``w`` over ``n`` variables):
 * **Commit** — encode every row with the Spielman encoder (codeword length
   ``q·C``), then Merkle-commit the *columns* of the encoded matrix ``U``.
   The commitment is the Merkle root.
-* **Open at point z** — split ``z`` into column half ``z_lo`` and row half
-  ``z_hi``; then ``w(z) = q_rowᵀ · M · q_col`` with ``q_row = eq(z_hi,·)``,
-  ``q_col = eq(z_lo,·)``.  The prover sends:
+* **Open at points z_1 … z_k** — split each ``z`` into column half
+  ``z_lo`` and row half ``z_hi``; then ``w(z) = q_rowᵀ · M · q_col`` with
+  ``q_row = eq(z_hi,·)``, ``q_col = eq(z_lo,·)``.  One opening covers
+  every point (DESIGN decision 25); the prover sends:
 
-  - a *proximity row*  ``p = rᵀ·M`` for a transcript-derived random ``r``
-    (tests that the committed rows are jointly close to the code),
-  - the *evaluation row* ``u = q_rowᵀ·M``,
-  - openings of ``t`` transcript-chosen codeword columns.
+  - one *proximity row*  ``p = rᵀ·M`` for a transcript-derived random
+    ``r`` (tests that the committed rows are jointly close to the code),
+  - one *evaluation row* ``u = q_rowᵀ·M`` per distinct ``z_hi`` (a row
+    select when ``z_hi`` is boolean),
+  - the ``t`` transcript-chosen codeword columns and one Merkle
+    multiproof authenticating them together.
 
-* **Verify** — for each opened column ``j``: check the Merkle path, and
-  check ``Enc(p)[j] = Σ_i r_i·U[i][j]`` and ``Enc(u)[j] = Σ_i q_row_i·
-  U[i][j]`` (linearity of the code makes honest rows pass everywhere).
-  Finally check ``⟨u, q_col⟩ = claimed value``.
+* **Verify** — fold the columns' leaves to the root, and for each opened
+  column ``j`` check ``Enc(p)[j] = Σ_i r_i·U[i][j]`` and, per evaluation
+  row, ``Enc(u)[j] = Σ_i q_row_i·U[i][j]`` (linearity of the code makes
+  honest rows pass everywhere).  Finally check ``⟨u, q_col⟩ = value``
+  at every point.
 
 Security note: soundness error decays exponentially in the number of
 column checks ``t`` given the code's minimum distance; this reproduction
@@ -37,19 +41,18 @@ is a tunable knob rather than a derived constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import CommitmentError, MerkleError
+from ..errors import CommitmentError
 from ..field import fast61 as _f61
 from ..field.fast61 import to_ints
 from ..field.prime_field import PrimeField
-from ..hashing.hashers import Hasher, get_hasher
+from ..hashing.hashers import DIGEST_SIZE, Hasher, get_hasher
 from ..hashing.transcript import Transcript
 from ..kernels.field_kernels import (
     combine_rows,
-    eq_table,
     eq_table_lanes,
     one_lane,
     pack_vector,
@@ -59,7 +62,6 @@ from ..kernels.field_kernels import (
 from ..kernels.profile import stage as _stage
 from ..kernels.spec_cache import cached_encoder
 from ..merkle.multiproof import MerkleMultiProof, open_multi
-from ..merkle.proof import MerklePath, compute_roots
 from ..merkle.tree import MerkleTree, build_forest
 from ..encoder.spielman import EncoderParams
 
@@ -76,9 +78,6 @@ class PcsParams:
     encoder_seed: int
     encoder_params: EncoderParams
     num_col_checks: int = DEFAULT_COLUMN_CHECKS
-    #: Authenticate all opened columns with one shared Merkle multiproof
-    #: instead of independent per-column paths (smaller proofs).
-    compress_openings: bool = False
 
     @property
     def num_rows(self) -> int:
@@ -91,6 +90,11 @@ class PcsParams:
     @property
     def codeword_length(self) -> int:
         return self.encoder_params.codeword_length(self.num_cols)
+
+    @property
+    def merkle_depth(self) -> int:
+        """Depth of the column tree (leaves padded to a power of two)."""
+        return (self.codeword_length - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -152,48 +156,37 @@ class ProverState(EncodedRows):
 
 
 @dataclass(frozen=True)
-class ColumnOpening:
-    """One opened codeword column.
-
-    ``path`` is its individual Merkle authentication path, or ``None``
-    when the whole proof authenticates columns with one shared
-    :class:`~repro.merkle.MerkleMultiProof` (compressed mode).
-    """
-
-    index: int
-    values: List[int]  # the column across all R rows
-    path: Optional[MerklePath]
-
-
-@dataclass(frozen=True)
 class EvalProof:
-    """Proof that the committed polynomial evaluates to ``value`` at ``point``.
+    """Proof that the committed polynomial takes claimed values at k points.
 
-    ``multiproof`` is set in compressed-openings mode (see
-    :class:`PcsParams.compress_openings`): the opened columns' leaves are
-    then authenticated jointly, deduplicating shared interior nodes.
+    One opening covers every point of a commitment (DESIGN decision 25)
+    and carries only what the verifier cannot recompute: the proximity
+    row, one evaluation row per distinct row half of the points (in
+    first-appearance order), the opened codeword columns (``R`` values
+    each, ascending column index) and the sibling nodes of their Merkle
+    multiproof.  Column indices come from the transcript, leaves from
+    hashing the column values, and the tree depth from :class:`PcsParams`.
     """
 
     proximity_row: List[int]
-    evaluation_row: List[int]
-    columns: List[ColumnOpening]
-    multiproof: Optional["MerkleMultiProof"] = None
+    evaluation_rows: List[List[int]]
+    columns: List[List[int]]
+    nodes: List[bytes]
 
     def size_field_elements(self) -> int:
         return (
             len(self.proximity_row)
-            + len(self.evaluation_row)
-            + sum(len(c.values) for c in self.columns)
+            + sum(map(len, self.evaluation_rows))
+            + sum(map(len, self.columns))
         )
 
     def size_bytes(self, field: PrimeField) -> int:
-        fe = self.size_field_elements() * field.byte_length
-        paths = sum(
-            c.path.size_bytes() for c in self.columns if c.path is not None
+        """The opening's wire length: elements, nodes and three u32 counts."""
+        return (
+            12
+            + self.size_field_elements() * field.byte_length
+            + DIGEST_SIZE * len(self.nodes)
         )
-        if self.multiproof is not None:
-            paths += self.multiproof.size_bytes()
-        return fe + paths
 
 
 def split_num_vars(num_vars: int, row_vars: Optional[int] = None) -> Tuple[int, int]:
@@ -234,7 +227,6 @@ class BrakedownPCS:
         seed: int = 0,
         hasher: Optional[Hasher] = None,
         num_col_checks: int = DEFAULT_COLUMN_CHECKS,
-        compress_openings: bool = False,
     ):
         row_vars, col_vars = split_num_vars(num_vars, row_vars)
         self.field = field
@@ -246,7 +238,6 @@ class BrakedownPCS:
             encoder_seed=seed,
             encoder_params=encoder_params or EncoderParams(),
             num_col_checks=num_col_checks,
-            compress_openings=compress_openings,
         )
         # Expander graphs are deterministic in (modulus, length, params,
         # seed); the memo shares them across prover/verifier instances.
@@ -376,58 +367,117 @@ class BrakedownPCS:
             raise CommitmentError(
                 f"point has {len(point)} coordinates, expected {params.num_vars}"
             )
-        return (
-            list(point[: params.col_vars]),  # low vars index columns
-            list(point[params.col_vars :]),  # high vars index rows
-        )
+        p = self.field.modulus
+        point = [v % p for v in to_ints(point)]
+        return point[: params.col_vars], point[params.col_vars :]
+
+    def _row_halves(
+        self, points: Sequence[Sequence[int]]
+    ) -> Tuple[List[List[int]], List[List[int]], List[int]]:
+        """Split points into column halves, the *distinct* row halves in
+        first-appearance order, and each point's row-half slot."""
+        los: List[List[int]] = []
+        slots: Dict[Tuple[int, ...], int] = {}
+        which: List[int] = []
+        for point in points:
+            lo, hi = self._split_point(point)
+            los.append(lo)
+            which.append(slots.setdefault(tuple(hi), len(slots)))
+        return los, [list(hi) for hi in slots], which
+
+    def _rows_at(self, matrices, lanes: Sequence[int], his: Sequence[List[int]]):
+        """``eq(hi)ᵀ·M`` for one row half per listed lane.
+
+        Boolean row halves have one-hot eq tables, so their row is a row
+        select; any other half takes one row combination for all lanes.
+        """
+        rows = [_boolean_index(hi) for hi in his]
+        if None not in rows:
+            return [matrices[lane][row] for lane, row in zip(lanes, rows)]
+        if len(lanes) != len(matrices):
+            if isinstance(matrices, np.ndarray):
+                matrices = matrices[list(lanes)]
+            else:
+                matrices = [matrices[lane] for lane in lanes]
+        return combine_rows(self.field, matrices, eq_table_lanes(self.field, his))
+
+    def _row_values(self, rows: Sequence, los: Sequence[List[int]]) -> List[int]:
+        """``⟨row, eq(lo)⟩`` per lane: an entry read at boolean ``lo``."""
+        cols = [_boolean_index(lo) for lo in los]
+        if None not in cols:
+            return [int(row[col]) for row, col in zip(rows, cols)]
+        if isinstance(rows, list) and isinstance(rows[0], np.ndarray):
+            rows = np.stack(rows)
+        return product_pair_sum(self.field, rows, eq_table_lanes(self.field, los))
 
     def evaluate(self, state: ProverState, point: Sequence[int]) -> int:
         """Honest evaluation ``q_rowᵀ·M·q_col`` from the prover's matrix."""
-        return self.evaluate_lanes(state, [point])[0]
-
-    def evaluate_lanes(
-        self, state: ProverState, points: Sequence[Sequence[int]]
-    ) -> List[int]:
-        """Honest per-lane evaluations at per-lane points, one kernel pass.
-
-        The row combination and final dot product cover the whole lane
-        group (all fast61 arithmetic is exact, so each lane's value is
-        what it would be alone).
-        """
-        splits = [self._split_point(point) for point in points]
-        q_cols = eq_table_lanes(self.field, [lo for lo, _ in splits])
-        q_rows = eq_table_lanes(self.field, [hi for _, hi in splits])
-        combined = combine_rows(self.field, state.matrices, q_rows)
-        return product_pair_sum(self.field, combined, q_cols)
+        lo, hi = self._split_point(point)
+        return self._row_values(self._rows_at(state.matrices, [0], [hi]), [lo])[0]
 
     # -- open -------------------------------------------------------------------------
 
     def open(
         self, state: ProverState, point: Sequence[int], transcript: Transcript
     ) -> EvalProof:
-        """Produce an evaluation proof bound to ``transcript``."""
-        return self.open_lanes(state, [point], [transcript])[0]
+        """Produce an evaluation proof at one point: :meth:`open_many` of one."""
+        return self.open_many(state, [point], transcript)
 
-    def open_lanes(
+    def open_many(
         self,
         state: ProverState,
         points: Sequence[Sequence[int]],
+        transcript: Transcript,
+    ) -> EvalProof:
+        """Open a one-lane commitment at every point of ``points`` at once."""
+        (proof,), _ = self.open_many_lanes(state, [points], [transcript])
+        return proof
+
+    def open_many_lanes(
+        self,
+        state: ProverState,
+        points_lanes: Sequence[Sequence[Sequence[int]]],
         transcripts: Sequence[Transcript],
-    ) -> List[EvalProof]:
-        """Produce one evaluation proof per lane, row math batched.
+    ) -> Tuple[List[EvalProof], List[List[int]]]:
+        """Open every lane's commitment at that lane's ``k`` points.
 
-        Each lane keeps its own transcript (roots differ, so challenges
-        differ lane-for-lane), but the two row combinations — the only
-        O(R·C) work — run once for the whole group.
+        Per lane: one proximity row, one evaluation row per distinct row
+        half, one column draw and one Merkle multiproof, however many
+        points share the commitment.  The row math runs once per point
+        position for the whole group (lanes' transcripts differ, so
+        challenges stay per-lane).  Returns the proofs and every lane's
+        values at its points, which the transcript binds.
         """
-        params = state.params
         field = self.field
-        splits = [self._split_point(point) for point in points]
-        for tree, point, transcript in zip(state.trees, points, transcripts):
-            transcript.absorb_bytes(b"pcs/root", tree.root)
-            transcript.absorb_field_vector(b"pcs/point", field, list(point))
+        params = state.params
+        lanes = len(points_lanes)
+        los, his, which = zip(*map(self._row_halves, points_lanes))
+        positions = range(len(points_lanes[0]))
+        # Each distinct row half is built at the position where it first
+        # appears, batched over the lanes where it does.
+        rows: List[list] = [[] for _ in range(lanes)]
+        for pos in positions:
+            new = [lane for lane in range(lanes) if which[lane][pos] == len(rows[lane])]
+            if new:
+                built = self._rows_at(
+                    state.matrices, new, [his[lane][which[lane][pos]] for lane in new]
+                )
+                for lane, row in zip(new, built):
+                    rows[lane].append(row)
+        by_position = [
+            self._row_values(
+                [rows[lane][which[lane][pos]] for lane in range(lanes)],
+                [los[lane][pos] for lane in range(lanes)],
+            )
+            for pos in positions
+        ]
+        values = [list(lane_values) for lane_values in zip(*by_position)]
+        for lane, transcript in enumerate(transcripts):
+            self._absorb_claims(
+                transcript, state.trees[lane].root, points_lanes[lane], values[lane]
+            )
 
-        # Proximity test: random row combination.
+        # Proximity test: one random row combination per lane.
         r_lanes = [
             transcript.challenge_field_vector(
                 b"pcs/proximity", field, params.num_rows
@@ -435,60 +485,54 @@ class BrakedownPCS:
             for transcript in transcripts
         ]
         proximity_rows = combine_rows(field, state.matrices, r_lanes)
-        for row, transcript in zip(proximity_rows, transcripts):
-            transcript.absorb_field_vector(b"pcs/prox-row", field, row)
 
-        # Evaluation row: eq(z_hi)ᵀ · M.
-        q_rows = eq_table_lanes(field, [hi for _, hi in splits])
-        evaluation_rows = combine_rows(field, state.matrices, q_rows)
-        for row, transcript in zip(evaluation_rows, transcripts):
-            transcript.absorb_field_vector(b"pcs/eval-row", field, row)
-
-        return [
-            self._finish_opening(*lane)
-            for lane in zip(
-                state.codewords,
-                state.trees,
-                transcripts,
-                proximity_rows,
-                evaluation_rows,
+        proofs = []
+        for lane, transcript in enumerate(transcripts):
+            transcript.absorb_field_vector(
+                b"pcs/prox-row", field, proximity_rows[lane]
             )
-        ]
+            for row in rows[lane]:
+                transcript.absorb_field_vector(b"pcs/eval-row", field, row)
+            opened = self._draw_columns(transcript)
+            encoded = state.codewords[lane]
+            # Values enter a proof object, whose schema is lists of ints,
+            # here: the array-native path pays its O(√N) ``tolist`` once.
+            if isinstance(encoded, np.ndarray):
+                columns = encoded[:, opened].T.tolist()
+            else:
+                columns = [[row[j] for row in encoded] for j in opened]
+            proofs.append(
+                EvalProof(
+                    proximity_row=to_ints(proximity_rows[lane]),
+                    evaluation_rows=[list(to_ints(row)) for row in rows[lane]],
+                    columns=columns,
+                    nodes=list(open_multi(state.trees[lane], opened).nodes),
+                )
+            )
+        return proofs, values
 
-    def _finish_opening(
+    def _absorb_claims(
         self,
-        encoded: Sequence[Sequence[int]],
-        tree: MerkleTree,
         transcript: Transcript,
-        proximity_row: Sequence[int],
-        evaluation_row: Sequence[int],
-    ) -> EvalProof:
-        """Draw the column spot checks and assemble the evaluation proof.
+        root: bytes,
+        points: Sequence[Sequence[int]],
+        values: Sequence[int],
+    ) -> None:
+        field = self.field
+        transcript.absorb_bytes(b"pcs/root", root)
+        for point in points:
+            transcript.absorb_field_vector(b"pcs/point", field, list(point))
+        transcript.absorb_field_vector(b"pcs/values", field, list(values))
 
-        This is where values enter a proof object, whose schema is lists
-        of ints: the array-native path pays its O(√N) ``tolist`` here.
-        """
+    def _draw_columns(self, transcript: Transcript) -> List[int]:
+        """The sorted distinct codeword columns the transcript opens."""
         params = self.params
-        indices = transcript.challenge_indices(
-            b"pcs/columns", params.codeword_length, params.num_col_checks
-        )
-        opened = sorted(set(indices))
-        if isinstance(encoded, np.ndarray):
-            col_values = encoded[:, opened].T.tolist()
-        else:
-            col_values = [[row[j] for row in encoded] for j in opened]
-        compress = params.compress_openings
-        columns = [
-            ColumnOpening(
-                index=j, values=values, path=None if compress else tree.open(j)
+        return sorted(
+            set(
+                transcript.challenge_indices(
+                    b"pcs/columns", params.codeword_length, params.num_col_checks
+                )
             )
-            for j, values in zip(opened, col_values)
-        ]
-        return EvalProof(
-            proximity_row=to_ints(proximity_row),
-            evaluation_row=to_ints(evaluation_row),
-            columns=columns,
-            multiproof=open_multi(tree, opened) if compress else None,
         )
 
     # -- verify ---------------------------------------------------------------------------
@@ -501,86 +545,104 @@ class BrakedownPCS:
         proof: EvalProof,
         transcript: Transcript,
     ) -> bool:
-        """Check an evaluation proof.  Returns False on any failed check."""
+        """Check a one-point evaluation proof: :meth:`verify_many` of one."""
+        return self.verify_many(commitment, [point], [value], proof, transcript)
+
+    def verify_many(
+        self,
+        commitment: Commitment,
+        points: Sequence[Sequence[int]],
+        values: Sequence[int],
+        proof: EvalProof,
+        transcript: Transcript,
+    ) -> bool:
+        """Check an opening of ``commitment`` at every point of ``points``.
+
+        One transcript replay; one batched re-encode of the claimed rows
+        (proximity row plus evaluation rows); the opened columns combined
+        once per claimed row and compared with those codewords; one
+        multiproof fold of the columns' leaves to the root; and one
+        ``⟨u, eq(z_lo)⟩ = value`` check per point.  Returns False on any
+        failed check.
+        """
         params = commitment.params
         field = self.field
+        p = field.modulus
         if params != self.params:
             raise CommitmentError("commitment parameters do not match this PCS")
+        if not points or len(points) != len(values):
+            return False
         try:
-            z_lo, z_hi = self._split_point(point)
+            los, his, which = self._row_halves(points)
         except CommitmentError:
             return False
-        if len(proof.proximity_row) != params.num_cols:
+        claimed = [proof.proximity_row, *proof.evaluation_rows]
+        if len(claimed) != 1 + len(his):
             return False
-        if len(proof.evaluation_row) != params.num_cols:
+        if any(len(row) != params.num_cols for row in claimed):
             return False
 
-        transcript.absorb_bytes(b"pcs/root", commitment.root)
-        transcript.absorb_field_vector(b"pcs/point", field, list(point))
+        self._absorb_claims(transcript, commitment.root, points, values)
         r_coeffs = transcript.challenge_field_vector(
             b"pcs/proximity", field, params.num_rows
         )
         transcript.absorb_field_vector(b"pcs/prox-row", field, proof.proximity_row)
-        q_row = eq_table(field, z_hi)
-        transcript.absorb_field_vector(b"pcs/eval-row", field, proof.evaluation_row)
-        indices = transcript.challenge_indices(
-            b"pcs/columns", params.codeword_length, params.num_col_checks
-        )
-        expected_indices = sorted(set(indices))
-        if [c.index for c in proof.columns] != expected_indices:
+        for row in proof.evaluation_rows:
+            transcript.absorb_field_vector(b"pcs/eval-row", field, row)
+        opened = self._draw_columns(transcript)
+        if len(proof.columns) != len(opened):
+            return False
+        if any(len(column) != params.num_rows for column in proof.columns):
             return False
 
-        # The verifier re-encodes the two claimed rows (O(C) work).
-        prox_code = self.encoder.encode(proof.proximity_row)
-        eval_code = self.encoder.encode(proof.evaluation_row)
-
-        for opening in proof.columns:
-            if len(opening.values) != params.num_rows:
-                return False
-        # Restrict the codeword matrix U to the opened columns and run both
-        # linear checks as row combinations (one shared kernel pass each):
-        # row i of the restriction is U[i][j] for each opened j.
-        restricted = [
-            [opening.values[i] for opening in proof.columns]
-            for i in range(params.num_rows)
-        ]
-        prox_combined = combine_rows(field, restricted, r_coeffs)
-        eval_combined = combine_rows(field, restricted, q_row)
-        for pos, opening in enumerate(proof.columns):
-            j = opening.index
-            if prox_combined[pos] != prox_code[j]:
-                return False
-            if eval_combined[pos] != eval_code[j]:
-                return False
-
-        expected_leaves = self.hasher.hash_many(
-            [pack_vector(field, c.values) for c in proof.columns]
-        )
-        if params.compress_openings:
-            mp = proof.multiproof
-            if mp is None:
-                return False
-            if list(mp.indices) != expected_indices:
-                return False
-            if list(mp.leaves) != expected_leaves:
-                return False
-            if not mp.verify(commitment.root, self.hasher):
+        # Every claimed row must agree with the committed codeword matrix
+        # U on the opened columns: Enc(row)[j] = Σ_i coeff_i · U[i][j].
+        coeffs = [r_coeffs, *eq_table_lanes(field, his)]
+        if vectorised(field):
+            codes = self.encoder._encode_batch61(
+                np.stack([_f61.to_f61(row) for row in claimed])
+            )[:, opened]
+            restricted = np.stack([_f61.to_f61(c) for c in proof.columns]).T
+            combined = combine_rows(
+                field, restricted, np.stack([_f61.to_f61(c) for c in coeffs])
+            )
+            if not np.array_equal(combined, codes):
                 return False
         else:
-            if proof.multiproof is not None:
-                return False
-            for opening, leaf in zip(proof.columns, expected_leaves):
-                path = opening.path
-                if path is None or path.leaf != leaf or path.index != opening.index:
+            restricted = [list(row) for row in zip(*proof.columns)]
+            for row, c in zip(claimed, coeffs):
+                code = self.encoder.encode(row)
+                combined = combine_rows(field, restricted, c)
+                if combined != [code[j] % p for j in opened]:
                     return False
-            try:
-                roots = compute_roots(
-                    [opening.path for opening in proof.columns], self.hasher
-                )
-            except MerkleError:  # paths of different depths
-                return False
-            if any(root != commitment.root for root in roots):
-                return False
 
-        q_col = eq_table(field, z_lo)
-        return field.dot(proof.evaluation_row, q_col) == value % field.modulus
+        leaves = self.hasher.hash_many(
+            [pack_vector(field, column) for column in proof.columns]
+        )
+        multiproof = MerkleMultiProof(
+            indices=tuple(opened),
+            leaves=tuple(leaves),
+            nodes=tuple(proof.nodes),
+            depth=params.merkle_depth,
+        )
+        if not multiproof.verify(commitment.root, self.hasher):
+            return False
+
+        rows = [
+            _f61.to_f61(row) if vectorised(field) else list(row)
+            for row in proof.evaluation_rows
+        ]
+        return all(
+            self._row_values([rows[slot]], [lo])[0] == value % p
+            for lo, slot, value in zip(los, which, values)
+        )
+
+
+def _boolean_index(coords: Sequence[int]) -> Optional[int]:
+    """The table index of a boolean point (LSB first), else None."""
+    index = 0
+    for i, bit in enumerate(coords):
+        if bit not in (0, 1):
+            return None
+        index |= bit << i
+    return index

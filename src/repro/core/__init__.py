@@ -34,7 +34,7 @@ from .gadgets import (
     sign_bit,
     to_bits,
 )
-from .proof import PublicBinding, SnarkProof
+from .proof import SnarkProof
 from .prover import PIPELINE_STAGES, SnarkProver, make_pcs
 from .r1cs import R1CS, next_power_of_two
 from .serialize import (
@@ -59,7 +59,6 @@ __all__ = [
     "SnarkVerifier",
     "make_pcs",
     "SnarkProof",
-    "PublicBinding",
     "BatchProver",
     "BatchStats",
     "ProofTask",

@@ -37,7 +37,7 @@ from ..kernels import field_kernels as _kernels
 from ..kernels.profile import stage as _stage
 from ..sumcheck.noninteractive import SumcheckProof
 from ..sumcheck.prover import evaluation_point
-from .proof import PublicBinding, SnarkProof
+from .proof import SnarkProof
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (prover imports us)
     from .prover import SnarkProver
@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (prover imports us)
 #: stage-pipelined scheduler drives (``encode`` and ``merkle`` are the
 #: two halves of the PCS commit; ``sumcheck`` covers both sum-checks,
 #: which share folded state and cannot be split without re-deriving it;
-#: ``open`` is the commitment opening plus public bindings).
+#: ``open`` is the one commitment opening at every point of the proof).
 PIPELINE_STAGES: tuple = ("encode", "merkle", "sumcheck", "open")
 
 #: Per-variable degree of sum-check #1's summand ``eq·(Ãz·B̃z − C̃z)``.
@@ -307,43 +307,19 @@ class LanedProof:
 
     def _run_open(self) -> None:
         prover = self.prover
-        field = prover.field
-        lanes = self.lanes
-        transcripts = self._transcripts
         with _stage("open"):
-            # 4. Open the witness commitment at each lane's bound point.
-            points_y = [evaluation_point(c) for c in self._challenges_y]
-            vzs = prover.pcs.evaluate_lanes(self._state, points_y)
-            for lane in range(lanes):
-                transcripts[lane].absorb_field(b"vz", field, vzs[lane])
-            witness_openings = prover.pcs.open_lanes(
-                self._state, points_y, transcripts
-            )
-
-            # 5. Bind the constant-one slot and each public output.  The
-            # binding points are shared across lanes (boolean points of
-            # the same indices), but every open still runs against its
-            # lane's transcript, so column challenges stay per-lane.
+            # 4. Open the witness commitment once per lane, at the bound
+            # point r_y, the constant-one slot and every public output.
+            # The boolean points are shared across lanes, so their rows
+            # are row selects; the values of all points come back from
+            # the opening (vz among them).
             s = prover.r1cs.witness_vars
-            bindings: List[List[PublicBinding]] = [[] for _ in range(lanes)]
-            for pos, idx in enumerate([0] + prover.public_indices):
-                point = _bits_point(idx, s)
-                openings = prover.pcs.open_lanes(
-                    self._state, [point] * lanes, transcripts
-                )
-                for lane in range(lanes):
-                    value = (
-                        1
-                        if pos == 0
-                        else self.public_values_list[lane][pos - 1]
-                    )
-                    bindings[lane].append(
-                        PublicBinding(
-                            var_index=idx,
-                            value=value,
-                            opening=openings[lane],
-                        )
-                    )
+            public = [_bits_point(i, s) for i in [0] + prover.public_indices]
+            openings, values = prover.pcs.open_many_lanes(
+                self._state,
+                [[evaluation_point(c)] + public for c in self._challenges_y],
+                self._transcripts,
+            )
 
         self._proofs = [
             SnarkProof(
@@ -353,9 +329,8 @@ class LanedProof:
                 vb=self._abc_claims[lane][1],
                 vc=self._abc_claims[lane][2],
                 witness_sumcheck=self._witness_proofs[lane],
-                vz=vzs[lane],
-                witness_opening=witness_openings[lane],
-                public_bindings=bindings[lane],
+                vz=values[lane][0],
+                opening=openings[lane],
             )
-            for lane in range(lanes)
+            for lane in range(self.lanes)
         ]

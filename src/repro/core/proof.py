@@ -4,14 +4,14 @@ A :class:`SnarkProof` bundles exactly the artifacts §4 of the paper
 assembles: "the proof is assembled using the final Merkle root, sum-check
 proofs, and a linear combination of linear-time codes" — here the Merkle
 root lives inside the witness commitment, the two sum-check transcripts
-are explicit, and the PCS openings carry the linear combinations of
-codeword rows plus Merkle column openings.
+are explicit, and one PCS opening carries the linear combinations of
+codeword rows plus the Merkle-authenticated columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict
 
 from ..commitment.brakedown import Commitment, EvalProof
 from ..field.prime_field import PrimeField
@@ -19,17 +19,14 @@ from ..sumcheck.noninteractive import SumcheckProof
 
 
 @dataclass(frozen=True)
-class PublicBinding:
-    """Opens the committed witness at one boolean point (a public value)."""
-
-    var_index: int
-    value: int
-    opening: EvalProof
-
-
-@dataclass(frozen=True)
 class SnarkProof:
-    """A complete non-interactive proof for one R1CS statement."""
+    """A complete non-interactive proof for one R1CS statement.
+
+    ``opening`` opens the witness commitment at the points
+    ``[r_y, e_0, e_idx…]``: the sum-check point (value ``vz``), the
+    constant-one slot (value 1) and each public index (its public value),
+    in that order.  The verifier knows every value but ``vz``.
+    """
 
     commitment: Commitment
     constraint_sumcheck: SumcheckProof  # sum-check #1 (degree 3)
@@ -38,44 +35,22 @@ class SnarkProof:
     vc: int  # C̃z(r_x)
     witness_sumcheck: SumcheckProof  # sum-check #2 (degree 2)
     vz: int  # z̃(r_y)
-    witness_opening: EvalProof  # PCS opening of z̃ at r_y
-    public_bindings: List[PublicBinding] = dc_field(default_factory=list)
+    opening: EvalProof  # PCS opening of z̃ at r_y, e_0 and the public indices
 
     def size_field_elements(self) -> int:
-        total = self.constraint_sumcheck.size_field_elements()
-        total += self.witness_sumcheck.size_field_elements()
-        total += 4  # va, vb, vc, vz
-        total += self.witness_opening.size_field_elements()
-        for binding in self.public_bindings:
-            total += 1 + binding.opening.size_field_elements()
-        return total
-
-    def size_bytes(self, field: PrimeField) -> int:
-        fe_bytes = field.byte_length
-        total = (
+        return (
             self.constraint_sumcheck.size_field_elements()
             + self.witness_sumcheck.size_field_elements()
-            + 4
-        ) * fe_bytes
-        total += len(self.commitment.root)
-        total += self.witness_opening.size_bytes(field)
-        for binding in self.public_bindings:
-            total += fe_bytes + binding.opening.size_bytes(field)
-        return total
+            + 4  # va, vb, vc, vz
+            + self.opening.size_field_elements()
+        )
+
+    def size_bytes(self, field: PrimeField) -> int:
+        """The serialized length (:func:`~repro.core.serialize_proof`)."""
+        return sum(self.component_sizes(field).values())
 
     def component_sizes(self, field: PrimeField) -> Dict[str, int]:
-        """Byte sizes per component — feeds the proof-size reporting."""
-        return {
-            "merkle_root": len(self.commitment.root),
-            "sumchecks": (
-                self.constraint_sumcheck.size_field_elements()
-                + self.witness_sumcheck.size_field_elements()
-                + 4
-            )
-            * field.byte_length,
-            "pcs_openings": self.witness_opening.size_bytes(field)
-            + sum(
-                field.byte_length + b.opening.size_bytes(field)
-                for b in self.public_bindings
-            ),
-        }
+        """Wire bytes per component — feeds the proof-size reporting."""
+        from .serialize import proof_parts  # serialize imports this module
+
+        return {name: len(part) for name, part in proof_parts(self, field).items()}

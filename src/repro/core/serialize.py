@@ -3,9 +3,10 @@
 Proofs in the paper's second protocol category travel over networks
 (zkBridge fees, MLaaS responses) and "reach several MB" (§2.1), so a
 production system needs a wire format.  This module provides a compact
-tag-free binary encoding with explicit length prefixes:
+tag-free binary encoding with explicit length prefixes wherever the
+verifier's public parameters do not already fix a length:
 
-* little-endian ``u32``/``u64`` integers for counts and indices,
+* little-endian ``u32``/``u64`` integers for counts,
 * fixed-width field elements (``field.byte_length`` bytes each),
 * a 4-byte magic + version header so stale blobs fail loudly.
 
@@ -17,18 +18,20 @@ parameters, so a malicious blob cannot redefine the commitment scheme.
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
-from ..commitment.brakedown import ColumnOpening, Commitment, EvalProof, PcsParams
+from ..commitment.brakedown import Commitment, EvalProof, PcsParams
 from ..errors import ProofError
 from ..field.prime_field import PrimeField
-from ..merkle.proof import MerklePath
+from ..hashing.hashers import DIGEST_SIZE
 from ..sumcheck.noninteractive import SumcheckProof
-from .proof import PublicBinding, SnarkProof
+from .proof import SnarkProof
 
 MAGIC = b"RPZK"
 #: 2: RFC 6962-layout SHA-256 Merkle digests and SHAKE-256 challenges.
-VERSION = 2
+#: 3: one opening per proof — rows and columns without per-vector
+#: lengths, column indices, leaves or depth (the verifier derives them).
+VERSION = 3
 
 
 class ByteWriter:
@@ -55,6 +58,10 @@ class ByteWriter:
 
     def field_vector(self, field: PrimeField, values: Sequence[int]) -> None:
         self.u32(len(values))
+        self.field_elements(field, values)
+
+    def field_elements(self, field: PrimeField, values: Sequence[int]) -> None:
+        """Elements without a length prefix (the reader knows the count)."""
         for v in values:
             self.field_element(field, v)
 
@@ -97,7 +104,21 @@ class ByteReader:
         n = self.u32()
         if n > 1 << 28:
             raise ProofError(f"implausible vector length {n}")
-        return [self.field_element(field) for _ in range(n)]
+        return self.field_elements(field, n)
+
+    def field_elements(self, field: PrimeField, n: int) -> List[int]:
+        width = field.byte_length
+        data = self.raw(n * width)
+        return [
+            field.from_bytes(data[i : i + width]) for i in range(0, n * width, width)
+        ]
+
+    def count(self, bound: int, what: str) -> int:
+        """A u32 count, rejected above ``bound``."""
+        n = self.u32()
+        if n > bound:
+            raise ProofError(f"implausible {what} {n}")
+        return n
 
     def expect_end(self) -> None:
         if self._pos != len(self._data):
@@ -134,119 +155,77 @@ def _read_sumcheck(r: ByteReader, field: PrimeField) -> SumcheckProof:
     )
 
 
-def _write_merkle_path(w: ByteWriter, path: MerklePath) -> None:
-    w.u64(path.index)
-    w.raw(path.leaf)
-    w.u32(len(path.siblings))
-    for s in path.siblings:
-        w.raw(s)
-
-
-def _read_merkle_path(r: ByteReader) -> MerklePath:
-    index = r.u64()
-    leaf = r.raw(32)
-    n = r.u32()
-    if n > 64:
-        raise ProofError(f"implausible Merkle depth {n}")
-    if index >> n:
-        raise ProofError(f"Merkle index {index} too large for depth {n}")
-    siblings = [r.raw(32) for _ in range(n)]
-    return MerklePath(index=index, leaf=leaf, siblings=siblings)
-
-
-def _write_multiproof(w: ByteWriter, mp) -> None:
-    w.u32(len(mp.indices))
-    for idx in mp.indices:
-        w.u64(idx)
-    for leaf in mp.leaves:
-        w.raw(leaf)
-    w.u32(len(mp.nodes))
-    for node in mp.nodes:
+def _write_eval_proof(
+    w: ByteWriter, field: PrimeField, params: PcsParams, ep: EvalProof
+) -> None:
+    rows = [ep.proximity_row, *ep.evaluation_rows]
+    if any(len(row) != params.num_cols for row in rows) or any(
+        len(column) != params.num_rows for column in ep.columns
+    ):
+        raise ProofError("opening rows or columns do not match the PCS shape")
+    w.field_elements(field, ep.proximity_row)
+    for vectors in (ep.evaluation_rows, ep.columns):
+        w.u32(len(vectors))
+        for vector in vectors:
+            w.field_elements(field, vector)
+    w.u32(len(ep.nodes))
+    for node in ep.nodes:
         w.raw(node)
-    w.u32(mp.depth)
 
 
-def _read_multiproof(r: ByteReader):
-    from ..merkle.multiproof import MerkleMultiProof
-
-    n = r.u32()
-    if n > 1 << 16:
-        raise ProofError(f"implausible multiproof leaf count {n}")
-    indices = tuple(r.u64() for _ in range(n))
-    leaves = tuple(r.raw(32) for _ in range(n))
-    num_nodes = r.u32()
-    if num_nodes > 1 << 20:
-        raise ProofError(f"implausible multiproof node count {num_nodes}")
-    nodes = tuple(r.raw(32) for _ in range(num_nodes))
-    depth = r.u32()
-    if depth > 64:
-        raise ProofError(f"implausible multiproof depth {depth}")
-    return MerkleMultiProof(indices=indices, leaves=leaves, nodes=nodes, depth=depth)
-
-
-def _write_eval_proof(w: ByteWriter, field: PrimeField, ep: EvalProof) -> None:
-    w.field_vector(field, ep.proximity_row)
-    w.field_vector(field, ep.evaluation_row)
-    w.u32(1 if ep.multiproof is not None else 0)
-    w.u32(len(ep.columns))
-    for col in ep.columns:
-        w.u64(col.index)
-        w.field_vector(field, col.values)
-        if ep.multiproof is None:
-            if col.path is None:
-                raise ProofError("uncompressed opening misses a Merkle path")
-            _write_merkle_path(w, col.path)
-    if ep.multiproof is not None:
-        _write_multiproof(w, ep.multiproof)
-
-
-def _read_eval_proof(r: ByteReader, field: PrimeField) -> EvalProof:
-    proximity = r.field_vector(field)
-    evaluation = r.field_vector(field)
-    mode = r.u32()
-    if mode not in (0, 1):
-        raise ProofError(f"unknown opening mode {mode}")
-    compressed = mode == 1
-    ncols = r.u32()
-    if ncols > 1 << 16:
-        raise ProofError(f"implausible column count {ncols}")
-    columns = []
-    for _ in range(ncols):
-        index = r.u64()
-        values = r.field_vector(field)
-        path = None if compressed else _read_merkle_path(r)
-        columns.append(ColumnOpening(index=index, values=values, path=path))
-    multiproof = _read_multiproof(r) if compressed else None
+def _read_eval_proof(r: ByteReader, field: PrimeField, params: PcsParams) -> EvalProof:
+    cols, rows = params.num_cols, params.num_rows
+    proximity = r.field_elements(field, cols)
+    evaluation = [
+        r.field_elements(field, cols)
+        for _ in range(r.count(1 << 16, "evaluation row count"))
+    ]
+    columns = [
+        r.field_elements(field, rows)
+        for _ in range(r.count(params.num_col_checks, "column count"))
+    ]
+    num_nodes = r.count(
+        params.num_col_checks * params.merkle_depth, "multiproof node count"
+    )
+    nodes = [r.raw(DIGEST_SIZE) for _ in range(num_nodes)]
     return EvalProof(
         proximity_row=proximity,
-        evaluation_row=evaluation,
+        evaluation_rows=evaluation,
         columns=columns,
-        multiproof=multiproof,
+        nodes=nodes,
     )
 
 
 # -- public API ---------------------------------------------------------------------
 
 
+def proof_parts(proof: SnarkProof, field: PrimeField) -> Dict[str, bytes]:
+    """The wire encoding of ``proof`` by component, in wire order.
+
+    :func:`serialize_proof` is their concatenation, and
+    :meth:`SnarkProof.component_sizes` their lengths.
+    """
+    header, root, sumchecks, opening = (ByteWriter() for _ in range(4))
+    header.raw(MAGIC)
+    header.u32(VERSION)
+    root.raw(proof.commitment.root)
+    _write_sumcheck(sumchecks, field, proof.constraint_sumcheck)
+    for value in (proof.va, proof.vb, proof.vc):
+        sumchecks.field_element(field, value)
+    _write_sumcheck(sumchecks, field, proof.witness_sumcheck)
+    sumchecks.field_element(field, proof.vz)
+    _write_eval_proof(opening, field, proof.commitment.params, proof.opening)
+    return {
+        "header": header.getvalue(),
+        "merkle_root": root.getvalue(),
+        "sumchecks": sumchecks.getvalue(),
+        "pcs_openings": opening.getvalue(),
+    }
+
+
 def serialize_proof(proof: SnarkProof, field: PrimeField) -> bytes:
     """Encode a :class:`SnarkProof` to bytes."""
-    w = ByteWriter()
-    w.raw(MAGIC)
-    w.u32(VERSION)
-    w.raw(proof.commitment.root)
-    _write_sumcheck(w, field, proof.constraint_sumcheck)
-    w.field_element(field, proof.va)
-    w.field_element(field, proof.vb)
-    w.field_element(field, proof.vc)
-    _write_sumcheck(w, field, proof.witness_sumcheck)
-    w.field_element(field, proof.vz)
-    _write_eval_proof(w, field, proof.witness_opening)
-    w.u32(len(proof.public_bindings))
-    for binding in proof.public_bindings:
-        w.u64(binding.var_index)
-        w.field_element(field, binding.value)
-        _write_eval_proof(w, field, binding.opening)
-    return w.getvalue()
+    return b"".join(proof_parts(proof, field).values())
 
 
 def serialize_proof_bundle(
@@ -304,19 +283,7 @@ def deserialize_proof(
     vc = r.field_element(field)
     witness_sc = _read_sumcheck(r, field)
     vz = r.field_element(field)
-    opening = _read_eval_proof(r, field)
-    nbind = r.u32()
-    if nbind > 1 << 16:
-        raise ProofError(f"implausible binding count {nbind}")
-    bindings = []
-    for _ in range(nbind):
-        idx = r.u64()
-        value = r.field_element(field)
-        bindings.append(
-            PublicBinding(
-                var_index=idx, value=value, opening=_read_eval_proof(r, field)
-            )
-        )
+    opening = _read_eval_proof(r, field, params)
     r.expect_end()
     return SnarkProof(
         commitment=Commitment(root=root, params=params),
@@ -326,6 +293,5 @@ def deserialize_proof(
         vc=vc,
         witness_sumcheck=witness_sc,
         vz=vz,
-        witness_opening=opening,
-        public_bindings=bindings,
+        opening=opening,
     )

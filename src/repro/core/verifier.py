@@ -2,8 +2,8 @@
 
 Replays the prover's transcript schedule, checks both sum-checks round by
 round, evaluates the public R1CS matrices at the bound point (O(nnz)), and
-verifies every PCS opening — including the boolean-point openings that pin
-the constant-one slot and the public outputs to the committed witness.
+verifies the one PCS opening of the witness: at the bound point and at the
+boolean points that pin the constant-one slot and the public outputs.
 """
 
 from __future__ import annotations
@@ -142,28 +142,19 @@ class SnarkVerifier:
         combined = (coeff_a * ma + coeff_b * mb + coeff_c * mc) % p
         if final2 != (combined * proof.vz) % p:
             return False
-        transcript.absorb_field(b"vz", field, proof.vz)
 
-        # -- PCS openings -----------------------------------------------------------
+        # -- the PCS opening at r_y, e_0 and every public index ------------------
+        points = [point_y] + [
+            _bits_point(idx, s) for idx in [0] + self.public_indices
+        ]
         try:
-            pcs_ok = self.pcs.verify(
-                proof.commitment, point_y, proof.vz, proof.witness_opening, transcript
+            return self.pcs.verify_many(
+                proof.commitment,
+                points,
+                [proof.vz, 1, *public_values],
+                proof.opening,
+                transcript,
             )
         except CommitmentError:
             # Mismatched public parameters (e.g. a different encoder seed).
             return False
-        if not pcs_ok:
-            return False
-
-        expected_bindings = list(zip([0] + self.public_indices, [1] + list(public_values)))
-        if len(proof.public_bindings) != len(expected_bindings):
-            return False
-        for binding, (idx, value) in zip(proof.public_bindings, expected_bindings):
-            if binding.var_index != idx or binding.value % p != value % p:
-                return False
-            point = _bits_point(idx, s)
-            if not self.pcs.verify(
-                proof.commitment, point, binding.value, binding.opening, transcript
-            ):
-                return False
-        return True

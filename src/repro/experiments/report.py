@@ -421,9 +421,11 @@ table's calibration.
     buf.write(
         """
 
-The shared-Merkle-multiproof extension's claim — compressed PCS openings
-are strictly smaller than per-column paths — is checked by
-`tests/test_commitment_compressed.py`.
+Every PCS opening covers all points of its commitment and authenticates
+its columns with one shared Merkle multiproof (DESIGN decision 25); that
+it is strictly smaller than per-column paths, and than one opening per
+point, is checked by `tests/test_commitment_compressed.py` and
+`tests/test_commitment.py::TestOpenMany`.
 
 ### Future work implemented (§6.2's closing direction)
 

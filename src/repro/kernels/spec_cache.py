@@ -58,7 +58,6 @@ def spec_cache_key(spec: "ProverSpec") -> Tuple:
         tuple(spec.public_indices),
         spec.pcs_seed,
         spec.num_col_checks,
-        spec.compress_openings,
         spec.row_vars,
         spec.encoder_params,
         spec.hasher_name,

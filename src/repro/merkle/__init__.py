@@ -1,8 +1,7 @@
 """Merkle tree module (system S3 in DESIGN.md; paper §2.2, §3.1).
 
 * :class:`MerkleTree` — full tree, authentication paths.
-* :class:`MerklePath` — verifiable openings; :func:`compute_roots` folds
-  many same-depth paths level by level through batched compressions.
+* :class:`MerklePath` — verifiable openings of one leaf.
 * :func:`merkle_root_streaming` — the paper's layer-streaming construction.
 * Layer-size / hash-count helpers consumed by the pipeline scheduler.
 """
@@ -12,7 +11,7 @@ from .multiproof import (
     individual_paths_size,
     open_multi,
 )
-from .proof import MerklePath, compute_roots
+from .proof import MerklePath
 from .tree import (
     BLOCK_SIZE,
     MerkleTree,
@@ -26,7 +25,6 @@ from .tree import (
 __all__ = [
     "MerkleTree",
     "MerklePath",
-    "compute_roots",
     "MerkleMultiProof",
     "open_multi",
     "individual_paths_size",

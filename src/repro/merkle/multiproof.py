@@ -60,15 +60,9 @@ def _sibling_plan(indices: Sequence[int], depth: int) -> List[List[int]]:
     plan: List[List[int]] = []
     known = sorted(set(indices))
     for _ in range(depth):
-        needed = []
         known_set = set(known)
-        for idx in known:
-            sib = idx ^ 1
-            if sib not in known_set and (idx % 2 == 0 or (idx - 1) not in known_set):
-                needed.append(sib)
-        # Deduplicate (both children known handles itself; sibling appears
-        # once because we iterate known ascending and guard above).
-        plan.append(sorted(set(needed)))
+        # Ascending, and each sibling once: sibling pairs are disjoint.
+        plan.append([idx ^ 1 for idx in known if idx ^ 1 not in known_set])
         known = sorted({idx >> 1 for idx in known})
     return plan
 

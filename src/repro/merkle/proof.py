@@ -10,7 +10,7 @@ value and propagate up, ultimately changing the Merkle root").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..errors import MerkleError
 from ..hashing.hashers import DIGEST_SIZE, Hasher, get_hasher
@@ -88,32 +88,3 @@ class MerklePath:
         ]
         return cls(index=index, leaf=leaf, siblings=siblings)
 
-
-def compute_roots(
-    paths: Sequence[MerklePath], hasher: Optional[Hasher] = None
-) -> List[bytes]:
-    """The roots implied by same-depth paths, recomputed level by level.
-
-    Equal to ``[path.compute_root(hasher) for path in paths]`` byte for
-    byte, but every level of all paths goes through one
-    :meth:`Hasher.compress_layer` call — a verifier checking an opening's
-    dozen paths pays ``depth`` batched dispatches instead of
-    ``paths × depth`` single compressions.  Paths of different depths
-    raise :class:`~repro.errors.MerkleError`; a single path takes
-    :meth:`MerklePath.compute_root`.
-    """
-    hasher = hasher or get_hasher("sha256")
-    if len(paths) == 1:
-        return [paths[0].compute_root(hasher)]
-    if len({path.depth for path in paths}) > 1:
-        raise MerkleError("paths of different depths cannot be folded together")
-    nodes = [path.leaf for path in paths]
-    positions = [path.index for path in paths]
-    for level in range(paths[0].depth if paths else 0):
-        layer: List[bytes] = []
-        for node, pos, path in zip(nodes, positions, paths):
-            sibling = path.siblings[level]
-            layer += (sibling, node) if pos & 1 else (node, sibling)
-        nodes = hasher.compress_layer(layer)
-        positions = [pos >> 1 for pos in positions]
-    return nodes

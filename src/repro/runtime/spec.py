@@ -36,7 +36,6 @@ class ProverSpec:
     public_indices: Tuple[int, ...] = ()
     pcs_seed: int = 0
     num_col_checks: int = DEFAULT_COLUMN_CHECKS
-    compress_openings: bool = False
     row_vars: Optional[int] = None
     encoder_params: Optional[EncoderParams] = None
     hasher_name: str = "sha256-hw"
@@ -50,7 +49,6 @@ class ProverSpec:
             public_indices=tuple(prover.public_indices),
             pcs_seed=params.encoder_seed,
             num_col_checks=params.num_col_checks,
-            compress_openings=params.compress_openings,
             row_vars=params.row_vars,
             encoder_params=params.encoder_params,
             hasher_name=prover.pcs.hasher.name,
@@ -66,7 +64,6 @@ class ProverSpec:
             seed=self.pcs_seed,
             hasher=get_hasher(self.hasher_name),
             num_col_checks=self.num_col_checks,
-            compress_openings=self.compress_openings,
         )
 
     def build_prover(self) -> SnarkProver:

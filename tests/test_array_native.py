@@ -513,9 +513,9 @@ class TestNoUint64Leaks:
             value = pcs.evaluate(state, point)
             proof = pcs.open(state, point, Transcript(b"leak"))
             assert pcs.verify(com, point, value, proof, Transcript(b"leak"))
-            assert all(type(v) is int for v in proof.evaluation_row)
-            assert all(type(v) is int for c in proof.columns for v in c.values)
-            return com.root, value, proof.proximity_row, [c.values for c in proof.columns]
+            assert all(type(v) is int for row in proof.evaluation_rows for v in row)
+            assert all(type(v) is int for c in proof.columns for v in c)
+            return com.root, value, proof.proximity_row, proof.columns
 
         self._check(lambda: run(evals), lambda: run(_arr(evals)))
 

@@ -8,7 +8,6 @@ from repro.commitment import BrakedownPCS, split_num_vars
 from repro.errors import CommitmentError
 from repro.field import DEFAULT_FIELD, MultilinearPolynomial
 from repro.hashing import Transcript
-from repro.merkle import MerklePath
 
 F = DEFAULT_FIELD
 
@@ -133,7 +132,7 @@ class TestOpenVerify:
         proof = pcs.open(state, pt, Transcript(b"t"))
         bad = dataclasses.replace(
             proof,
-            evaluation_row=[(v + 1) % F.modulus for v in proof.evaluation_row],
+            evaluation_rows=[[(v + 1) % F.modulus for v in proof.evaluation_rows[0]]],
         )
         assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
 
@@ -153,10 +152,7 @@ class TestOpenVerify:
         pt = F.rand_vector(8, rng)
         value = ml.evaluate(pt)
         proof = pcs.open(state, pt, Transcript(b"t"))
-        col0 = dataclasses.replace(
-            proof.columns[0],
-            values=[(v + 1) % F.modulus for v in proof.columns[0].values],
-        )
+        col0 = [(v + 1) % F.modulus for v in proof.columns[0]]
         bad = dataclasses.replace(proof, columns=[col0] + list(proof.columns[1:]))
         assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
 
@@ -173,86 +169,90 @@ class TestOpenVerify:
         pt = F.rand_vector(8, rng)
         value = ml.evaluate(pt)
         proof = pcs.open(state, pt, Transcript(b"t"))
-        bad = dataclasses.replace(proof, evaluation_row=proof.evaluation_row[:-1])
+        bad = dataclasses.replace(
+            proof, evaluation_rows=[proof.evaluation_rows[0][:-1]]
+        )
         assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
 
-    def _with_path(self, proof, position, path):
-        """``proof`` with the Merkle path of one opened column replaced."""
-        columns = list(proof.columns)
-        columns[position] = dataclasses.replace(columns[position], path=path)
-        return dataclasses.replace(proof, columns=columns)
+    def _with_nodes(self, proof, nodes):
+        """``proof`` with its multiproof sibling nodes replaced."""
+        return dataclasses.replace(proof, nodes=list(nodes))
 
     def _opened(self, committed, pcs, rng):
         ml, com, state = committed
         pt = F.rand_vector(8, rng)
         proof = pcs.open(state, pt, Transcript(b"t"))
-        assert len(proof.columns) > 2
+        assert len(proof.columns) > 2 and len(proof.nodes) > 2
         assert pcs.verify(com, pt, ml.evaluate(pt), proof, Transcript(b"t"))
         return com, pt, ml.evaluate(pt), proof
 
     def test_tampered_path_sibling_rejected(self, committed, pcs, rng):
-        """Every level of every opened path is bound by the batched fold."""
+        """Every node of the shared authentication path is bound by the fold."""
         com, pt, value, proof = self._opened(committed, pcs, rng)
-        for position, opening in enumerate(proof.columns):
-            for level in range(opening.path.depth):
-                sib = list(opening.path.siblings)
-                sib[level] = bytes(32)
-                bad = self._with_path(
-                    proof, position, dataclasses.replace(opening.path, siblings=sib)
-                )
-                assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
+        for position in range(len(proof.nodes)):
+            nodes = list(proof.nodes)
+            nodes[position] = bytes(32)
+            bad = self._with_nodes(proof, nodes)
+            assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
 
     def test_tampered_path_leaf_rejected(self, committed, pcs, rng):
+        """A leaf is the hash of its column: one changed value moves it."""
         com, pt, value, proof = self._opened(committed, pcs, rng)
-        for position, opening in enumerate(proof.columns):
-            bad = self._with_path(
-                proof, position, dataclasses.replace(opening.path, leaf=bytes(32))
-            )
+        for position in range(len(proof.columns)):
+            columns = [list(c) for c in proof.columns]
+            columns[position][-1] = (columns[position][-1] + 1) % F.modulus
+            bad = dataclasses.replace(proof, columns=columns)
             assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
 
     def test_path_index_mismatch_rejected(self, committed, pcs, rng):
+        """Column indices come from the transcript: the true columns at
+        the neighbouring indices fold to another root."""
         com, pt, value, proof = self._opened(committed, pcs, rng)
-        for position, opening in enumerate(proof.columns):
-            moved = dataclasses.replace(opening.path, index=opening.index ^ 1)
-            bad = self._with_path(proof, position, moved)
-            assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
+        _, _, state = committed
+        q = pcs.params.codeword_length
+        moved = [
+            [row[(j + 1) % q] for row in state.encoded]
+            for j in _drawn_columns(pcs, com, [pt], [value], proof, b"t")
+        ]
+        bad = dataclasses.replace(proof, columns=moved)
+        assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
 
     def test_swapped_paths_rejected(self, committed, pcs, rng):
-        """Valid paths of the same tree, attached to the wrong columns."""
+        """Valid nodes and columns, attached in the wrong order."""
         com, pt, value, proof = self._opened(committed, pcs, rng)
-        bad = self._with_path(proof, 0, proof.columns[1].path)
-        bad = self._with_path(bad, 1, proof.columns[0].path)
+        nodes = list(proof.nodes)
+        nodes[0], nodes[1] = nodes[1], nodes[0]
+        assert not pcs.verify(
+            com, pt, value, self._with_nodes(proof, nodes), Transcript(b"t")
+        )
+        columns = list(proof.columns)
+        columns[0], columns[1] = columns[1], columns[0]
+        bad = dataclasses.replace(proof, columns=columns)
         assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
 
     def test_ragged_path_depth_rejected(self, committed, pcs, rng):
-        """A path of another depth is a typed ``False``, not an exception."""
+        """A node stream one short or one long is a typed ``False``."""
         com, pt, value, proof = self._opened(committed, pcs, rng)
-        path = proof.columns[0].path
-        for siblings in (path.siblings[:-1], path.siblings + [bytes(32)]):
-            index = path.index % (1 << len(siblings))
-            short = MerklePath(index=index, leaf=path.leaf, siblings=siblings)
-            bad = self._with_path(proof, 0, short)
+        for nodes in (proof.nodes[:-1], list(proof.nodes) + [bytes(32)]):
+            bad = self._with_nodes(proof, nodes)
             assert pcs.verify(com, pt, value, bad, Transcript(b"t")) is False
 
     def test_missing_path_rejected(self, committed, pcs, rng):
         com, pt, value, proof = self._opened(committed, pcs, rng)
-        bad = self._with_path(proof, len(proof.columns) - 1, None)
-        assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
+        for bad in (self._with_nodes(proof, []), self._with_nodes(proof, [b""])):
+            assert not pcs.verify(com, pt, value, bad, Transcript(b"t"))
 
     def test_single_opened_column_roundtrip(self, rng):
-        """One opened column takes the single-path fallback of the fold."""
+        """One opened column: the multiproof is that column's whole path."""
         one = BrakedownPCS(F, num_vars=6, seed=3, num_col_checks=1)
         ml = MultilinearPolynomial.random(F, 6, rng)
         com, state = one.commit(ml.evals)
         pt = F.rand_vector(6, rng)
         proof = one.open(state, pt, Transcript(b"t"))
         assert len(proof.columns) == 1
+        assert len(proof.nodes) == one.params.merkle_depth
         assert one.verify(com, pt, ml.evaluate(pt), proof, Transcript(b"t"))
-        sib = list(proof.columns[0].path.siblings)
-        sib[0] = bytes(32)
-        bad = self._with_path(
-            proof, 0, dataclasses.replace(proof.columns[0].path, siblings=sib)
-        )
+        bad = self._with_nodes(proof, [bytes(32)] + list(proof.nodes[1:]))
         assert not one.verify(com, pt, ml.evaluate(pt), bad, Transcript(b"t"))
 
     def test_substituted_commitment_rejected(self, pcs, rng):
@@ -271,6 +271,110 @@ class TestOpenVerify:
         proof = pcs.open(state, pt, Transcript(b"t"))
         assert proof.size_field_elements() > 0
         assert proof.size_bytes(F) > proof.size_field_elements()
+
+
+def _drawn_columns(pcs, com, points, values, proof, label):
+    """Replay the verifier's transcript up to the column draw."""
+    transcript = Transcript(label)
+    pcs._absorb_claims(transcript, com.root, points, values)
+    transcript.challenge_field_vector(b"pcs/proximity", F, pcs.params.num_rows)
+    transcript.absorb_field_vector(b"pcs/prox-row", F, proof.proximity_row)
+    for row in proof.evaluation_rows:
+        transcript.absorb_field_vector(b"pcs/eval-row", F, row)
+    return pcs._draw_columns(transcript)
+
+
+class TestOpenMany:
+    """One opening of one commitment at k points (DESIGN decision 25)."""
+
+    @pytest.fixture()
+    def claims(self, committed, rng):
+        ml, _, _ = committed
+        idx = 137
+        points = [
+            F.rand_vector(8, rng),
+            [(idx >> i) & 1 for i in range(8)],
+            [0] * 8,
+            F.rand_vector(8, rng),
+        ]
+        return points, [ml.evaluate(pt) for pt in points]
+
+    def test_one_row_per_distinct_row_half(self, committed, pcs, claims):
+        """Points 1 and 2 lie in matrix rows 137 >> 4 and 0: boolean row
+        halves are plain rows of the matrix."""
+        _, _, state = committed
+        points, _ = claims
+        proof = pcs.open_many(state, points, Transcript(b"k"))
+        assert len(proof.evaluation_rows) == 4
+        assert proof.evaluation_rows[1] == list(state.matrix[137 >> 4])
+        assert proof.evaluation_rows[2] == list(state.matrix[0])
+        same_row = [points[2], [1, 0, 0, 0] + [0] * 4]
+        shared = pcs.open_many(state, same_row, Transcript(b"k"))
+        assert len(shared.evaluation_rows) == 1
+
+    def test_values_match_evaluate(self, committed, pcs, claims):
+        _, _, state = committed
+        points, values = claims
+        (_,), (got,) = pcs.open_many_lanes(state, [points], [Transcript(b"k")])
+        assert got == values == [pcs.evaluate(state, pt) for pt in points]
+
+    def test_one_point_is_open(self, committed, pcs, claims):
+        _, _, state = committed
+        points, _ = claims
+        assert pcs.open(state, points[0], Transcript(b"k")) == pcs.open_many(
+            state, points[:1], Transcript(b"k")
+        )
+
+    def test_lanes_sharing_rows_differently_match_width_one(self, pcs, rng):
+        """Lane 1's two points share a row half (in a small field even a
+        random point can); lane 0's do not.  Each lane opens as alone."""
+        tables = [F.rand_vector(256, rng) for _ in range(2)]
+        _, state = pcs.commit_encoded_lanes(pcs.encode_rows_lanes(tables))
+        corner = [1, 1, 0, 0, 1, 0, 0, 0]
+        points = [[F.rand_vector(8, rng), corner], [[0, 0, 1, 0, 1, 0, 0, 0], corner]]
+        proofs, values = pcs.open_many_lanes(
+            state, points, [Transcript(b"l"), Transcript(b"l")]
+        )
+        assert [len(p.evaluation_rows) for p in proofs] == [2, 1]
+        for table, pts, proof, vals in zip(tables, points, proofs, values):
+            com, alone = pcs.commit(table)
+            assert pcs.open_many(alone, pts, Transcript(b"l")) == proof
+            assert vals == [pcs.evaluate(alone, pt) for pt in pts]
+            assert pcs.verify_many(com, pts, vals, proof, Transcript(b"l"))
+
+    def test_swapped_evaluation_rows_rejected(self, committed, pcs, claims):
+        """Point A's row offered for point B, and the proximity row offered
+        as an evaluation row."""
+        _, com, state = committed
+        points, values = claims
+        proof = pcs.open_many(state, points, Transcript(b"k"))
+        rows = list(proof.evaluation_rows)
+        rows[0], rows[1] = rows[1], rows[0]
+        swapped = dataclasses.replace(proof, evaluation_rows=rows)
+        prox = dataclasses.replace(
+            proof,
+            proximity_row=proof.evaluation_rows[0],
+            evaluation_rows=[proof.proximity_row] + list(proof.evaluation_rows[1:]),
+        )
+        for bad in (swapped, prox):
+            assert not pcs.verify_many(com, points, values, bad, Transcript(b"k"))
+
+    def test_point_count_mismatch_rejected(self, committed, pcs, claims):
+        _, com, state = committed
+        points, values = claims
+        proof = pcs.open_many(state, points, Transcript(b"k"))
+        for pts, vals in ((points[:-1], values[:-1]), (points, values[:-1]), ([], [])):
+            assert not pcs.verify_many(com, pts, vals, proof, Transcript(b"k"))
+
+    def test_smaller_than_k_openings(self, committed, pcs, claims):
+        _, _, state = committed
+        points, _ = claims
+        together = pcs.open_many(state, points, Transcript(b"k")).size_bytes(F)
+        apart = sum(
+            pcs.open(state, pt, Transcript(b"k")).size_bytes(F) for pt in points
+        )
+        assert together < apart / 2
+
 
 
 class TestParameterVariants:

@@ -74,6 +74,23 @@ class TestEstimate:
         assert est.total_bits == est.column_check_bits
         assert est.column_check_bits < 1
 
+    def test_k_points_cost_log2_k_column_check_bits(self):
+        """One opening's k claims share t columns: a union bound over the
+        points takes log2 k bits off the column-check term, and nothing
+        off the proximity combination's."""
+        pcs = BrakedownPCS(F, num_vars=10, seed=0, num_col_checks=120)
+        one = estimate(F, pcs.params, num_sumcheck_rounds=15)
+        for k in (2, 3, 4, 16):
+            many = estimate(F, pcs.params, num_sumcheck_rounds=15, num_points=k)
+            assert many.column_check_bits == pytest.approx(
+                one.column_check_bits - math.log2(k)
+            )
+            assert many.proximity_combination_bits == one.proximity_combination_bits
+            t = checks_for_security(40, 0.2, num_points=k)
+            assert -math.log2(column_check_error(t, 0.2, num_points=k)) >= 40
+            rec = recommended_parameters(F, target_bits=40, num_points=k)
+            assert rec["num_col_checks"] == t > checks_for_security(40, 0.2)
+
     def test_recommended_parameters(self):
         rec = recommended_parameters(F, target_bits=40)
         assert rec["num_col_checks"] == checks_for_security(40, 0.2)

@@ -81,15 +81,14 @@ class TestProofRoundtrip:
         assert (again.va, again.vb, again.vc, again.vz) == (
             proof.va, proof.vb, proof.vc, proof.vz,
         )
-        assert again.witness_opening == proof.witness_opening
-        assert again.public_bindings == proof.public_bindings
+        assert again.opening == proof.opening
 
     def test_blob_size_matches_accounting(self, setting):
-        """Serialized size is within overhead of the size estimate."""
+        """``size_bytes`` is the wire size; the components sum to it."""
         _, _, _, proof = setting
         blob = serialize_proof(proof, F)
-        estimate = proof.size_bytes(F)
-        assert estimate * 0.8 < len(blob) < estimate * 1.3
+        assert proof.size_bytes(F) == len(blob)
+        assert sum(proof.component_sizes(F).values()) == len(blob)
 
     def test_deterministic_encoding(self, setting):
         _, _, _, proof = setting

@@ -139,30 +139,34 @@ class TestSoundnessSmoke:
         bad = dataclasses.replace(proof, witness_sumcheck=bad_sc)
         assert not verifier.verify(bad, cc.public_values)
 
+    @staticmethod
+    def _with_rows(proof, rows):
+        opening = dataclasses.replace(proof.opening, evaluation_rows=rows)
+        return dataclasses.replace(proof, opening=opening)
+
     def test_tampered_witness_opening(self, setup):
+        """The evaluation row of the bound point r_y (the first row)."""
         cc, _, verifier, proof = setup
-        tampered = dataclasses.replace(
-            proof.witness_opening,
-            evaluation_row=[
-                (v + 1) % F.modulus for v in proof.witness_opening.evaluation_row
-            ],
-        )
-        bad = dataclasses.replace(proof, witness_opening=tampered)
-        assert not verifier.verify(bad, cc.public_values)
+        rows = list(proof.opening.evaluation_rows)
+        rows[0] = [(v + 1) % F.modulus for v in rows[0]]
+        assert not verifier.verify(self._with_rows(proof, rows), cc.public_values)
 
     def test_tampered_public_binding(self, setup):
+        """The row that binds the public outputs, one entry changed."""
         cc, _, verifier, proof = setup
-        binding = proof.public_bindings[-1]
-        bad_binding = dataclasses.replace(binding, value=(binding.value + 1) % F.modulus)
-        bad = dataclasses.replace(
-            proof, public_bindings=proof.public_bindings[:-1] + [bad_binding]
+        rows = [list(row) for row in proof.opening.evaluation_rows]
+        assert len(rows) >= 2
+        rows[-1][0] = (rows[-1][0] + 1) % F.modulus
+        assert not verifier.verify(self._with_rows(proof, rows), cc.public_values)
+        assert not verifier.verify(
+            proof, cc.public_values[:-1] + [(cc.public_values[-1] + 1) % F.modulus]
         )
-        assert not verifier.verify(bad, cc.public_values)
 
     def test_dropped_public_binding(self, setup):
+        """Without the public points' rows the opening cannot bind them."""
         cc, _, verifier, proof = setup
-        bad = dataclasses.replace(proof, public_bindings=proof.public_bindings[:-1])
-        assert not verifier.verify(bad, cc.public_values)
+        rows = proof.opening.evaluation_rows[:1]
+        assert not verifier.verify(self._with_rows(proof, rows), cc.public_values)
 
     def test_wrong_public_count(self, setup):
         cc, _, verifier, proof = setup
@@ -174,7 +178,8 @@ class TestProofObject:
         _, _, _, proof = setup
         assert proof.size_field_elements() > 0
         sizes = proof.component_sizes(F)
-        assert set(sizes) == {"merkle_root", "sumchecks", "pcs_openings"}
+        assert set(sizes) == {"header", "merkle_root", "sumchecks", "pcs_openings"}
+        assert sizes["pcs_openings"] == proof.opening.size_bytes(F)
         assert sizes["merkle_root"] == 32
         total = proof.size_bytes(F)
         assert total == sum(sizes.values())

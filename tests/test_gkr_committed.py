@@ -100,7 +100,9 @@ class TestSoundness:
         opening = proof.v_u_opening
         bad_opening = dataclasses.replace(
             opening,
-            evaluation_row=[(v + 1) % F.modulus for v in opening.evaluation_row],
+            evaluation_rows=[
+                [(v + 1) % F.modulus for v in row] for row in opening.evaluation_rows
+            ],
         )
         bad = dataclasses.replace(proof, v_u_opening=bad_opening)
         assert not verifier.verify(bad)

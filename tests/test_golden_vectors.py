@@ -101,7 +101,7 @@ def test_other_versions_fail_typed(vector):
     assert blob.startswith(_header(VERSION))
     current = _bundle(_header(VERSION), blob)
     assert len(deserialize_proof_bundle(current, F, params)) == 1
-    for version in (1, VERSION + 1):
+    for version in sorted(set(range(1, VERSION + 2)) - {VERSION}):
         stale = _header(version) + blob[8:]
         for data, decode in (
             (stale, deserialize_proof),

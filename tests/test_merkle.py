@@ -13,7 +13,6 @@ from repro.merkle import (
     BLOCK_SIZE,
     MerklePath,
     MerkleTree,
-    compute_roots,
     iter_layer_sizes,
     merkle_root_streaming,
     roots_over_roots,
@@ -142,58 +141,6 @@ class TestOpenings:
     def test_property_open_verify(self, idx):
         tree = MerkleTree.from_blocks(blocks(16), HASHER)
         assert tree.open(idx).verify(tree.root, HASHER)
-
-
-class TestComputeRoots:
-    """The level-by-level batched fold equals ``compute_root`` per path."""
-
-    @pytest.mark.parametrize("hasher_name", ["sha256", "sha256-hw"])
-    @pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
-    def test_matches_per_path_roots(self, n, hasher_name):
-        hasher = get_hasher(hasher_name)
-        tree = MerkleTree.from_blocks(blocks(n), hasher)
-        indices = sorted({0, n // 2, n - 1, tree.padded_leaves - 1})
-        paths = tree.open_many(indices)
-        roots = compute_roots(paths, hasher)
-        assert roots == [p.compute_root(hasher) for p in paths]
-        assert roots == [tree.root] * len(paths)
-
-    def test_single_path_and_no_paths(self):
-        tree = MerkleTree.from_blocks(blocks(8), HASHER)
-        assert compute_roots([tree.open(5)], HASHER) == [tree.root]
-        assert compute_roots([], HASHER) == []
-
-    def test_left_right_order_follows_the_index_bits(self):
-        """Every index of a tree: a swapped child order at any level of
-        any path would change that path's root."""
-        tree = MerkleTree.from_blocks(blocks(16), HASHER)
-        paths = tree.open_many(range(16))
-        assert compute_roots(paths, HASHER) == [tree.root] * 16
-        moved = [
-            MerklePath(index=p.index ^ 1, leaf=p.leaf, siblings=p.siblings)
-            for p in paths
-        ]
-        assert all(r != tree.root for r in compute_roots(moved, HASHER))
-
-    def test_a_tampered_path_changes_only_its_own_root(self):
-        tree = MerkleTree.from_blocks(blocks(16), HASHER)
-        paths = tree.open_many([1, 6, 11])
-        for level in range(tree.depth):
-            sib = list(paths[1].siblings)
-            sib[level] = b"\x13" * 32
-            bad = MerklePath(index=6, leaf=paths[1].leaf, siblings=sib)
-            roots = compute_roots([paths[0], bad, paths[2]], HASHER)
-            assert roots[0] == roots[2] == tree.root and roots[1] != tree.root
-            assert roots[1] == bad.compute_root(HASHER)
-        bad_leaf = MerklePath(index=6, leaf=b"\x13" * 32, siblings=paths[1].siblings)
-        roots = compute_roots([paths[0], bad_leaf, paths[2]], HASHER)
-        assert roots[0] == roots[2] == tree.root and roots[1] != tree.root
-
-    def test_ragged_depths_raise(self):
-        deep = MerkleTree.from_blocks(blocks(16), HASHER).open(3)
-        shallow = MerkleTree.from_blocks(blocks(8), HASHER).open(3)
-        with pytest.raises(MerkleError):
-            compute_roots([deep, shallow], HASHER)
 
 
 class TestPathSerialization:

@@ -113,12 +113,14 @@ class TestVerifierStructuralChecks:
         assert not verifier.verify(bad, cc.public_values)
 
     def test_reordered_public_bindings(self, setting):
+        """The evaluation rows that bind r_y and the public points, in
+        reverse order."""
         cc, verifier, proof = setting
-        if len(proof.public_bindings) >= 2:
-            bad = dataclasses.replace(
-                proof, public_bindings=list(reversed(proof.public_bindings))
-            )
-            assert not verifier.verify(bad, cc.public_values)
+        rows = proof.opening.evaluation_rows
+        assert len(rows) >= 2
+        opening = dataclasses.replace(proof.opening, evaluation_rows=rows[::-1])
+        bad = dataclasses.replace(proof, opening=opening)
+        assert not verifier.verify(bad, cc.public_values)
 
     def test_prover_rejects_bad_pcs_shape(self):
         cc = random_circuit(F, 24, seed=92)
