@@ -108,6 +108,7 @@ def _print_breakdown() -> None:
 def _run_prove(args) -> int:
     """Generate a real proof batch on an execution backend and report."""
     from .core import ProofTask, SnarkProver, make_pcs, random_circuit
+    from .errors import ExecutionError
     from .execution import resolve_backend
     from .field import DEFAULT_FIELD
     from .resilience import (
@@ -119,6 +120,8 @@ def _run_prove(args) -> int:
     )
     from .runtime import JsonlTraceSink, ProverSpec
 
+    if args.tasks < 1:
+        raise ExecutionError(f"--tasks must be at least 1, got {args.tasks}")
     cc = random_circuit(DEFAULT_FIELD, args.gates, seed=1)
     pcs = make_pcs(DEFAULT_FIELD, cc.r1cs, num_col_checks=8)
     prover = SnarkProver(cc.r1cs, pcs, public_indices=cc.public_indices)
@@ -196,6 +199,7 @@ def _run_prove(args) -> int:
 def _run_serve(args) -> int:
     """Replay a synthetic arrival trace through the streaming service."""
     from .core import ProofTask, SnarkProver, make_pcs, random_circuit
+    from .errors import ServiceError
     from .field import DEFAULT_FIELD
     from .runtime import JsonlTraceSink, ProverSpec
     from .service import (
@@ -209,6 +213,8 @@ def _run_serve(args) -> int:
         task_witness_key,
     )
 
+    if args.requests < 1:
+        raise ServiceError(f"--requests must be at least 1, got {args.requests}")
     # Two circuit scales so the batcher's circuit-key grouping is live.
     specs, keys, circuits = [], [], []
     for i, gates in enumerate(dict.fromkeys([args.gates, args.gates * 2])):

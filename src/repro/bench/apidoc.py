@@ -21,7 +21,6 @@ SUBPACKAGES = [
     "repro.encoder",
     "repro.commitment",
     "repro.core",
-    "repro.gkr",
     "repro.gpu",
     "repro.pipeline",
     "repro.runtime",
@@ -31,7 +30,6 @@ SUBPACKAGES = [
     "repro.service",
     "repro.baselines",
     "repro.zkml",
-    "repro.apps",
     "repro.bench",
     "repro.experiments",
 ]

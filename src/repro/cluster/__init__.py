@@ -25,7 +25,7 @@ Proof bytes are invariant across all of it: a cluster proof is
 byte-identical to a serial one, including after mid-batch node deaths.
 """
 
-from .autoscale import Autoscaler, LoadModel, NodePool, drain_address, probe_node
+from .autoscale import Autoscaler, LoadModel, NodePool, drain_address
 from .coordinator import ClusterBackend
 from .hedging import LatencyTracker, TokenBucket
 from .node import NodeServer
@@ -108,5 +108,4 @@ __all__ = [
     "TokenBucket",
     "drain_address",
     "key_point",
-    "probe_node",
 ]

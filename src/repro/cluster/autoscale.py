@@ -34,7 +34,6 @@ from typing import Callable, List, Mapping, Optional, Sequence
 from ..errors import ClusterError
 from ..gpu.costs import proof_cost_seconds, target_node_count
 from ..runtime.trace import JsonlTraceSink, SpanContext
-from . import protocol
 from .remote import RemoteBackend
 
 
@@ -492,19 +491,3 @@ def drain_address(address: str, timeout: float = 10.0) -> dict:
         return client.drain(timeout)
     finally:
         client.close()
-
-
-def probe_node(address: str, timeout: float = 5.0) -> dict:
-    """One-shot liveness + stats probe of ``host:port`` (CLI helper)."""
-    host, port = address.rsplit(":", 1)
-    client = RemoteBackend(
-        host, int(port), connect_timeout=timeout, io_timeout=timeout
-    )
-    try:
-        rtt = client.ping()
-        stats = client.fetch_stats()
-    finally:
-        client.close()
-    stats["ping_seconds"] = rtt
-    stats["protocol_version"] = protocol.PROTOCOL_VERSION
-    return stats

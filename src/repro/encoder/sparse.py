@@ -8,7 +8,7 @@ view that the encoding actually uses — a vector-matrix product
 ``y = x · A`` where ``x`` indexes the *left* vertices.
 
 Representation is row-major COO grouped by row (one adjacency list per
-left vertex), plus flat numpy index arrays for the vectorised Mersenne-31
+left vertex), plus the flat edge arrays of the vectorised Mersenne-61
 fast path.  Row lengths are bounded (< 256 non-zeros, §3.3) so they fit a
 byte — the property the paper's bucket-sorted warp scheduling relies on.
 """
@@ -21,10 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import EncodingError
-from ..field.fast31 import f31_mul
 from ..field.fast61 import F61SpMV, as_f61
 from ..field.prime_field import PrimeField
-from ..field.primes import MERSENNE31
 from ..kernels import field_kernels as _kernels
 
 MAX_ROW_WEIGHT = 255  # rows must fit a single byte of length (§3.3)
@@ -36,7 +34,7 @@ class SparseMatrix:
     ``rows[i]`` lists the ``(column, weight)`` pairs of left vertex ``i``.
     """
 
-    __slots__ = ("field", "n_in", "n_out", "rows", "_coo", "_f61")
+    __slots__ = ("field", "n_in", "n_out", "rows", "_f61")
 
     def __init__(
         self,
@@ -61,7 +59,6 @@ class SparseMatrix:
         self.n_in = n_in
         self.n_out = n_out
         self.rows = rows
-        self._coo: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._f61: Optional[F61SpMV] = None
 
     # -- construction -------------------------------------------------------
@@ -141,40 +138,6 @@ class SparseMatrix:
                     wval.append(w)
             self._f61 = F61SpMV(src, dst, wval, self.n_in, self.n_out)
         return self._f61
-
-    def _ensure_coo(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._coo is None:
-            ridx: List[int] = []
-            cidx: List[int] = []
-            wval: List[int] = []
-            for i, row in enumerate(self.rows):
-                for j, w in row:
-                    ridx.append(i)
-                    cidx.append(j)
-                    wval.append(w)
-            self._coo = (
-                np.asarray(ridx, dtype=np.int64),
-                np.asarray(cidx, dtype=np.int64),
-                np.asarray(wval, dtype=np.uint64),
-            )
-        return self._coo
-
-    def apply_f31(self, x: np.ndarray) -> np.ndarray:
-        """Vectorised ``y = x · A`` for the Mersenne-31 field.
-
-        Per-edge products are < p² < 2^62; scatter-adds accumulate at most
-        column-degree many < 2^31 terms, comfortably inside ``uint64``
-        before the final reduction.
-        """
-        if self.field.modulus != MERSENNE31:
-            raise EncodingError("apply_f31 requires the Mersenne-31 field")
-        if x.shape != (self.n_in,):
-            raise EncodingError(f"input shape {x.shape} != ({self.n_in},)")
-        ridx, cidx, wval = self._ensure_coo()
-        contrib = f31_mul(x[ridx], wval)
-        y = np.zeros(self.n_out, dtype=np.uint64)
-        np.add.at(y, cidx, contrib)
-        return y % np.uint64(MERSENNE31)
 
     # -- statistics -----------------------------------------------------------
 

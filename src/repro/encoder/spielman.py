@@ -33,7 +33,6 @@ import numpy as np
 from ..errors import EncodingError
 from ..field.fast61 import to_f61, to_ints
 from ..field.prime_field import PrimeField
-from ..field.primes import MERSENNE31
 from ..kernels.field_kernels import vectorised
 from .sparse import SparseMatrix
 
@@ -288,26 +287,6 @@ class SpielmanEncoder:
         for stage in reversed(self.stages):
             parity = stage.matrix_b._ensure_f61().apply_batch(z)
             z = np.concatenate([forward[stage.index], z, parity], axis=1)
-        return z
-
-    # -- vectorised Mersenne-31 path ---------------------------------------------------
-
-    def encode_f31(self, message: np.ndarray) -> np.ndarray:
-        """Two-pass encoding on numpy arrays (Mersenne-31 field only)."""
-        if self.field.modulus != MERSENNE31:
-            raise EncodingError("encode_f31 requires the Mersenne-31 field")
-        if message.shape != (self.message_length,):
-            raise EncodingError(
-                f"message shape {message.shape} != ({self.message_length},)"
-            )
-        forward = [message.astype(np.uint64) % np.uint64(MERSENNE31)]
-        for stage in self.stages:
-            forward.append(stage.matrix_a.apply_f31(forward[-1]))
-        base_in = [int(v) for v in forward[-1]]
-        z = np.asarray(self._encode_base(base_in), dtype=np.uint64)
-        for stage in reversed(self.stages):
-            parity = stage.matrix_b.apply_f31(z)
-            z = np.concatenate([forward[stage.index], z, parity])
         return z
 
     # -- codeword checking -------------------------------------------------------------

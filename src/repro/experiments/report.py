@@ -423,8 +423,8 @@ table's calibration.
 
 Every PCS opening covers all points of its commitment and authenticates
 its columns with one shared Merkle multiproof (DESIGN decision 25); that
-it is strictly smaller than per-column paths, and than one opening per
-point, is checked by `tests/test_commitment_compressed.py` and
+it is strictly smaller than per-column paths is checked by
+`tests/test_merkle_multiproof.py`, and than one opening per point by
 `tests/test_commitment.py::TestOpenMany`.
 
 ### Future work implemented (§6.2's closing direction)

@@ -5,24 +5,11 @@ Public surface:
 * :class:`PrimeField` / :class:`FieldElement` — arbitrary-prime arithmetic.
 * :data:`DEFAULT_FIELD` — Mersenne-61, the library default.
 * Named primes in :mod:`repro.field.primes`.
-* Mersenne-31 numpy fast path in :mod:`repro.field.fast31`.
+* Mersenne-61 numpy fast path in :mod:`repro.field.fast61`.
 * :class:`Polynomial`, Lagrange interpolation helpers.
-* :class:`MultilinearPolynomial`, ``eq`` tables, tensor points.
+* :class:`MultilinearPolynomial` and ``eq`` tables.
 """
 
-from .fast31 import (
-    F31Vector,
-    as_f31,
-    f31_add,
-    f31_dot,
-    f31_inv,
-    f31_mul,
-    f31_neg,
-    f31_random,
-    f31_scale,
-    f31_sub,
-    f31_sum,
-)
 from .lagrange import (
     barycentric_weights,
     evaluate_from_points,
@@ -30,7 +17,7 @@ from .lagrange import (
     lagrange_interpolate,
     vanishing_polynomial,
 )
-from .multilinear import MultilinearPolynomial, eq_eval, eq_table, tensor_point
+from .multilinear import MultilinearPolynomial, eq_eval, eq_table
 from .polynomial import Polynomial
 from .prime_field import DEFAULT_FIELD, FieldElement, PrimeField
 from .primes import (
@@ -51,23 +38,11 @@ __all__ = [
     "MultilinearPolynomial",
     "eq_table",
     "eq_eval",
-    "tensor_point",
     "lagrange_interpolate",
     "evaluate_from_points",
     "interpolate_on_range",
     "vanishing_polynomial",
     "barycentric_weights",
-    "F31Vector",
-    "as_f31",
-    "f31_add",
-    "f31_sub",
-    "f31_mul",
-    "f31_neg",
-    "f31_scale",
-    "f31_dot",
-    "f31_sum",
-    "f31_inv",
-    "f31_random",
     "MERSENNE31",
     "MERSENNE61",
     "GOLDILOCKS",

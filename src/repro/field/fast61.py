@@ -1,8 +1,7 @@
 """Vectorised arithmetic over the Mersenne-61 field (p = 2^61 − 1).
 
-The numpy fast path for the library's *default* field, mirroring
-:mod:`repro.field.fast31`.  Unlike Mersenne-31, products of two 61-bit
-residues span 122 bits and do not fit a ``uint64``, so multiplication
+The numpy fast path for the library's *default* field.  Products of two
+61-bit residues span 122 bits and do not fit a ``uint64``, so multiplication
 splits each operand into 32-bit limbs and recombines the three partial
 products using ``2^61 ≡ 1 (mod p)``:
 

@@ -217,13 +217,3 @@ def eq_eval(field: PrimeField, xs: Sequence[int], ys: Sequence[int]) -> int:
         term = (x * y + (1 - x) * (1 - y)) % p
         acc = (acc * term) % p
     return acc
-
-
-def tensor_point(field: PrimeField, point: Sequence[int]) -> List[int]:
-    """Alias of :func:`eq_table`: the Lagrange-basis tensor ⨂(1−r_i, r_i).
-
-    The Brakedown commitment evaluates a multilinear polynomial at ``z`` by
-    splitting ``z`` into row/column halves and taking tensor products; both
-    halves are exactly ``eq`` tables.
-    """
-    return eq_table(field, point)

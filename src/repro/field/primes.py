@@ -4,8 +4,8 @@ The paper's protocols are field-agnostic ("finite field elements, which can
 be treated as large integers whose bit-width typically ranges from 256 to
 768", §3.3).  We expose several well-known primes:
 
-* ``MERSENNE31``  — 2^31 − 1.  Fits numpy ``uint64`` products; used by the
-  vectorised fast path (:mod:`repro.field.fast31`).
+* ``MERSENNE31``  — 2^31 − 1.  A small field for cross-field parity
+  tests; it runs the generic Python-int path.
 * ``MERSENNE61``  — 2^61 − 1.  The library default: fast Python-int
   arithmetic with a comfortable size for Fiat–Shamir challenges.
 * ``GOLDILOCKS``  — 2^64 − 2^32 + 1, popular in modern proof systems.

@@ -13,14 +13,12 @@ from .costs import (
     BELLPERSON_NTT,
     BELLPERSON_TOTAL,
     CpuCostModel,
-    DEFAULT_CPU_COSTS,
     DEFAULT_GPU_COSTS,
     GpuCostModel,
     LIBSNARK_MSM,
     LIBSNARK_NTT,
     LIBSNARK_TOTAL,
     VendorLinearModel,
-    cpu_costs_from_stages,
     stage_cost_fractions,
 )
 from .device import CPU_C5A_8XLARGE, GPU_CATALOG, CpuSpec, GpuSpec, get_gpu
@@ -51,7 +49,6 @@ __all__ = [
     "GpuCostModel",
     "CpuCostModel",
     "DEFAULT_GPU_COSTS",
-    "DEFAULT_CPU_COSTS",
     "VendorLinearModel",
     "LIBSNARK_TOTAL",
     "LIBSNARK_MSM",
@@ -60,7 +57,6 @@ __all__ = [
     "BELLPERSON_MSM",
     "BELLPERSON_NTT",
     "BELLPERSON_MEMORY_GB",
-    "cpu_costs_from_stages",
     "stage_cost_fractions",
     "KernelStage",
     "ModuleGraph",

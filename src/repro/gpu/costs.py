@@ -121,7 +121,6 @@ BELLPERSON_MEMORY_GB: Dict[int, float] = {
 }
 
 DEFAULT_GPU_COSTS = GpuCostModel()
-DEFAULT_CPU_COSTS = CpuCostModel()
 
 
 # -- calibration from measured stage profiles ---------------------------------
@@ -211,42 +210,3 @@ def target_node_count(
     capacity_per_node = node_parallelism * headroom
     needed = math.ceil(demand / capacity_per_node) if demand > 0 else 0
     return max(min_nodes, min(max_nodes, needed))
-
-
-def cpu_costs_from_stages(
-    stage_seconds: Mapping[str, float],
-    *,
-    hashes: int,
-    sumcheck_entries: int,
-    encoder_macs: int,
-) -> CpuCostModel:
-    """A :class:`CpuCostModel` calibrated from measured stage wall time.
-
-    The functional prover *is* a CPU implementation, so its measured
-    per-stage seconds (a :class:`~repro.kernels.profile.StageProfile`, or
-    a ``stage_timing`` trace event's ``stages`` payload) divided by the
-    proof's work-unit counts give real per-unit rates the simulator can
-    run with.  Work units follow the module docstring's accounting: total
-    Merkle compressions (≈2·leaves), sum-check table-entry updates, and
-    encoder sparse multiply-adds.  Zero measured time for a stage keeps
-    the default constant (so partial profiles calibrate partially).
-    """
-    if min(hashes, sumcheck_entries, encoder_macs) <= 0:
-        raise ValueError("work-unit counts must be positive")
-    merkle = stage_seconds.get("merkle", 0.0)
-    sumcheck = stage_seconds.get("sumcheck1", 0.0) + stage_seconds.get(
-        "sumcheck2", 0.0
-    )
-    encode = stage_seconds.get("encode", 0.0)
-    base = DEFAULT_CPU_COSTS
-    return CpuCostModel(
-        hash_seconds=merkle / hashes if merkle > 0 else base.hash_seconds,
-        sumcheck_entry_seconds=(
-            sumcheck / sumcheck_entries
-            if sumcheck > 0
-            else base.sumcheck_entry_seconds
-        ),
-        encoder_mac_seconds=(
-            encode / encoder_macs if encode > 0 else base.encoder_mac_seconds
-        ),
-    )

@@ -9,30 +9,10 @@
 """
 
 from .hashers import DIGEST_SIZE, Hasher, available_hashers, get_hasher
-from .mimc import (
-    MimcPermutation,
-    MimcSponge,
-    default_rounds,
-    derive_round_constants,
-    mimc_circuit_encrypt,
-    mimc_gate_count,
-    mimc_merkle_root,
-    power_is_permutation,
-    select_alpha,
-)
 from .sha256 import SHA256_ROUNDS, Sha256, sha256
 from .transcript import Transcript
 
 __all__ = [
-    "MimcPermutation",
-    "MimcSponge",
-    "power_is_permutation",
-    "select_alpha",
-    "default_rounds",
-    "derive_round_constants",
-    "mimc_circuit_encrypt",
-    "mimc_gate_count",
-    "mimc_merkle_root",
     "Sha256",
     "sha256",
     "SHA256_ROUNDS",

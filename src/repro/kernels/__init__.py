@@ -21,7 +21,7 @@ costs; this package is the functional prover's analogue.  Three pieces:
   ``stage_timing`` trace events and the GPU cost model.
 """
 
-from .dispatch import kernels_enabled, set_kernels_enabled, use_reference_kernels
+from .dispatch import kernels_enabled, use_reference_kernels
 from .field_kernels import (
     combine_rows,
     constraint_claimed_sum,
@@ -59,7 +59,6 @@ from .spec_cache import (
 __all__ = [
     # dispatch
     "kernels_enabled",
-    "set_kernels_enabled",
     "use_reference_kernels",
     # field kernels
     "fold_table",

@@ -34,12 +34,6 @@ def kernels_enabled() -> bool:
     return _ENABLED
 
 
-def set_kernels_enabled(enabled: bool) -> None:
-    """Globally enable or disable the fast kernels (see module doc)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
 @contextmanager
 def use_reference_kernels() -> Iterator[None]:
     """Run the enclosed block on the naive reference implementations.

@@ -27,7 +27,6 @@ from .stages import (
     FIELD_BYTES,
     encoder_graph,
     encoder_stage_sizes,
-    gkr_graph,
     merkle_graph,
     sumcheck_graph,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "sumcheck_graph",
     "encoder_graph",
     "encoder_stage_sizes",
-    "gkr_graph",
     "BLOCK_BYTES",
     "DIGEST_BYTES",
     "FIELD_BYTES",

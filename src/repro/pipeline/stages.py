@@ -163,54 +163,6 @@ def encoder_stage_sizes(
     return out
 
 
-def gkr_graph(
-    circuit,
-    costs: Optional[GpuCostModel] = None,
-    max_stages_per_layer: Optional[int] = None,
-    name: str = "gkr",
-) -> ModuleGraph:
-    """Stage graph for a GKR proof of a :class:`~repro.gkr.LayeredCircuit`.
-
-    Each circuit layer contributes two sum-check phases (the Libra
-    two-phase prover); phase rounds map to pipeline stages exactly like
-    the standalone sum-check module (§3.2), with per-round work equal to
-    the live table size, plus an O(#gates) table-build stage per phase.
-    This connects the GKR extension (DESIGN.md S13) to the pipeline
-    scheduler (S9): a batch of GKR proofs streams through per-round
-    kernels the same way the paper's sum-check module does.
-    """
-    costs = costs or GpuCostModel()
-    stages: List[KernelStage] = []
-    for i, gates in enumerate(circuit.layers):
-        k_next = circuit.layer_vars(i + 1)
-        table = 1 << k_next
-        for phase in (1, 2):
-            stages.append(
-                KernelStage(
-                    name=f"{name}/L{i}/p{phase}/build",
-                    work_units=len(gates),
-                    cycles_per_unit=costs.sumcheck_entry_cycles,
-                    memory_bytes=FIELD_BYTES * 3 * table,
-                    unit="entry",
-                )
-            )
-            layer_stages: List[KernelStage] = []
-            for r in range(k_next):
-                layer_stages.append(
-                    KernelStage(
-                        name=f"{name}/L{i}/p{phase}/round{r}",
-                        # Three tables (V, P1, P2) are touched per round.
-                        work_units=3 * max(1, table >> r),
-                        cycles_per_unit=costs.sumcheck_entry_cycles,
-                        bytes_out=3 * FIELD_BYTES,
-                        memory_bytes=FIELD_BYTES * 3 * max(1, table >> r),
-                        unit="entry",
-                    )
-                )
-            stages.extend(_merge_tail(layer_stages, max_stages_per_layer))
-    return ModuleGraph(name=name, stages=stages)
-
-
 def encoder_graph(
     message_length: int,
     costs: Optional[GpuCostModel] = None,

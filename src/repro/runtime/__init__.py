@@ -25,7 +25,7 @@ mode.
 
 from .pool import ParallelProvingRuntime
 from .spec import ProverSpec
-from .stats import RuntimeStats, TaskRecord, merge_runtime_stats, percentile
+from .stats import RuntimeStats, TaskRecord, merge_runtime_stats
 from .trace import (
     JsonlTraceSink,
     SpanContext,
@@ -43,7 +43,6 @@ __all__ = [
     "ambient_span",
     "merge_runtime_stats",
     "new_span_id",
-    "percentile",
     "use_span",
     "JsonlTraceSink",
 ]

@@ -14,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional
 
-# Shared percentile implementation; re-exported here so existing
-# ``from repro.runtime.stats import percentile`` imports keep working.
 from ..stats import percentile
 
-__all__ = ["RuntimeStats", "TaskRecord", "merge_runtime_stats", "percentile"]
+__all__ = ["RuntimeStats", "TaskRecord", "merge_runtime_stats"]
 
 
 @dataclass(frozen=True)

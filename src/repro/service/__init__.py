@@ -36,7 +36,6 @@ machinery is fast at.  This package is that layer:
 """
 
 from .backends import (
-    ProofBackend,
     RuntimeProofBackend,
     spec_key,
     task_witness_key,
@@ -122,7 +121,6 @@ __all__ = [
     "FleetActuator",
     "FleetSupervisor",
     "Priority",
-    "ProofBackend",
     "ProofRequest",
     "ProofService",
     "ResultCache",

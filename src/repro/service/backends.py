@@ -21,7 +21,7 @@ from submission to proof.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, List, Mapping, Optional, Protocol, Sequence, Union
+from typing import Any, List, Mapping, Optional, Sequence, Union
 
 from ..core.batch import ProofTask
 from ..core.verifier import SnarkVerifier
@@ -29,16 +29,6 @@ from ..errors import ServiceError
 from ..execution import ProvingBackend, resolve_backend
 from ..runtime import ProverSpec, RuntimeStats
 from .request import ProofRequest
-
-
-class ProofBackend(Protocol):
-    """Structural interface every service backend satisfies."""
-
-    def prove_batch(
-        self, circuit_key: bytes, requests: Sequence[ProofRequest]
-    ) -> List[Any]:
-        """Prove one uniform batch; one result per request, in order."""
-        ...  # pragma: no cover - protocol stub
 
 
 class RuntimeProofBackend:

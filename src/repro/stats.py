@@ -4,8 +4,7 @@
 :mod:`repro.service.stats` (service-level request reports), and the
 benchmarks all summarize latency distributions the same way; the shared
 implementation lives here so every layer's percentiles agree to the
-bit.  :mod:`repro.runtime.stats` re-exports :func:`percentile` for
-backward compatibility.
+bit.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from .prover import (
     evaluation_point,
     hypercube_sum,
     prove_multilinear,
-    table_of,
 )
 from .verifier import (
     RoundCheckFailure,
@@ -39,7 +38,6 @@ __all__ = [
     "ProductSumcheckProver",
     "evaluation_point",
     "hypercube_sum",
-    "table_of",
     "verify_multilinear",
     "verify_multilinear_rounds",
     "verify_product",

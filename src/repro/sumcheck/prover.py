@@ -24,7 +24,6 @@ from typing import List, Sequence, Tuple
 
 from ..errors import SumcheckError
 from ..field.fast61 import to_ints
-from ..field.multilinear import MultilinearPolynomial
 from ..field.prime_field import PrimeField
 from ..kernels import field_kernels as _kernels
 
@@ -247,8 +246,3 @@ def evaluation_point(randoms: Sequence[int]) -> List[int]:
 def hypercube_sum(field: PrimeField, table: Sequence[int]) -> int:
     """The value ``H`` that a sum-check proof attests to."""
     return sum(to_ints(table)) % field.modulus
-
-
-def table_of(poly: MultilinearPolynomial) -> List[int]:
-    """Extract a defensive copy of a multilinear polynomial's table."""
-    return list(poly.evals)

@@ -131,6 +131,10 @@ class TestCli:
         (["serve", "--gates", "1"], "error: need at least two gates"),
         (["node", "--listen", "127.0.0.1:99999"],
          "error: --listen wants HOST:PORT"),
+        (["prove", "--tasks", "0"], "error: --tasks must be at least 1"),
+        (["prove", "--tasks", "-1"], "error: --tasks must be at least 1"),
+        (["serve", "--requests", "0"], "error: --requests must be at least 1"),
+        (["serve", "--requests", "-2"], "error: --requests must be at least 1"),
     ])
     def test_bad_input_fails_typed(self, capsys, argv, error):
         assert cli_main(argv) == 1

@@ -5,9 +5,18 @@ import dataclasses
 import pytest
 
 from repro.commitment import BrakedownPCS, split_num_vars
+from repro.core import (
+    SnarkProver,
+    SnarkVerifier,
+    deserialize_proof,
+    make_pcs,
+    random_circuit,
+    serialize_proof,
+)
 from repro.errors import CommitmentError
 from repro.field import DEFAULT_FIELD, MultilinearPolynomial
 from repro.hashing import Transcript
+from repro.merkle import MerkleTree
 
 F = DEFAULT_FIELD
 
@@ -374,6 +383,84 @@ class TestOpenMany:
             pcs.open(state, pt, Transcript(b"k")).size_bytes(F) for pt in points
         )
         assert together < apart / 2
+
+    def _opened(self, committed, pcs, claims):
+        """An honest k-point opening, checked to verify."""
+        _, com, state = committed
+        points, values = claims
+        proof = pcs.open_many(state, points, Transcript(b"k"))
+        assert pcs.verify_many(com, points, values, proof, Transcript(b"k"))
+        return com, points, values, proof
+
+    def test_same_commitment_root(self, committed, pcs):
+        """The commitment is the plain column tree: openings add nothing
+        to it."""
+        _, com, state = committed
+        columns = [list(col) for col in zip(*state.encoded)]
+        assert com.root == MerkleTree.from_field_vectors(F, columns, pcs.hasher).root
+
+    def test_wrong_value_rejected(self, committed, pcs, claims):
+        """A wrong value at any one of the k points fails the opening."""
+        com, points, values, proof = self._opened(committed, pcs, claims)
+        for k in range(len(points)):
+            bad = list(values)
+            bad[k] = (bad[k] + 1) % F.modulus
+            assert not pcs.verify_many(com, points, bad, proof, Transcript(b"k"))
+
+    def test_tampered_column_rejected(self, committed, pcs, claims):
+        com, points, values, proof = self._opened(committed, pcs, claims)
+        bad_col = [(v + 1) % F.modulus for v in proof.columns[0]]
+        bad = dataclasses.replace(proof, columns=[bad_col] + list(proof.columns[1:]))
+        assert not pcs.verify_many(com, points, values, bad, Transcript(b"k"))
+
+    def test_missing_multiproof_rejected(self, committed, pcs, claims):
+        """Dropping any one node, or all of them, breaks the fold."""
+        com, points, values, proof = self._opened(committed, pcs, claims)
+        for drop in range(len(proof.nodes)):
+            nodes = proof.nodes[:drop] + proof.nodes[drop + 1:]
+            bad = dataclasses.replace(proof, nodes=nodes)
+            assert not pcs.verify_many(com, points, values, bad, Transcript(b"k"))
+        bad = dataclasses.replace(proof, nodes=[])
+        assert not pcs.verify_many(com, points, values, bad, Transcript(b"k"))
+
+    def test_other_column_check_count_raises(self, committed, pcs, claims):
+        """A verifier with another column-check count must refuse the
+        opening: the parameters are part of the public setup."""
+        com, points, values, proof = self._opened(committed, pcs, claims)
+        other = BrakedownPCS(F, num_vars=8, seed=2, num_col_checks=8)
+        with pytest.raises(CommitmentError):
+            other.verify_many(com, points, values, proof, Transcript(b"k"))
+
+    @pytest.fixture(scope="class")
+    def snark(self):
+        cc = random_circuit(F, 48, seed=71)
+        pcs = make_pcs(F, cc.r1cs, num_col_checks=8)
+        prover = SnarkProver(cc.r1cs, pcs, public_indices=cc.public_indices)
+        verifier = SnarkVerifier(cc.r1cs, pcs, public_indices=cc.public_indices)
+        proof = prover.prove(cc.witness, cc.public_values)
+        return cc, pcs, verifier, proof
+
+    def test_snark_end_to_end(self, snark):
+        cc, _, verifier, proof = snark
+        assert verifier.verify(proof, cc.public_values)
+
+    def test_snark_smaller_than_per_point_openings(self, snark):
+        """A SNARK proof's one opening, against what per-point openings
+        with per-column paths would cost: at least ``k`` proximity rows
+        and ``k`` sets of column paths."""
+        cc, pcs, _, proof = snark
+        k = 2 + len(cc.public_indices)
+        opening = proof.opening
+        column_paths = len(opening.columns) * (8 + 32 * (1 + pcs.params.merkle_depth))
+        per_point = k * (F.byte_length * len(opening.proximity_row) + column_paths)
+        assert opening.size_bytes(F) < per_point
+
+    def test_snark_serialization_roundtrip(self, snark):
+        cc, pcs, verifier, proof = snark
+        blob = serialize_proof(proof, F)
+        again = deserialize_proof(blob, F, pcs.params)
+        assert again.opening.nodes == proof.opening.nodes
+        assert verifier.verify(again, cc.public_values)
 
 
 

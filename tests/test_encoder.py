@@ -2,14 +2,12 @@
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EncodingError
-from repro.field import DEFAULT_FIELD, PrimeField
-from repro.field.primes import MERSENNE31
+from repro.field import DEFAULT_FIELD
 from repro.encoder import (
     EncoderParams,
     MAX_ROW_WEIGHT,
@@ -23,7 +21,6 @@ from repro.encoder import (
 )
 
 F = DEFAULT_FIELD
-F31 = PrimeField(MERSENNE31, name="M31", check=False)
 
 
 class TestSparseMatrix:
@@ -71,18 +68,6 @@ class TestSparseMatrix:
     def test_rejects_bad_column(self):
         with pytest.raises(EncodingError):
             SparseMatrix(F, 1, 2, [[(5, 1)]])
-
-    def test_apply_f31_matches_python(self, rng):
-        m = SparseMatrix.random_expander(F31, 64, 40, 6, rng)
-        x = np.random.default_rng(0).integers(0, MERSENNE31, 64, dtype=np.uint64)
-        got = m.apply_f31(x)
-        want = m.apply([int(v) for v in x])
-        assert [int(v) for v in got] == want
-
-    def test_apply_f31_wrong_field(self, rng):
-        m = SparseMatrix.random_expander(F, 4, 4, 2, rng)
-        with pytest.raises(EncodingError):
-            m.apply_f31(np.zeros(4, dtype=np.uint64))
 
     def test_statistics(self, rng):
         m = SparseMatrix.random_expander(F, 10, 20, 4, rng)
@@ -183,18 +168,6 @@ class TestSpielmanEncoder:
         enc = SpielmanEncoder(F, 64, seed=0)
         with pytest.raises(EncodingError):
             enc.encode([1] * 63)
-
-    def test_encode_f31_matches(self, rng):
-        enc = SpielmanEncoder(F31, 200, seed=7)
-        x = np.random.default_rng(3).integers(0, MERSENNE31, 200, dtype=np.uint64)
-        got = enc.encode_f31(x)
-        want = enc.encode([int(v) for v in x])
-        assert [int(v) for v in got] == want
-
-    def test_encode_f31_wrong_field(self):
-        enc = SpielmanEncoder(F, 64, seed=0)
-        with pytest.raises(EncodingError):
-            enc.encode_f31(np.zeros(64, dtype=np.uint64))
 
     def test_stage_work_profile_structure(self):
         enc = SpielmanEncoder(F, 512, seed=1)

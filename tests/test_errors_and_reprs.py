@@ -5,7 +5,6 @@ import pytest
 from repro import errors
 from repro.field import DEFAULT_FIELD, MultilinearPolynomial, Polynomial, PrimeField
 from repro.encoder import SpielmanEncoder, SparseMatrix
-from repro.gkr import matmul_circuit
 from repro.gpu import GPU_CATALOG, KernelStage, ModuleGraph
 from repro.merkle import MerkleTree
 from repro.zkml import tiny_cnn
@@ -79,10 +78,6 @@ class TestReprs:
         tree = MerkleTree.from_blocks([b"\x00" * 64] * 4)
         text = repr(tree)
         assert "leaves=4" in text and "depth=2" in text
-
-    def test_layered_circuit(self):
-        circuit = matmul_circuit(F, 2)
-        assert "depth=" in repr(circuit)
 
     def test_sequential_model(self):
         model = tiny_cnn()

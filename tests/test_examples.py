@@ -23,8 +23,6 @@ def test_example_inventory():
         "batch_throughput.py",
         "verifiable_ml.py",
         "train_and_prove.py",
-        "zkbridge_service.py",
-        "delegated_computation.py",
     } <= set(EXAMPLES)
 
 

@@ -357,12 +357,6 @@ class TestSharedPercentile:
         assert runtime_stats.percentile is shared.percentile
         assert service_stats.percentile is shared.percentile
 
-    def test_reexport_from_runtime_package(self):
-        from repro.runtime import percentile as reexported
-        from repro.stats import percentile as shared
-
-        assert reexported is shared
-
 
 # -- stage-pipelined backend (S27) ---------------------------------------------
 

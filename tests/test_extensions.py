@@ -1,4 +1,4 @@
-"""Tests for the extension glue: gkr_graph, SumPool2d circuits, fuzzing."""
+"""Tests for the extension glue: SumPool2d circuits, fuzzing."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from repro.core import make_pcs, random_circuit, SnarkProver, SnarkVerifier, deserialize_proof, serialize_proof
 from repro.errors import ProofError
 from repro.field import DEFAULT_FIELD
-from repro.gkr import matmul_circuit, random_layered_circuit
-from repro.gpu import get_gpu, run_naive, run_pipelined
-from repro.pipeline import gkr_graph
 from repro.zkml import (
     Conv2d,
     Flatten,
@@ -25,43 +22,6 @@ from repro.zkml import (
 )
 
 F = DEFAULT_FIELD
-GH200 = get_gpu("GH200")
-
-
-class TestGkrGraph:
-    def test_stage_structure(self):
-        circuit = random_layered_circuit(F, depth=2, width=8, input_size=8, seed=1)
-        graph = gkr_graph(circuit)
-        names = [s.name for s in graph.stages]
-        # Two phases per layer, each with a build stage.
-        assert sum("build" in n for n in names) == 2 * circuit.depth
-        assert any("L0/p1/round0" in n for n in names)
-
-    def test_work_scales_with_circuit(self):
-        small = gkr_graph(matmul_circuit(F, 2))
-        large = gkr_graph(matmul_circuit(F, 4))
-        work_small = sum(s.work_units for s in small.stages)
-        work_large = sum(s.work_units for s in large.stages)
-        assert work_large > 4 * work_small
-
-    def test_pipelined_beats_naive_on_gkr(self):
-        """The paper's scheduling discipline pays off for GKR proving too."""
-        graph = gkr_graph(matmul_circuit(F, 16))
-        pipe = run_pipelined(GH200, graph, 64, include_transfers=False)
-        naive = run_naive(GH200, graph, 64, compute_penalty=1.3)
-        assert (
-            pipe.steady_throughput_per_second
-            > naive.steady_throughput_per_second
-        )
-
-    def test_tail_merge_per_layer(self):
-        circuit = matmul_circuit(F, 8)
-        full = gkr_graph(circuit)
-        capped = gkr_graph(circuit, max_stages_per_layer=3)
-        assert len(capped.stages) < len(full.stages)
-        assert sum(s.work_units for s in capped.stages) == sum(
-            s.work_units for s in full.stages
-        )
 
 
 class TestSumPool:

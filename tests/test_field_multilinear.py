@@ -1,4 +1,4 @@
-"""Tests for multilinear polynomials, eq tables and tensor points."""
+"""Tests for multilinear polynomials and eq tables."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,6 @@ from repro.field import (
     MultilinearPolynomial,
     eq_eval,
     eq_table,
-    tensor_point,
 )
 
 F = DEFAULT_FIELD
@@ -145,10 +144,6 @@ class TestEqPolynomial:
     def test_eq_eval_dimension_mismatch(self):
         with pytest.raises(FieldError):
             eq_eval(F, [1], [1, 2])
-
-    def test_tensor_point_alias(self, rng):
-        pt = F.rand_vector(4, rng)
-        assert tensor_point(F, pt) == eq_table(F, pt)
 
     @given(n=st.integers(min_value=1, max_value=6))
     @settings(max_examples=10)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.core import SnarkProver, SnarkVerifier, make_pcs, random_circuit
 from repro.field import DEFAULT_FIELD, PrimeField
 from repro.field.primes import BN254_SCALAR, GOLDILOCKS, MERSENNE31
-from repro.gkr import GkrProver, GkrVerifier, random_layered_circuit
 
 FIELDS = {
     "m61": DEFAULT_FIELD,
@@ -64,31 +63,3 @@ class TestSnarkProperties:
         delta = rng.randrange(1, DEFAULT_FIELD.modulus)
         forged = [(cc.public_values[0] + delta) % DEFAULT_FIELD.modulus]
         assert not verifier.verify(proof, forged)
-
-
-class TestGkrProperties:
-    @given(
-        depth=st.integers(min_value=1, max_value=4),
-        width=st.sampled_from((4, 8, 16)),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_random_layered_complete(self, depth, width, seed):
-        rng = _random.Random(seed)
-        circuit = random_layered_circuit(
-            DEFAULT_FIELD, depth=depth, width=width, input_size=8, seed=seed
-        )
-        inputs = DEFAULT_FIELD.rand_vector(8, rng)
-        proof = GkrProver(circuit).prove(inputs)
-        assert GkrVerifier(circuit).verify(inputs, proof)
-
-    @given(seed=st.integers(min_value=0, max_value=1000))
-    @settings(max_examples=8, deadline=None)
-    def test_gkr_outputs_match_direct_evaluation(self, seed):
-        rng = _random.Random(seed)
-        circuit = random_layered_circuit(
-            DEFAULT_FIELD, depth=3, width=8, input_size=8, seed=seed
-        )
-        inputs = DEFAULT_FIELD.rand_vector(8, rng)
-        proof = GkrProver(circuit).prove(inputs)
-        assert proof.outputs == circuit.outputs(inputs)

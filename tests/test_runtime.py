@@ -23,8 +23,8 @@ from repro.runtime import (
     ProverSpec,
     RuntimeStats,
     TaskRecord,
-    percentile,
 )
+from repro.stats import percentile
 
 F = DEFAULT_FIELD
 
