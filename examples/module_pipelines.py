@@ -16,7 +16,7 @@ from repro.bench import compute_fig9
 from repro.field import DEFAULT_FIELD, MultilinearPolynomial
 from repro.gpu import GpuCostModel, get_gpu, run_naive, run_pipelined
 from repro.hashing import Transcript
-from repro.merkle import MerkleTree
+from repro.merkle import MerkleTree, open_multi
 from repro.pipeline import encoder_graph, merkle_graph, sumcheck_graph
 from repro.encoder import SpielmanEncoder
 from repro.sumcheck import evaluation_point, prove
@@ -30,9 +30,9 @@ def functional_demos() -> None:
 
     blocks = [bytes([i % 256]) * 64 for i in range(64)]
     tree = MerkleTree.from_blocks(blocks)
-    path = tree.open(17)
+    opening = open_multi(tree, [17])
     print(f"  Merkle:   64-block tree, root {tree.root.hex()[:24]}…, "
-          f"opening of leaf 17 verifies: {path.verify(tree.root, tree.hasher)}")
+          f"opening of leaf 17 verifies: {opening.verify(tree.root, tree.hasher)}")
 
     poly = MultilinearPolynomial.random(F, 8, RNG)
     result = prove(F, poly.evals, Transcript(b"demo"))

@@ -12,7 +12,7 @@ Subpackages (see DESIGN.md for the full inventory):
 ==============  ======================================================
 ``field``       prime-field arithmetic, polynomials, multilinear/eq
 ``hashing``     from-scratch SHA-256, Fiat–Shamir transcripts
-``merkle``      Merkle trees and authentication paths
+``merkle``      Merkle trees and multiproofs
 ``sumcheck``    Algorithm 1, product sum-check, Figure 5 buffers
 ``encoder``     Spielman/Brakedown expander code, warp scheduling
 ``commitment``  Brakedown polynomial commitment
@@ -23,7 +23,7 @@ Subpackages (see DESIGN.md for the full inventory):
 ``execution``   unified proving backends (serial/pool/sharded), traces
 ``cluster``     multi-node proving: wire protocol, ring routing,
                 autoscaling (``remote:``/``cluster:`` selectors)
-``baselines``   NTT, MSM, Groth-like prover, vendor models
+``baselines``   vendor and CPU-rate models of the paper's baselines
 ``zkml``        quantized CNNs, VGG-16, the MLaaS service
 ``bench``       table/figure regeneration runners
 ==============  ======================================================

@@ -215,6 +215,10 @@ def _run_serve(args) -> int:
 
     if args.requests < 1:
         raise ServiceError(f"--requests must be at least 1, got {args.requests}")
+    if args.verify_sample < 1:
+        raise ServiceError(
+            f"--verify-sample must be at least 1, got {args.verify_sample}"
+        )
     # Two circuit scales so the batcher's circuit-key grouping is live.
     specs, keys, circuits = [], [], []
     for i, gates in enumerate(dict.fromkeys([args.gates, args.gates * 2])):

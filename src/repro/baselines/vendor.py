@@ -1,11 +1,12 @@
 """Vendor performance models for the paper's closed/corpus baselines.
 
-We implement every baseline *algorithm* in this repository (sequential CPU
-proving, naive GPU scheduling, NTT+MSM pipelines).  For the baselines whose
-absolute performance cannot be re-measured without their exact software
-stacks (Bellperson, Libsnark, zkCNN, ZKML, ZENO), the tables price our
-operation counts with models fit to the paper's own measurements — each fit
-documented in :mod:`repro.gpu.costs` or here.
+The baselines whose absolute performance cannot be re-measured without
+their exact software stacks (Bellperson, Libsnark, zkCNN, ZKML, ZENO) enter
+the tables as models fit to the paper's own measurements — each fit
+documented in :mod:`repro.gpu.costs` or here.  The same-modules
+baselines are priced elsewhere: sequential CPU proving by
+:mod:`repro.baselines.cpu_prover`, naive GPU scheduling by the
+simulator's naive scheduler.
 """
 
 from __future__ import annotations

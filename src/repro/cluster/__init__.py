@@ -17,8 +17,8 @@ client into a coordinator:
   fails over to its ring successors behind the S25 circuit breakers —
   ``resilient:cluster:...`` composes for task-level quarantine on top.
 * :class:`LoadModel` / :class:`Autoscaler` / :class:`NodePool` — sizes
-  the fleet from measured per-proof cost × live arrival rate (the same
-  calibration discipline as :mod:`repro.gpu.costs`), actuating local
+  the fleet from measured per-proof cost × live arrival rate
+  (:func:`~repro.kernels.profile.proof_cost_seconds`), actuating local
   node subprocesses and tracing every ``scale_decision``.
 
 Proof bytes are invariant across all of it: a cluster proof is

@@ -5,7 +5,7 @@ autoscaler applies the same discipline to fleet capacity.  Demand is
 ``arrival_rate × per-proof cost`` busy-seconds per second — the arrival
 rate comes from live :class:`~repro.service.ServiceStats` and the
 per-proof cost from a measured stage profile via
-:func:`~repro.gpu.costs.proof_cost_seconds` — and supply is
+:func:`~repro.kernels.profile.proof_cost_seconds` — and supply is
 ``nodes × parallelism × headroom``.  :class:`LoadModel` turns that
 division into a target node count; :class:`Autoscaler` adds the control
 discipline (scale-up immediately, scale-down only after
@@ -23,6 +23,7 @@ triggered, and the rebalance that followed.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -32,9 +33,45 @@ from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional, Sequence
 
 from ..errors import ClusterError
-from ..gpu.costs import proof_cost_seconds, target_node_count
+from ..kernels.profile import proof_cost_seconds
 from ..runtime.trace import JsonlTraceSink, SpanContext
 from .remote import RemoteBackend
+
+
+def target_node_count(
+    arrival_rate: float,
+    per_proof_seconds: float,
+    node_parallelism: int,
+    *,
+    headroom: float = 0.8,
+    min_nodes: int = 1,
+    max_nodes: int = 16,
+) -> int:
+    """Nodes needed to absorb ``arrival_rate`` proofs/second.
+
+    Demand is ``arrival_rate × per_proof_seconds`` busy-seconds per
+    second; one node supplies ``node_parallelism`` of them, derated by
+    ``headroom`` (running a queue at 100% utilization has unbounded
+    latency — the derate keeps ρ ≤ headroom).  The result is clamped to
+    ``[min_nodes, max_nodes]``.
+
+    >>> target_node_count(8.0, 0.5, 2, headroom=0.8)
+    3
+    """
+    if per_proof_seconds < 0 or arrival_rate < 0:
+        raise ValueError("rates and costs must be non-negative")
+    if node_parallelism < 1:
+        raise ValueError(f"node_parallelism must be >= 1, got {node_parallelism}")
+    if not 0.0 < headroom <= 1.0:
+        raise ValueError(f"headroom must be in (0, 1], got {headroom}")
+    if min_nodes < 0 or max_nodes < min_nodes:
+        raise ValueError(
+            f"bad bounds: min_nodes={min_nodes}, max_nodes={max_nodes}"
+        )
+    demand = arrival_rate * per_proof_seconds
+    capacity_per_node = node_parallelism * headroom
+    needed = math.ceil(demand / capacity_per_node) if demand > 0 else 0
+    return max(min_nodes, min(max_nodes, needed))
 
 
 @dataclass(frozen=True)
@@ -48,7 +85,7 @@ class LoadModel:
             backend's ``parallelism``).
 
     The target utilization ceiling is
-    :func:`~repro.gpu.costs.target_node_count`'s ``headroom`` (0.8), the
+    :func:`target_node_count`'s ``headroom`` (0.8), the
     derate that keeps queueing latency finite.
     """
 

@@ -178,12 +178,6 @@ class RemoteBackend:
                 )
             return body
 
-    def ping(self) -> float:
-        """Round-trip seconds to the node (raises if unreachable)."""
-        start = time.perf_counter()
-        self._roundtrip(protocol.PING, {}, protocol.PONG)
-        return time.perf_counter() - start
-
     def fetch_stats(self) -> dict:
         """The node's ``STATS`` payload (throughput + cache gauges)."""
         return self._roundtrip(protocol.STATS, {}, protocol.STATS_OK)

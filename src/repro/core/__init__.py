@@ -22,18 +22,7 @@ from .circuit import (
     random_circuit,
 )
 from .lanes import LanedProof
-from .gadgets import (
-    abs_value,
-    assert_in_range,
-    from_bits,
-    is_zero,
-    less_than,
-    max_gadget,
-    mux,
-    relu,
-    sign_bit,
-    to_bits,
-)
+from .gadgets import relu, sign_bit, to_bits
 from .proof import SnarkProof
 from .prover import PIPELINE_STAGES, SnarkProver, make_pcs
 from .r1cs import R1CS, next_power_of_two
@@ -68,13 +57,6 @@ __all__ = [
     "serialize_proof_bundle",
     "deserialize_proof_bundle",
     "to_bits",
-    "from_bits",
-    "is_zero",
-    "mux",
-    "assert_in_range",
     "sign_bit",
     "relu",
-    "abs_value",
-    "less_than",
-    "max_gadget",
 ]

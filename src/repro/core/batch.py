@@ -9,12 +9,11 @@ fixed R1CS instance, and reports throughput statistics.  The GPU pipeline
 class produces the actual, verifiable proofs.
 
 Statistics lifecycle: ``BatchProver.stats`` is created once and never
-rebound, so references held by callers stay live; every run
-(:meth:`~BatchProver.prove_all` or :meth:`~BatchProver.prove_stream`)
-begins by resetting it in place, so each run's numbers are fresh rather
-than merged with the previous run's.  :meth:`~BatchProver.prove_all`
-returns an immutable-by-convention *snapshot* that later runs do not
-touch.
+rebound, so references held by callers stay live; every
+:meth:`~BatchProver.prove_all` run begins by resetting it in place, so
+each run's numbers are fresh rather than merged with the previous
+run's, and returns an immutable-by-convention *snapshot* that later
+runs do not touch.
 
 Execution is delegated to the unified backend layer
 (:mod:`repro.execution`), chosen by one ``backend`` argument: a
@@ -28,18 +27,8 @@ The per-run report (percentile latencies, retries, utilization) lands in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
-from typing import (
-    TYPE_CHECKING,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ProofError
 from .proof import SnarkProof
@@ -164,24 +153,6 @@ class BatchProver:
             record.prove_seconds for record in runtime_stats.records
         )
         return proofs
-
-    def prove_stream(self, tasks: Iterable[ProofTask]) -> Iterator[SnarkProof]:
-        """Lazily prove tasks as they arrive (the MLaaS streaming shape).
-
-        Statistics are reset when iteration begins, so each stream run —
-        like each :meth:`prove_all` run — reports only its own tasks.
-        ``total_seconds`` sums proving time only (the stream may spend
-        arbitrary time waiting for arrivals, which would make wall-clock
-        throughput meaningless).
-        """
-        self.stats.reset()
-        for task in tasks:
-            start = time.perf_counter()
-            proof = self.prover.prove(task.witness, task.public_values)
-            self.stats.per_proof_seconds.append(time.perf_counter() - start)
-            self.stats.proofs_generated += 1
-            self.stats.total_seconds += self.stats.per_proof_seconds[-1]
-            yield proof
 
 
 def verify_all(

@@ -4,13 +4,9 @@ The verifiable-ML gate accounting charges ``RESCALE_BITS`` multiplication
 gates per activation for range proofs and comparisons (paper §5's cited
 zkCNN/ZENO compilation).  This module implements those gadgets for real:
 
-* :func:`to_bits` / :func:`from_bits` — constrained binary decomposition
-  (the range proof: n boolean constraints + 1 recomposition).
-* :func:`is_zero` — zero test with an inverse witness.
-* :func:`mux` — conditional selection.
-* :func:`less_than` — unsigned comparison via decomposition of the
-  difference.
-* :func:`relu` / :func:`abs_value` — the signed non-linearities the CNN
+* :func:`to_bits` — constrained binary decomposition (the range proof:
+  n boolean constraints + 1 recomposition).
+* :func:`sign_bit` / :func:`relu` — the signed non-linearity the CNN
   circuits need, built on an offset decomposition.
 
 Signed convention: a wire "is" a signed integer ``v`` with
@@ -54,52 +50,6 @@ def to_bits(cb: CircuitBuilder, wire: Wire, bits: int) -> List[Wire]:
     return bit_wires
 
 
-def from_bits(cb: CircuitBuilder, bit_wires: List[Wire]) -> Wire:
-    """Recompose bits (assumed already boolean-constrained) into a wire."""
-    if not bit_wires:
-        raise CircuitError("need at least one bit")
-    return cb.linear_combination([(b, 1 << i) for i, b in enumerate(bit_wires)])
-
-
-def is_zero(cb: CircuitBuilder, wire: Wire) -> Wire:
-    """Return a boolean wire that is 1 iff ``wire == 0``.
-
-    Standard inverse-witness construction: the prover supplies
-    ``inv = x^{-1}`` (or 0), with constraints ``x·inv = 1 − out`` and
-    ``x·out = 0``.  Cost: 2 gates.
-    """
-    value = cb.wire_value(wire)
-    field = cb.field
-    inv_value = field.inv(value) if value else 0
-    out_value = 0 if value else 1
-    inv = cb.private_input(inv_value)
-    out = cb.private_input(out_value)
-    # x * inv == 1 - out
-    prod = cb.mul(wire, inv)
-    cb.assert_equal(prod, cb.sub(cb.constant(1), out))
-    # x * out == 0
-    zero = cb.mul(wire, out)
-    cb.assert_equal(zero, cb.constant(0))
-    return out
-
-
-def mux(cb: CircuitBuilder, selector: Wire, if_one: Wire, if_zero: Wire) -> Wire:
-    """``selector ? if_one : if_zero`` (selector must be boolean).
-
-    One gate: ``out = if_zero + selector·(if_one − if_zero)``.
-    """
-    if cb.wire_value(selector) not in (0, 1):
-        raise CircuitError("mux selector must be boolean")
-    diff = cb.sub(if_one, if_zero)
-    scaled = cb.mul(selector, diff)
-    return cb.add(if_zero, scaled)
-
-
-def assert_in_range(cb: CircuitBuilder, wire: Wire, bits: int) -> None:
-    """Range proof: ``0 <= wire < 2^bits`` (the rescale-cost workhorse)."""
-    to_bits(cb, wire, bits)
-
-
 def _signed_value(cb: CircuitBuilder, wire: Wire, bits: int) -> int:
     """Interpret a wire's field value as a signed ``bits``-bit integer."""
     p = cb.field.modulus
@@ -130,37 +80,8 @@ def sign_bit(cb: CircuitBuilder, wire: Wire, bits: int) -> Tuple[Wire, List[Wire
 def relu(cb: CircuitBuilder, wire: Wire, bits: int) -> Wire:
     """max(wire, 0) for a signed ``bits``-bit wire.
 
-    ``relu(x) = non_negative(x) · x`` — one mux-style gate on top of the
-    sign extraction.
+    ``relu(x) = non_negative(x) · x`` — one gate on top of the sign
+    extraction.
     """
     non_negative, _ = sign_bit(cb, wire, bits)
     return cb.mul(non_negative, wire)
-
-
-def abs_value(cb: CircuitBuilder, wire: Wire, bits: int) -> Wire:
-    """|wire| for a signed ``bits``-bit wire: ``(2·nonneg − 1)·x``."""
-    non_negative, _ = sign_bit(cb, wire, bits)
-    sign = cb.add_constant(cb.scale(non_negative, 2), -1)  # ±1
-    return cb.mul(sign, wire)
-
-
-def less_than(cb: CircuitBuilder, a: Wire, b: Wire, bits: int) -> Wire:
-    """Boolean wire: 1 iff ``a < b`` (both unsigned ``bits``-bit values).
-
-    Decomposes ``a − b + 2^bits`` into ``bits + 1`` bits; the carry-out
-    (MSB) is 0 exactly when ``a < b``.
-    """
-    for w in (a, b):
-        if cb.wire_value(w) >= (1 << bits):
-            raise CircuitError(f"comparison operand exceeds {bits} bits")
-    shifted = cb.add_constant(cb.sub(a, b), 1 << bits)
-    bit_wires = to_bits(cb, shifted, bits + 1)
-    carry = bit_wires[-1]  # 1 iff a >= b
-    return cb.sub(cb.constant(1), carry)
-
-
-def max_gadget(cb: CircuitBuilder, a: Wire, b: Wire, bits: int) -> Wire:
-    """max(a, b) for unsigned ``bits``-bit wires (3 comparisons worth of
-    gates per max — the MaxPool2d accounting)."""
-    a_lt_b = less_than(cb, a, b, bits)
-    return mux(cb, a_lt_b, b, a)

@@ -242,26 +242,6 @@ class SpielmanEncoder:
 
     # -- batched encoding (commit hot path) --------------------------------------------
 
-    def encode_many(self, messages: Sequence[Sequence[int]]) -> List[List[int]]:
-        """Encode a batch of messages, one two-pass sweep for the whole batch.
-
-        On the fast path with the default Mersenne-61 field every stage's
-        SpMV runs once over a ``(R, n)`` matrix instead of R times over
-        vectors — the functional analogue of the paper's batched kernel
-        launches.  Output is bit-identical to mapping :meth:`encode`.
-        """
-        if len(messages) < 2 or not self._use_f61():
-            return [self.encode(m) for m in messages]
-        try:
-            batch = to_f61(messages)
-        except (OverflowError, TypeError, ValueError):
-            return [self.encode(m) for m in messages]
-        if batch.ndim != 2 or batch.shape[1] != self.message_length:
-            raise EncodingError(
-                f"batch shape {batch.shape} != (R, {self.message_length})"
-            )
-        return self._encode_batch61(batch).tolist()
-
     def _use_f61(self) -> bool:
         return vectorised(self.field)
 
@@ -302,45 +282,6 @@ class SpielmanEncoder:
             return False
         codeword = [v % self.field.modulus for v in to_ints(codeword)]
         return self.encode(codeword[: self.message_length]) == codeword
-
-    # -- introspection for the pipeline scheduler ------------------------------------------
-
-    def stage_work_profile(self) -> List[dict]:
-        """Per-stage multiply-add counts, consumed by the GPU cost model.
-
-        Returns two entries per recursion stage (the two pipelines of
-        Figure 6) plus one for the base generator, each with the stage's
-        non-zero count (= field multiply-adds) and output length.
-        """
-        profile = []
-        for stage in self.stages:
-            profile.append(
-                {
-                    "pipeline": "forward",
-                    "stage": stage.index,
-                    "nnz": stage.matrix_a.nnz,
-                    "out_len": stage.shrunk_length,
-                }
-            )
-        if self.base_matrix is not None:
-            profile.append(
-                {
-                    "pipeline": "base",
-                    "stage": len(self.stages),
-                    "nnz": self.base_matrix.nnz,
-                    "out_len": self.base_matrix.n_out,
-                }
-            )
-        for stage in reversed(self.stages):
-            profile.append(
-                {
-                    "pipeline": "backward",
-                    "stage": stage.index,
-                    "nnz": stage.matrix_b.nnz,
-                    "out_len": stage.parity_length,
-                }
-            )
-        return profile
 
     def __repr__(self) -> str:
         return (

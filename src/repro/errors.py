@@ -57,15 +57,6 @@ class ProofError(ReproError):
     """Proof assembly or deserialization failure."""
 
 
-class VerificationError(ReproError):
-    """A proof failed verification.
-
-    Verifiers in this library return ``bool`` on the happy path; this error
-    is raised only for *structurally* invalid proofs (wrong shapes, missing
-    parts), never for a well-formed proof of a false statement.
-    """
-
-
 class SimulationError(ReproError):
     """GPU-simulator misconfiguration or invariant violation."""
 

@@ -13,10 +13,9 @@ services select substrates by name, and the replay side of the
 correlated trace schema (:func:`request_lineage` rebuilds a request's
 service → batch → backend → task span tree from one JSONL file).
 
-The rate-proportional shard arithmetic
-(:func:`largest_remainder_shares`) is shared with the multi-GPU farm
-simulator, so the functional and simulated halves place work
-identically for identical rates.
+One rate-proportional shard arithmetic
+(:func:`largest_remainder_shares`) places tasks for the sharded,
+resilient, pipelined and cluster layers.
 """
 
 from .backend import (
@@ -67,8 +66,7 @@ lane groups (S31; `"lanes:16:pool:4"` / `"lanes:16:pipelined:4"` give a
 parallel substrate lane-group-sized dispatch units, and a composed
 `"lanes:auto:pool:4"` hardens `auto` to `AUTO_LANE_CAP`);
 `"sharded:pool:4,pool:4"` splits each batch across concurrent children
-proportionally to their parallelism (largest-remainder rounding — the
-same placement arithmetic as the multi-GPU farm simulator).  Instances
+proportionally to their parallelism (largest-remainder rounding).  Instances
 pass through unchanged, and `register_backend("gpu", factory)` adds new
 selector heads.
 

@@ -17,10 +17,10 @@ report.  Three concrete substrates ship here:
 * :class:`PoolBackend` — the process-pool
   :class:`~repro.runtime.ParallelProvingRuntime` (chunked dispatch,
   retries, timeouts), one cached runtime per spec.
-* :class:`ShardedBackend` — splits a batch across child backends with
-  the same rate-proportional largest-remainder arithmetic the GPU-farm
-  simulator uses, runs the shards concurrently, and merges their
-  reports.  Backends compose: a shard's child may itself be sharded.
+* :class:`ShardedBackend` — splits a batch across child backends by
+  rate-proportional largest-remainder arithmetic, runs the shards
+  concurrently, and merges their reports.  Backends compose: a shard's
+  child may itself be sharded.
 
 The reference oracle is :meth:`~repro.core.prover.SnarkProver.prove`:
 every backend's proofs are byte-identical to it, task for task.  Every
@@ -171,10 +171,10 @@ class ShardedBackend:
     """Composite execution: split one batch across child backends.
 
     The shard sizes are proportional to each child's ``parallelism`` via
-    the same largest-remainder rounding
-    the multi-GPU farm simulator uses, so a ``sharded:pool:4,pool:4``
-    backend places tasks exactly as a two-device farm with equal rates
-    would.  Shards run concurrently on threads (each child does its own
+    largest-remainder rounding
+    (:func:`~repro.execution.sharding.largest_remainder_shares`), so a
+    ``sharded:pool:4,pool:4`` backend splits a batch evenly.  Shards run
+    concurrently on threads (each child does its own
     process-level parallelism; the threads only wait), proofs come back
     in input order, and the merged :class:`RuntimeStats` reports the
     combined worker count against the sharded wall-clock envelope.

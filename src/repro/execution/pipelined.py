@@ -11,10 +11,10 @@ driving the :class:`~repro.core.LanedProof` checkpoints
 
 Sizing follows the paper's measured-cost methodology: a warmup slice of
 the first batch is proved inline under stage profiling, the measured
-fractions go through the same :func:`~repro.gpu.costs.stage_cost_fractions`
-calibration the GPU simulator uses (its residue arithmetic *is* the
-exclusive :meth:`~repro.kernels.profile.StageProfile.exclusive` view —
-``commit`` never double-counts its ``encode``/``merkle`` children), and
+fractions go through :func:`~repro.kernels.profile.stage_cost_fractions`
+(its residue arithmetic *is* the exclusive
+:meth:`~repro.kernels.profile.StageProfile.exclusive` view — ``commit``
+never double-counts its ``encode``/``merkle`` children), and
 :func:`plan_stage_workers` turns the fractions into a worker-per-stage
 plan: with fewer workers than stages, adjacent stages merge into
 contiguous groups balancing the bottleneck; with more, the heaviest
@@ -43,8 +43,7 @@ from ..core.batch import ProofTask
 from ..core.proof import SnarkProof
 from ..core.prover import PIPELINE_STAGES
 from ..errors import ExecutionError, ProofError
-from ..gpu.costs import stage_cost_fractions
-from ..kernels.profile import StageProfile, collect_into
+from ..kernels.profile import StageProfile, collect_into, stage_cost_fractions
 from ..kernels.spec_cache import default_spec_cache
 from ..runtime.lifecycle import (
     backoff_or_raise,
@@ -86,7 +85,7 @@ def plan_stage_workers(
 ) -> List[StageGroup]:
     """Partition the pipeline stages across ``workers`` worker threads.
 
-    ``fractions`` is a :func:`~repro.gpu.costs.stage_cost_fractions`
+    ``fractions`` is a :func:`~repro.kernels.profile.stage_cost_fractions`
     mapping (``merkle`` / ``sumcheck`` / ``encoder`` / ``other``) —
     exclusive shares of proving time.  With ``workers < 4`` the stages
     are merged into that many *contiguous* groups minimizing the

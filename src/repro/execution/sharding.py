@@ -1,12 +1,11 @@
-"""Rate-proportional work splitting shared by the farm layers.
+"""Rate-proportional work splitting.
 
-The same arithmetic serves two layers: the GPU-farm simulator
-(:meth:`~repro.pipeline.multigpu.MultiGpuBatchSystem.shard` splits a
-batch across heterogeneous devices by steady-state throughput) and the
-functional :class:`~repro.execution.ShardedBackend` (splits a task list
-across child backends by parallelism).  Keeping one implementation here
-guarantees the simulated and functional halves make identical placement
-decisions for identical rates.
+:class:`~repro.execution.ShardedBackend` splits a task list across child
+backends by parallelism; :class:`~repro.resilience.ResilientBackend`
+and the cluster coordinator re-split it across the members still
+healthy, and the ``pipelined:`` planner gives spare workers to the
+heaviest stages.  All of them place work with
+:func:`largest_remainder_shares`.
 """
 
 from __future__ import annotations

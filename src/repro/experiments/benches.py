@@ -84,8 +84,8 @@ def _compress_us_per_node(blocks: int, reps: int = 5) -> float:
 def run_hotpath(gates: int = 4096, reps: int = 3) -> dict:
     """Fast vs reference single-proof time on one circuit; asserts byte
     identity of the two serialized proofs."""
-    from ..gpu import stage_cost_fractions
     from ..kernels import default_spec_cache, use_reference_kernels
+    from ..kernels.profile import stage_cost_fractions
 
     cc = random_circuit(DEFAULT_FIELD, gates, seed=11)
     pcs = make_pcs(DEFAULT_FIELD, cc.r1cs, num_col_checks=6)

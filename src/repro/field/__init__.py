@@ -13,9 +13,7 @@ Public surface:
 from .lagrange import (
     barycentric_weights,
     evaluate_from_points,
-    interpolate_on_range,
     lagrange_interpolate,
-    vanishing_polynomial,
 )
 from .multilinear import MultilinearPolynomial, eq_eval, eq_table
 from .polynomial import Polynomial
@@ -40,8 +38,6 @@ __all__ = [
     "eq_eval",
     "lagrange_interpolate",
     "evaluate_from_points",
-    "interpolate_on_range",
-    "vanishing_polynomial",
     "barycentric_weights",
     "MERSENNE31",
     "MERSENNE61",

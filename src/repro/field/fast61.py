@@ -112,15 +112,6 @@ def _canonical(x: np.ndarray) -> np.ndarray:
     return np.minimum(x, x - _P, out=x)
 
 
-def f61_reduce(x: np.ndarray) -> np.ndarray:
-    """Full reduction of any ``uint64`` values to canonical residues."""
-    if not isinstance(x, np.ndarray):
-        return np.uint64(int(x) % _P61_INT)
-    y = x >> _S61                      # <= 7
-    y += x & _P                        # <= p + 7
-    return _canonical(y)
-
-
 def f61_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise modular addition of canonical residue arrays."""
     s = a + b
@@ -216,11 +207,6 @@ def f61_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def f61_scale(c: int, a: np.ndarray) -> np.ndarray:
-    """Multiply every residue by the scalar ``c`` (reduced first)."""
-    return f61_mul(a, np.uint64(c % _P61_INT))
-
-
 def f61_sum(a: np.ndarray) -> int:
     """Exact sum of a residue vector, reduced mod p.
 
@@ -259,16 +245,11 @@ def f61_axis_sum(a: np.ndarray, axis: int) -> np.ndarray:
 
     Low/high 32-bit limbs are summed separately (exact for up to 2^29
     summed elements) and recombined — the n-d generalisation of
-    :func:`f61_columns_sum`.  Needs at least two dimensions.
+    :func:`f61_sum`.  Needs at least two dimensions.
     """
     lo = (a & _M32).sum(axis=axis, dtype=np.uint64)
     hi = (a >> _S32).sum(axis=axis, dtype=np.uint64)
     return _recombine(lo, hi)
-
-
-def f61_columns_sum(a: np.ndarray) -> np.ndarray:
-    """Exact per-column sum of a 2-D residue matrix, reduced mod p."""
-    return f61_axis_sum(a, axis=0)
 
 
 def f61_rows_sum(a: np.ndarray) -> List[int]:

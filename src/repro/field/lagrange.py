@@ -74,20 +74,6 @@ def evaluate_from_points(
     return total
 
 
-def interpolate_on_range(field: PrimeField, ys: Sequence[int]) -> Polynomial:
-    """Interpolate on the canonical domain ``x = 0, 1, …, len(ys)-1``."""
-    return lagrange_interpolate(field, list(range(len(ys))), ys)
-
-
-def vanishing_polynomial(field: PrimeField, xs: Sequence[int]) -> Polynomial:
-    """Return ∏ (x − xi)."""
-    p = field.modulus
-    acc = Polynomial.one(field)
-    for xi in xs:
-        acc = acc * Polynomial(field, [(-xi) % p, 1])
-    return acc
-
-
 def barycentric_weights(field: PrimeField, xs: Sequence[int]) -> List[int]:
     """w_i = 1 / ∏_{j≠i} (x_i − x_j), the classic barycentric weights."""
     p = field.modulus

@@ -1,15 +1,15 @@
 """Dense univariate polynomials over a prime field.
 
-Used by the sum-check verifier (round polynomials), by Lagrange
+Used by the sum-check verifier (round polynomials) and by Lagrange
 interpolation of the prover's intermediate results (§4: "encoded into
-polynomials through Lagrange interpolation"), and by the NTT baseline.
+polynomials through Lagrange interpolation").
 
 Coefficients are stored low-degree first as raw ints reduced mod p.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import random
 
@@ -41,10 +41,6 @@ class Polynomial:
     @classmethod
     def one(cls, field: PrimeField) -> "Polynomial":
         return cls(field, [1])
-
-    @classmethod
-    def monomial(cls, field: PrimeField, degree: int, coeff: int = 1) -> "Polynomial":
-        return cls(field, [0] * degree + [coeff])
 
     @classmethod
     def random(
@@ -122,27 +118,6 @@ class Polynomial:
         c %= p
         return Polynomial(self.field, [(c * x) % p for x in self.coeffs])
 
-    def divmod(self, divisor: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
-        """Polynomial long division; returns (quotient, remainder)."""
-        self._check(divisor)
-        if divisor.is_zero():
-            raise FieldError("polynomial division by zero")
-        p = self.field.modulus
-        rem = list(self.coeffs)
-        dcs = divisor.coeffs
-        dlead_inv = self.field.inv(dcs[-1])
-        qdeg = len(rem) - len(dcs)
-        if qdeg < 0:
-            return Polynomial.zero(self.field), Polynomial(self.field, rem)
-        quot = [0] * (qdeg + 1)
-        for k in range(qdeg, -1, -1):
-            c = (rem[k + len(dcs) - 1] * dlead_inv) % p
-            quot[k] = c
-            if c:
-                for j, dc in enumerate(dcs):
-                    rem[k + j] = (rem[k + j] - c * dc) % p
-        return Polynomial(self.field, quot), Polynomial(self.field, rem)
-
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, x: int) -> int:
@@ -158,17 +133,6 @@ class Polynomial:
     def shift(self, k: int) -> "Polynomial":
         """Multiply by x^k."""
         return Polynomial(self.field, [0] * k + self.coeffs)
-
-    def compose_affine(self, a: int, b: int) -> "Polynomial":
-        """Return q(x) = self(a·x + b)."""
-        field = self.field
-        lin = Polynomial(field, [b, a])
-        acc = Polynomial.zero(field)
-        power = Polynomial.one(field)
-        for c in self.coeffs:
-            acc = acc + power.scale(c)
-            power = power * lin
-        return acc
 
     # -- comparison / repr -----------------------------------------------------
 

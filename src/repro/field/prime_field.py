@@ -146,19 +146,7 @@ class PrimeField:
     # -- vector helpers (raw ints) ------------------------------------------
 
     # ``to_ints``: a ``uint64`` array iterates as NumPy scalars, whose
-    # products wrap mod 2^64 silently; these helpers are big-int code.
-
-    def vec_add(self, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
-        p = self.modulus
-        return [(x + y) % p for x, y in zip(to_ints(xs), to_ints(ys))]
-
-    def vec_sub(self, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
-        p = self.modulus
-        return [(x - y) % p for x, y in zip(to_ints(xs), to_ints(ys))]
-
-    def vec_scale(self, c: int, xs: Sequence[int]) -> List[int]:
-        p = self.modulus
-        return [(c * x) % p for x in to_ints(xs)]
+    # products wrap mod 2^64 silently; this helper is big-int code.
 
     def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         if len(xs) != len(ys):

@@ -2,9 +2,10 @@
 
 Replaces the paper's CUDA hardware with a calibrated analytic simulator:
 device catalog (§6.1), cost models (calibration notes in
-:mod:`repro.gpu.costs`), kernel stages and thread allocation (§4), device
-memory accounting (§3.1, Table 10), stream overlap (Table 9), and the two
-scheduling disciplines (Figure 4a/4b).
+:mod:`repro.gpu.costs`), kernel stages and thread allocation (§4),
+stream overlap (Table 9), and the two scheduling disciplines (Figure
+4a/4b).  Device memory (§3.1, Table 10) is the simulator's high-water
+over :mod:`repro.pipeline.system`'s per-module split.
 """
 
 from .costs import (
@@ -19,7 +20,6 @@ from .costs import (
     LIBSNARK_NTT,
     LIBSNARK_TOTAL,
     VendorLinearModel,
-    stage_cost_fractions,
 )
 from .device import CPU_C5A_8XLARGE, GPU_CATALOG, CpuSpec, GpuSpec, get_gpu
 from .kernel import (
@@ -28,17 +28,9 @@ from .kernel import (
     allocate_threads_proportional,
     allocate_threads_uniform,
 )
-from .memory import MemoryTracker, dynamic_footprint_blocks, preload_footprint_blocks
 from .simulator import SimResult, run_cpu, run_naive, run_pipelined
 from .stream import BeatTiming, TransferEngine
-from .sweep import (
-    batch_amortization_curve,
-    device_scaling_curve,
-    monotone_nondecreasing,
-    monotone_nonincreasing,
-    size_speedup_curve,
-    thread_scaling_curve,
-)
+from .sweep import monotone_nonincreasing
 
 __all__ = [
     "GpuSpec",
@@ -57,24 +49,15 @@ __all__ = [
     "BELLPERSON_MSM",
     "BELLPERSON_NTT",
     "BELLPERSON_MEMORY_GB",
-    "stage_cost_fractions",
     "KernelStage",
     "ModuleGraph",
     "allocate_threads_proportional",
     "allocate_threads_uniform",
-    "MemoryTracker",
-    "dynamic_footprint_blocks",
-    "preload_footprint_blocks",
     "TransferEngine",
     "BeatTiming",
     "SimResult",
     "run_naive",
     "run_pipelined",
     "run_cpu",
-    "batch_amortization_curve",
-    "thread_scaling_curve",
-    "size_speedup_curve",
-    "device_scaling_curve",
-    "monotone_nondecreasing",
     "monotone_nonincreasing",
 ]

@@ -39,9 +39,8 @@ back-derived from the CPU columns of Tables 3–5.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -90,9 +89,8 @@ class VendorLinearModel:
     """An affine time model ``T(S) = rate·S + fixed`` for a closed-source
     baseline, fit to two of the paper's own table rows.
 
-    Used for Libsnark and Bellperson (Table 7), whose NTT+MSM pipelines we
-    implement functionally in :mod:`repro.baselines` but whose absolute
-    performance we take from the paper's measurements.
+    Used for Libsnark and Bellperson (Table 7), whose NTT+MSM pipelines
+    enter the tables at the paper's measured performance.
     """
 
     name: str
@@ -121,92 +119,3 @@ BELLPERSON_MEMORY_GB: Dict[int, float] = {
 }
 
 DEFAULT_GPU_COSTS = GpuCostModel()
-
-
-# -- calibration from measured stage profiles ---------------------------------
-
-
-def stage_cost_fractions(stage_seconds: Mapping[str, float]) -> Dict[str, float]:
-    """Per-module time fractions from a measured stage profile.
-
-    Maps the functional prover's stage names onto the simulator's three
-    modules — ``merkle``, ``sumcheck`` (both sum-checks), ``encoder`` —
-    plus ``other`` (commit residue, opening).  ``commit`` itself is a
-    container (it includes ``encode`` and ``merkle``) and is excluded
-    from the total; fractions sum to 1 when any time was recorded.
-    """
-    merkle = stage_seconds.get("merkle", 0.0)
-    encode = stage_seconds.get("encode", 0.0)
-    sumcheck = stage_seconds.get("sumcheck1", 0.0) + stage_seconds.get(
-        "sumcheck2", 0.0
-    )
-    commit = stage_seconds.get("commit", 0.0)
-    opening = stage_seconds.get("open", 0.0)
-    other = max(0.0, commit - encode - merkle) + opening
-    total = merkle + encode + sumcheck + other
-    if total <= 0.0:
-        return {"merkle": 0.0, "sumcheck": 0.0, "encoder": 0.0, "other": 0.0}
-    return {
-        "merkle": merkle / total,
-        "sumcheck": sumcheck / total,
-        "encoder": encode / total,
-        "other": other / total,
-    }
-
-
-def proof_cost_seconds(stage_seconds: Mapping[str, float]) -> float:
-    """One proof's exclusive CPU-seconds from a measured stage profile.
-
-    The same accounting as :func:`stage_cost_fractions`: ``commit`` is a
-    container around ``encode`` and ``merkle``, so only its residue
-    counts, and the opening rides in ``other``.  This scalar is the load
-    model's demand unit — arrival rate × this = busy-seconds per second
-    the fleet must absorb.
-    """
-    merkle = stage_seconds.get("merkle", 0.0)
-    encode = stage_seconds.get("encode", 0.0)
-    sumcheck = stage_seconds.get("sumcheck1", 0.0) + stage_seconds.get(
-        "sumcheck2", 0.0
-    )
-    commit = stage_seconds.get("commit", 0.0)
-    opening = stage_seconds.get("open", 0.0)
-    return (
-        merkle + encode + sumcheck
-        + max(0.0, commit - encode - merkle) + opening
-    )
-
-
-def target_node_count(
-    arrival_rate: float,
-    per_proof_seconds: float,
-    node_parallelism: int,
-    *,
-    headroom: float = 0.8,
-    min_nodes: int = 1,
-    max_nodes: int = 16,
-) -> int:
-    """Nodes needed to absorb ``arrival_rate`` proofs/second.
-
-    Demand is ``arrival_rate × per_proof_seconds`` busy-seconds per
-    second; one node supplies ``node_parallelism`` of them, derated by
-    ``headroom`` (running a queue at 100% utilization has unbounded
-    latency — the derate keeps ρ ≤ headroom).  The result is clamped to
-    ``[min_nodes, max_nodes]``.
-
-    >>> target_node_count(8.0, 0.5, 2, headroom=0.8)
-    3
-    """
-    if per_proof_seconds < 0 or arrival_rate < 0:
-        raise ValueError("rates and costs must be non-negative")
-    if node_parallelism < 1:
-        raise ValueError(f"node_parallelism must be >= 1, got {node_parallelism}")
-    if not 0.0 < headroom <= 1.0:
-        raise ValueError(f"headroom must be in (0, 1], got {headroom}")
-    if min_nodes < 0 or max_nodes < min_nodes:
-        raise ValueError(
-            f"bad bounds: min_nodes={min_nodes}, max_nodes={max_nodes}"
-        )
-    demand = arrival_rate * per_proof_seconds
-    capacity_per_node = node_parallelism * headroom
-    needed = math.ceil(demand / capacity_per_node) if demand > 0 else 0
-    return max(min_nodes, min(max_nodes, needed))

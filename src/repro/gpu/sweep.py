@@ -1,112 +1,14 @@
-"""Parameter sweeps over the simulator: the plot-ready series behind the
-evaluation's trends.
+"""Trend checks over simulator series.
 
-Each function returns ``(x_values, series_dict)`` ready for plotting or
-tabulation: batch-size amortization curves, thread-budget scaling, the
-size-dependent pipelined-vs-naive speedup (the Tables 3–5 trend), and
-device scaling.  Used by the ablation benches and available to users for
-their own what-if analysis.
+The catalog's frontier experiment asserts that latency and throughput
+never rise as stages fuse; :func:`monotone_nonincreasing` is that check.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 from ..errors import SimulationError
-from .costs import GpuCostModel
-from .device import GpuSpec, get_gpu
-from .kernel import ModuleGraph
-from .simulator import run_naive, run_pipelined
-
-Series = Tuple[List[float], Dict[str, List[float]]]
-
-
-def batch_amortization_curve(
-    device: GpuSpec,
-    graph: ModuleGraph,
-    batches: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 256),
-    costs: Optional[GpuCostModel] = None,
-) -> Series:
-    """Amortized per-task seconds vs batch size (pipeline fill washes out).
-
-    The curve decays toward the steady-state beat — the quantitative form
-    of "our system maintains a full workload state" (§4).
-    """
-    xs: List[float] = []
-    amortized: List[float] = []
-    steady: List[float] = []
-    for batch in batches:
-        res = run_pipelined(device, graph, batch, costs=costs, include_transfers=False)
-        xs.append(float(batch))
-        amortized.append(res.amortized_seconds)
-        steady.append(res.steady_interval_seconds)
-    return xs, {"amortized_seconds": amortized, "steady_beat_seconds": steady}
-
-
-def thread_scaling_curve(
-    device: GpuSpec,
-    graph: ModuleGraph,
-    fractions: Sequence[float] = (0.125, 0.25, 0.5, 0.75, 1.0),
-    costs: Optional[GpuCostModel] = None,
-) -> Series:
-    """Steady throughput vs thread budget (resource-allocation planning)."""
-    xs: List[float] = []
-    throughput: List[float] = []
-    for frac in fractions:
-        threads = max(len(graph.stages), int(device.cuda_cores * frac))
-        res = run_pipelined(
-            device, graph, 64, costs=costs, total_threads=threads,
-            include_transfers=False,
-        )
-        xs.append(float(threads))
-        throughput.append(res.steady_throughput_per_second)
-    return xs, {"throughput_per_second": throughput}
-
-
-def size_speedup_curve(
-    device: GpuSpec,
-    graph_builder: Callable[[int], ModuleGraph],
-    log_sizes: Sequence[int] = (14, 16, 18, 20, 22),
-    compute_penalty: float = 1.3,
-    costs: Optional[GpuCostModel] = None,
-) -> Series:
-    """Pipelined/naive speedup vs input size — the Tables 3-5 trend that
-    the advantage widens as inputs shrink."""
-    xs: List[float] = []
-    speedup: List[float] = []
-    for lg in log_sizes:
-        graph = graph_builder(lg)
-        pipe = run_pipelined(device, graph, 64, costs=costs, include_transfers=False)
-        naive = run_naive(device, graph, 64, costs=costs, compute_penalty=compute_penalty)
-        xs.append(float(lg))
-        speedup.append(
-            pipe.steady_throughput_per_second / naive.steady_throughput_per_second
-        )
-    return xs, {"speedup": speedup}
-
-
-def device_scaling_curve(
-    graph_builder: Callable[[GpuSpec], ModuleGraph],
-    device_names: Sequence[str] = ("V100", "A100", "3090Ti", "H100", "GH200"),
-    costs: Optional[GpuCostModel] = None,
-) -> Series:
-    """Steady throughput per device (the Table 8 trend)."""
-    xs: List[float] = []
-    throughput: List[float] = []
-    for name in device_names:
-        device = get_gpu(name)
-        graph = graph_builder(device)
-        res = run_pipelined(device, graph, 64, costs=costs, include_transfers=False)
-        xs.append(device.cuda_cores * device.clock_ghz * device.compute_scale)
-        throughput.append(res.steady_throughput_per_second)
-    return xs, {"throughput_per_second": throughput}
-
-
-def monotone_nondecreasing(values: Sequence[float], tolerance: float = 1e-9) -> bool:
-    """Helper for asserting trend shapes in tests."""
-    if not values:
-        raise SimulationError("empty series")
-    return all(b >= a - tolerance for a, b in zip(values, values[1:]))
 
 
 def monotone_nonincreasing(values: Sequence[float], tolerance: float = 1e-9) -> bool:

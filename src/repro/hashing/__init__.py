@@ -8,17 +8,15 @@
 * A Fiat–Shamir :class:`Transcript` (SHA-256 absorb, SHAKE-256 squeeze).
 """
 
-from .hashers import DIGEST_SIZE, Hasher, available_hashers, get_hasher
-from .sha256 import SHA256_ROUNDS, Sha256, sha256
+from .hashers import DIGEST_SIZE, Hasher, get_hasher
+from .sha256 import SHA256_ROUNDS, Sha256
 from .transcript import Transcript
 
 __all__ = [
     "Sha256",
-    "sha256",
     "SHA256_ROUNDS",
     "Hasher",
     "get_hasher",
-    "available_hashers",
     "DIGEST_SIZE",
     "Transcript",
 ]

@@ -113,8 +113,3 @@ def get_hasher(name: str = "sha256") -> Hasher:
         raise HashError(
             f"unknown hasher {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
-
-
-def available_hashers() -> list:
-    """Names of the registered hash backends."""
-    return sorted(_REGISTRY)

@@ -142,10 +142,5 @@ class Sha256:
         return clone
 
 
-def sha256(data: bytes) -> bytes:
-    """One-shot SHA-256 digest of ``data``."""
-    return Sha256(data).digest()
-
-
 #: Number of compression rounds — used by the GPU cost model (§3.1).
 SHA256_ROUNDS = 64

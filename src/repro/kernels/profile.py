@@ -43,7 +43,9 @@ __all__ = [
     "collect_stages",
     "collect_into",
     "exclusive_stage_seconds",
+    "proof_cost_seconds",
     "stage",
+    "stage_cost_fractions",
     "STAGE_NAMES",
     "STAGE_CHILDREN",
 ]
@@ -86,6 +88,56 @@ def exclusive_stage_seconds(
             value -= stage_seconds.get(child, 0.0)
         out[name] = max(0.0, value)
     return out
+
+
+def stage_cost_fractions(stage_seconds: Mapping[str, float]) -> Dict[str, float]:
+    """Per-module time fractions from a measured stage profile.
+
+    Maps the functional prover's stage names onto the simulator's three
+    modules — ``merkle``, ``sumcheck`` (both sum-checks), ``encoder`` —
+    plus ``other`` (commit residue, opening).  ``commit`` itself is a
+    container (it includes ``encode`` and ``merkle``) and is excluded
+    from the total; fractions sum to 1 when any time was recorded.
+    """
+    merkle = stage_seconds.get("merkle", 0.0)
+    encode = stage_seconds.get("encode", 0.0)
+    sumcheck = stage_seconds.get("sumcheck1", 0.0) + stage_seconds.get(
+        "sumcheck2", 0.0
+    )
+    commit = stage_seconds.get("commit", 0.0)
+    opening = stage_seconds.get("open", 0.0)
+    other = max(0.0, commit - encode - merkle) + opening
+    total = merkle + encode + sumcheck + other
+    if total <= 0.0:
+        return {"merkle": 0.0, "sumcheck": 0.0, "encoder": 0.0, "other": 0.0}
+    return {
+        "merkle": merkle / total,
+        "sumcheck": sumcheck / total,
+        "encoder": encode / total,
+        "other": other / total,
+    }
+
+
+def proof_cost_seconds(stage_seconds: Mapping[str, float]) -> float:
+    """One proof's exclusive CPU-seconds from a measured stage profile.
+
+    The same accounting as :func:`stage_cost_fractions`: ``commit`` is a
+    container around ``encode`` and ``merkle``, so only its residue
+    counts, and the opening rides in ``other``.  This scalar is the load
+    model's demand unit — arrival rate × this = busy-seconds per second
+    the fleet must absorb.
+    """
+    merkle = stage_seconds.get("merkle", 0.0)
+    encode = stage_seconds.get("encode", 0.0)
+    sumcheck = stage_seconds.get("sumcheck1", 0.0) + stage_seconds.get(
+        "sumcheck2", 0.0
+    )
+    commit = stage_seconds.get("commit", 0.0)
+    opening = stage_seconds.get("open", 0.0)
+    return (
+        merkle + encode + sumcheck
+        + max(0.0, commit - encode - merkle) + opening
+    )
 
 
 @dataclass

@@ -1,37 +1,17 @@
 """Merkle tree module (system S3 in DESIGN.md; paper §2.2, §3.1).
 
-* :class:`MerkleTree` — full tree, authentication paths.
-* :class:`MerklePath` — verifiable openings of one leaf.
-* :func:`merkle_root_streaming` — the paper's layer-streaming construction.
-* Layer-size / hash-count helpers consumed by the pipeline scheduler.
+* :class:`MerkleTree` — full tree over 512-bit blocks or field columns.
+* :class:`MerkleMultiProof` / :func:`open_multi` — one deduplicated
+  opening of many leaves, the only opening a proof carries.
 """
 
-from .multiproof import (
-    MerkleMultiProof,
-    individual_paths_size,
-    open_multi,
-)
-from .proof import MerklePath
-from .tree import (
-    BLOCK_SIZE,
-    MerkleTree,
-    iter_layer_sizes,
-    merkle_root_streaming,
-    pad_leaves,
-    roots_over_roots,
-    total_hashes,
-)
+from .multiproof import MerkleMultiProof, open_multi
+from .tree import BLOCK_SIZE, MerkleTree, pad_leaves
 
 __all__ = [
     "MerkleTree",
-    "MerklePath",
     "MerkleMultiProof",
     "open_multi",
-    "individual_paths_size",
-    "merkle_root_streaming",
-    "roots_over_roots",
-    "iter_layer_sizes",
-    "total_hashes",
     "pad_leaves",
     "BLOCK_SIZE",
 ]

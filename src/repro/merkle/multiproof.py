@@ -131,8 +131,3 @@ def _fold_multiproof(proof: MerkleMultiProof, hasher: Hasher) -> bytes:
     if list(current.keys()) != [0]:
         raise MerkleError("multiproof did not converge to a single root")
     return current[0]
-
-
-def individual_paths_size(tree: MerkleTree, indices: Sequence[int]) -> int:
-    """Total bytes of independent per-leaf paths (for savings reporting)."""
-    return sum(tree.open(i).size_bytes() for i in sorted(set(indices)))

@@ -11,22 +11,21 @@ Leaves and nodes use the RFC 6962 §2.1 layout: leaf
 
 This module provides:
 
-* :class:`MerkleTree` — full in-memory tree with authentication paths.
-* :func:`merkle_root_streaming` — layer-at-a-time construction that keeps
-  only the live layer, mirroring the paper's dynamic load/store discipline
-  (only ~2N blocks of device memory, §3.1).
+* :class:`MerkleTree` — full in-memory tree; openings are multiproofs
+  (:func:`repro.merkle.multiproof.open_multi`).
+* :func:`build_forest` — one tree per lane, each level of every tree in
+  one batched compression.
 * Helpers to build trees over field-element matrices (the commitment
   scheme Merkle-izes codeword *columns*).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import MerkleError
 from ..hashing.hashers import DIGEST_SIZE, Hasher, get_hasher
 from ..kernels.field_kernels import pack_vector
-from .proof import MerklePath
 
 BLOCK_SIZE = 64  # 512-bit input blocks, as in the paper.
 
@@ -57,9 +56,8 @@ class MerkleTree:
     ``layers[0]`` is the list of leaf digests; ``layers[-1]`` is ``[root]``.
 
     >>> tree = MerkleTree.from_blocks([bytes([i]) * 64 for i in range(8)])
-    >>> path = tree.open(3)
-    >>> path.verify(tree.root, hasher=tree.hasher)
-    True
+    >>> tree.depth, tree.hash_count()
+    (3, 7)
     """
 
     __slots__ = ("hasher", "layers", "num_leaves")
@@ -146,22 +144,6 @@ class MerkleTree:
             raise MerkleError(f"leaf index {index} out of range [0, {self.num_leaves})")
         return self.layers[0][index]
 
-    def open(self, index: int) -> MerklePath:
-        """Produce the authentication path for leaf ``index``."""
-        if not 0 <= index < self.padded_leaves:
-            raise MerkleError(
-                f"leaf index {index} out of range [0, {self.padded_leaves})"
-            )
-        siblings = []
-        pos = index
-        for layer in self.layers[:-1]:
-            siblings.append(layer[pos ^ 1])
-            pos >>= 1
-        return MerklePath(index=index, leaf=self.layers[0][index], siblings=siblings)
-
-    def open_many(self, indices: Iterable[int]) -> List[MerklePath]:
-        return [self.open(i) for i in indices]
-
     def hash_count(self) -> int:
         """Total interior-node hashes performed — the paper's ≈2N work metric."""
         return sum(len(layer) for layer in self.layers[1:])
@@ -209,56 +191,3 @@ def build_forest(
         MerkleTree._from_layers(layers, len(leaves), hasher)
         for layers, leaves in zip(per_lane_layers, leaf_lists)
     ]
-
-
-def merkle_root_streaming(
-    blocks: Iterable[bytes], hasher: Optional[Hasher] = None
-) -> bytes:
-    """Compute a Merkle root holding only one live layer at a time.
-
-    This is the memory discipline of the paper's pipelined Merkle module
-    (§3.1): layers are produced, consumed by the next stage, and released —
-    the working set is ≈2N digests rather than all layers of all trees.
-    The root is identical to :class:`MerkleTree`'s.
-    """
-    hasher = hasher or get_hasher("sha256")
-    layer = hasher.hash_many(blocks)  # consumes the blocks one at a time
-    if not layer:
-        raise MerkleError("cannot build a Merkle tree over zero leaves")
-    layer = pad_leaves(layer, hasher)
-    while len(layer) > 1:
-        layer = hasher.compress_layer(layer)
-    return layer[0]
-
-
-def iter_layer_sizes(num_blocks: int) -> Iterator[int]:
-    """Yield layer sizes of the padded tree from leaves (N) down to the root.
-
-    The pipeline scheduler allocates one kernel per layer with threads
-    proportional to these sizes (the ``M/2, M/4, …`` allocation of §4).
-    """
-    if num_blocks <= 0:
-        raise MerkleError("num_blocks must be positive")
-    n = num_blocks if _is_power_of_two(num_blocks) else 1 << num_blocks.bit_length()
-    while n >= 1:
-        yield n
-        if n == 1:
-            return
-        n //= 2
-
-
-def total_hashes(num_blocks: int) -> int:
-    """Closed-form ≈2N hash count for one tree over ``num_blocks`` blocks."""
-    return sum(iter_layer_sizes(num_blocks))
-
-
-def roots_over_roots(roots: Sequence[bytes], hasher: Optional[Hasher] = None) -> bytes:
-    """Combine multiple Merkle roots into one by a second-level tree.
-
-    The paper's system (§4) feeds the roots of per-segment trees as leaves
-    of another Merkle tree module, "ultimately yielding a single final
-    root".
-    """
-    hasher = hasher or get_hasher("sha256")
-    tree = MerkleTree(list(roots), hasher)
-    return tree.root

@@ -15,12 +15,6 @@ from .frontier import (
     latency_throughput_frontier,
     run_hybrid,
 )
-from .multigpu import (
-    MultiGpuBatchSystem,
-    MultiGpuResult,
-    ShardResult,
-    farm_throughput,
-)
 from .stages import (
     BLOCK_BYTES,
     DIGEST_BYTES,
@@ -29,15 +23,6 @@ from .stages import (
     encoder_stage_sizes,
     merkle_graph,
     sumcheck_graph,
-)
-from .timeline import (
-    Occupancy,
-    busy_stage_counts,
-    occupancy_by_beat,
-    pipeline_timeline,
-    render_gantt,
-    steady_state_beats,
-    validate_timeline,
 )
 from .system import (
     BatchZkpSystem,
@@ -71,20 +56,9 @@ __all__ = [
     "run_pipelined",
     "run_naive",
     "run_cpu",
-    "MultiGpuBatchSystem",
-    "MultiGpuResult",
-    "ShardResult",
-    "farm_throughput",
     "fuse_stages",
     "latency_throughput_frontier",
     "FrontierPoint",
     "run_hybrid",
     "HybridResult",
-    "pipeline_timeline",
-    "occupancy_by_beat",
-    "busy_stage_counts",
-    "steady_state_beats",
-    "validate_timeline",
-    "render_gantt",
-    "Occupancy",
 ]

@@ -46,7 +46,6 @@ from .fleet import (
     Fleet,
     FleetActuator,
     FleetSupervisor,
-    find_cluster_backend,
     launch_fleet,
 )
 from .request import Priority, ProofRequest, Ticket
@@ -93,8 +92,6 @@ spawns a local `NodePool`, builds a (resilient-wrapped)
 shed-or-scale loop: live `arrival_rate_per_second` → `Autoscaler` →
 `FleetActuator`, which grows pool + hash ring together and shrinks via
 unroute → `DRAIN` → terminate so no in-flight proof is lost.
-`find_cluster_backend(backend)` locates the cluster inside any composed
-backend (e.g. what `resolve_backend("resilient:cluster:…")` built).
 
 **Batching knobs (`BatchPolicy`).** The batcher is work-conserving:
 whenever no batch is proving it dispatches at once, so requests pile up
@@ -128,7 +125,6 @@ __all__ = [
     "ServiceStats",
     "Ticket",
     "bursty_trace",
-    "find_cluster_backend",
     "launch_fleet",
     "poisson_trace",
     "replay",

@@ -102,13 +102,3 @@ class ResultCache:
         """
         with self._lock:
             return self._inflight.pop(key, [])
-
-    def peek(self, key: CacheKey) -> Optional[Any]:
-        """Non-mutating lookup (no LRU touch); for tests and inspection."""
-        with self._lock:
-            return self._values.get(key)
-
-    def inflight_count(self) -> int:
-        """Number of keys currently claimed but unfinished."""
-        with self._lock:
-            return len(self._inflight)

@@ -62,34 +62,8 @@ __all__ = [
     "Fleet",
     "FleetActuator",
     "FleetSupervisor",
-    "find_cluster_backend",
     "launch_fleet",
 ]
-
-
-def find_cluster_backend(backend) -> Optional[ClusterBackend]:
-    """The :class:`ClusterBackend` inside a composed backend, if any.
-
-    Walks ``children`` lists (``ResilientBackend``, sharded composites)
-    and single-child ``backend`` attributes (``RuntimeProofBackend``),
-    so a supervisor can be attached to whatever
-    ``resolve_backend("resilient:cluster:…")`` produced without the
-    caller holding a direct reference.
-    """
-    seen = set()
-    stack = [backend]
-    while stack:
-        candidate = stack.pop()
-        if candidate is None or id(candidate) in seen:
-            continue
-        seen.add(id(candidate))
-        if isinstance(candidate, ClusterBackend):
-            return candidate
-        children = getattr(candidate, "children", None)
-        if isinstance(children, (list, tuple)):
-            stack.extend(children)
-        stack.append(getattr(candidate, "backend", None))
-    return None
 
 
 class FleetActuator:

@@ -21,7 +21,6 @@ from .prover import (
     MultilinearSumcheckProver,
     ProductSumcheckProver,
     evaluation_point,
-    hypercube_sum,
     prove_multilinear,
 )
 from .verifier import (
@@ -37,7 +36,6 @@ __all__ = [
     "MultilinearSumcheckProver",
     "ProductSumcheckProver",
     "evaluation_point",
-    "hypercube_sum",
     "verify_multilinear",
     "verify_multilinear_rounds",
     "verify_product",

@@ -241,8 +241,3 @@ def evaluation_point(randoms: Sequence[int]) -> List[int]:
     challenges reversed.
     """
     return list(reversed(list(randoms)))
-
-
-def hypercube_sum(field: PrimeField, table: Sequence[int]) -> int:
-    """The value ``H`` that a sum-check proof attests to."""
-    return sum(to_ints(table)) % field.modulus

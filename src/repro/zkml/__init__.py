@@ -21,10 +21,7 @@ from .layers import (
 )
 from .model import (
     SequentialModel,
-    lenet_cifar10,
-    load_weights,
     random_input,
-    save_weights,
     tiny_cnn,
     vgg16_cifar10,
 )
@@ -34,7 +31,7 @@ from .service import (
     VGG_STAGE_CAPS,
     simulate_vgg16_service,
 )
-from .tensor import DEFAULT_FRAC_BITS, QuantizedTensor, quantization_error
+from .tensor import DEFAULT_FRAC_BITS, QuantizedTensor
 from .training import (
     Dataset,
     FloatTrainer,
@@ -46,7 +43,6 @@ from .training import (
 __all__ = [
     "QuantizedTensor",
     "DEFAULT_FRAC_BITS",
-    "quantization_error",
     "Layer",
     "Conv2d",
     "Linear",
@@ -58,11 +54,8 @@ __all__ = [
     "RESCALE_BITS",
     "SequentialModel",
     "vgg16_cifar10",
-    "lenet_cifar10",
     "tiny_cnn",
     "random_input",
-    "save_weights",
-    "load_weights",
     "circuitize",
     "forward_exact",
     "ZkmlCircuit",

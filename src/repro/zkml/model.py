@@ -149,69 +149,6 @@ def tiny_cnn(input_size: int = 8, channels: int = 2, classes: int = 4) -> Sequen
     return SequentialModel(layers, input_shape=(1, input_size, input_size), name="tiny-cnn")
 
 
-def lenet_cifar10() -> SequentialModel:
-    """A LeNet-style small CNN on 32×32×3 inputs (a second Table 11-class
-    architecture for cross-checking gate accounting at a smaller scale)."""
-    from .layers import SumPool2d
-
-    layers: List[Layer] = [
-        Conv2d(3, 6, 3, name="conv1"),
-        ReLU(name="relu1"),
-        SumPool2d(name="pool1"),
-        Conv2d(6, 16, 3, name="conv2"),
-        ReLU(name="relu2"),
-        SumPool2d(name="pool2"),
-        Flatten(),
-        Linear(16 * 8 * 8, 120, name="fc1"),
-        ReLU(name="relu_fc1"),
-        Linear(120, 84, name="fc2"),
-        ReLU(name="relu_fc2"),
-        Linear(84, 10, name="fc3"),
-    ]
-    return SequentialModel(layers, input_shape=(3, 32, 32), name="lenet-cifar10")
-
-
-def save_weights(model: SequentialModel, path: str) -> None:
-    """Persist a model's quantized parameters to an ``.npz`` archive."""
-    arrays = {}
-    for i, layer in enumerate(model.layers):
-        for attr in ("weights", "bias"):
-            tensor = getattr(layer, attr, None)
-            if isinstance(tensor, QuantizedTensor):
-                arrays[f"{i}:{layer.name}:{attr}"] = tensor.values
-                arrays[f"{i}:{layer.name}:{attr}:frac"] = np.array(
-                    [tensor.frac_bits]
-                )
-    if not arrays:
-        raise ZkmlError("model has no parameters to save")
-    np.savez(path, **arrays)
-
-
-def load_weights(model: SequentialModel, path: str) -> None:
-    """Load parameters saved by :func:`save_weights` into ``model``.
-
-    The layer schedule must match the one the weights were saved from.
-    """
-    with np.load(path) as data:
-        for i, layer in enumerate(model.layers):
-            for attr in ("weights", "bias"):
-                if getattr(layer, attr, None) is None and not hasattr(
-                    layer, attr
-                ):
-                    continue
-                key = f"{i}:{layer.name}:{attr}"
-                if key not in data:
-                    if isinstance(getattr(layer, attr, None), QuantizedTensor):
-                        raise ZkmlError(f"archive missing {key}")
-                    continue
-                frac = int(data[f"{key}:frac"][0])
-                setattr(
-                    layer,
-                    attr,
-                    QuantizedTensor(values=data[key], frac_bits=frac),
-                )
-
-
 def random_input(
     shape: Tuple[int, ...], seed: int = 0, frac_bits: int = 8
 ) -> QuantizedTensor:

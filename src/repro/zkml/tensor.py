@@ -82,9 +82,3 @@ class QuantizedTensor:
 
     def __repr__(self) -> str:
         return f"QuantizedTensor(shape={self.shape}, frac_bits={self.frac_bits})"
-
-
-def quantization_error(x: np.ndarray, frac_bits: int = DEFAULT_FRAC_BITS) -> float:
-    """Max abs error of one quantize/dequantize roundtrip."""
-    q = QuantizedTensor.from_float(x, frac_bits)
-    return float(np.max(np.abs(q.to_float() - x)))

@@ -10,8 +10,9 @@ the accuracy the service commits to — is fully reproduced at small scale:
   dataset (stands in for CIFAR-10's role; see DESIGN.md substitutions).
 * :class:`FloatTrainer` — plain-numpy SGD on a float twin of a
   :class:`~repro.zkml.model.SequentialModel` (conv/square/sumpool/fc).
-* :func:`load_weights` — pushes trained float weights into the quantized
-  model, after which the MLaaS service commits and proves as usual.
+* :meth:`FloatTrainer.export_weights` — pushes trained float weights into
+  the quantized model, after which the MLaaS service commits and proves
+  as usual.
 
 The gradient math is hand-derived for exactly the layer set the circuit
 path supports; tests assert training lifts accuracy far above chance and

@@ -39,7 +39,6 @@ from repro.runtime import ProverSpec
 from repro.sumcheck.prover import (
     MultilinearSumcheckProver,
     ProductSumcheckProver,
-    hypercube_sum,
     prove_multilinear,
 )
 
@@ -71,11 +70,6 @@ class TestPrimitivesEqualBigInt:
         assert fast61.f61_add(a, b).tolist() == [(x + y) % P for x, y in pairs]
         assert fast61.f61_sub(a, b).tolist() == [(x - y) % P for x, y in pairs]
 
-    @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=1, max_size=40))
-    @settings(max_examples=60, deadline=None)
-    def test_reduce_property_over_all_uint64(self, xs):
-        assert fast61.f61_reduce(_arr(xs)).tolist() == [x % P for x in xs]
-
     def test_edge_grid(self):
         xs = [x for x in EDGE for _ in EDGE]
         ys = EDGE * len(EDGE)
@@ -83,8 +77,6 @@ class TestPrimitivesEqualBigInt:
         assert fast61.f61_mul(a, b).tolist() == [x * y % P for x, y in zip(xs, ys)]
         assert fast61.f61_add(a, b).tolist() == [(x + y) % P for x, y in zip(xs, ys)]
         assert fast61.f61_sub(a, b).tolist() == [(x - y) % P for x, y in zip(xs, ys)]
-        wide = [0, P - 1, P, P + 1, (1 << 62) - 1, (1 << 64) - 1]
-        assert fast61.f61_reduce(_arr(wide)).tolist() == [x % P for x in wide]
 
     @pytest.mark.parametrize("x", EDGE)
     @pytest.mark.parametrize("y", EDGE)
@@ -97,11 +89,9 @@ class TestPrimitivesEqualBigInt:
             assert int(fast61.f61_mul(a, b)) == x * y % P
             assert int(fast61.f61_add(a, b)) == (x + y) % P
             assert int(fast61.f61_sub(a, b)) == (x - y) % P
-        assert int(fast61.f61_reduce(np.uint64(x))) == x % P
         vec = _arr(EDGE)
         assert fast61.f61_mul(vec, np.uint64(y)).tolist() == [v * y % P for v in EDGE]
         assert fast61.f61_mul(np.uint64(y), vec).tolist() == [v * y % P for v in EDGE]
-        assert fast61.f61_scale(y, vec).tolist() == [v * y % P for v in EDGE]
 
     def test_broadcast_columns_and_outer_products(self, rng):
         m = [_rand(rng, 7) for _ in range(5)]
@@ -176,9 +166,8 @@ class TestPrimitivesEqualBigInt:
         b = gen.integers(0, P, size=n, dtype=np.uint64)
         col = gen.integers(0, P, size=(6, 1), dtype=np.uint64)
         mat = gen.integers(0, P, size=(6, 9), dtype=np.uint64)
-        wide = gen.integers(0, 1 << 63, size=50, dtype=np.uint64)
-        frozen = [x.copy() for x in (a, b, col, mat, wide)]
-        for x in (a, b, col, mat, wide):
+        frozen = [x.copy() for x in (a, b, col, mat)]
+        for x in (a, b, col, mat):
             x.flags.writeable = False  # a write would raise, not corrupt
         fast61.f61_mul(a, b)
         fast61.f61_mul(a[:100], a[100:200])
@@ -186,12 +175,10 @@ class TestPrimitivesEqualBigInt:
         fast61.f61_mul(a, a)
         fast61.f61_add(a, b)
         fast61.f61_sub(a, b)
-        fast61.f61_reduce(wide)
-        fast61.f61_scale(12345, a)
         fast61.f61_sum(a)
         fast61.f61_axis_sum(mat, axis=0)
         fast61.f61_rows_sum(mat)
-        for x, keep in zip((a, b, col, mat, wide), frozen):
+        for x, keep in zip((a, b, col, mat), frozen):
             assert (x == keep).all()
 
     def test_spmv_never_writes_its_operands(self, rng):
@@ -358,9 +345,6 @@ class TestNoUint64Leaks:
         a, b = _arr(xs), _arr(ys)
         self._check(lambda: F.dot(xs, ys), lambda: F.dot(a, b))
         self._check(lambda: F.dot(xs, ys), lambda: F.dot(xs, b))
-        self._check(lambda: F.vec_add(xs, ys), lambda: F.vec_add(a, b))
-        self._check(lambda: F.vec_sub(xs, ys), lambda: F.vec_sub(a, b))
-        self._check(lambda: F.vec_scale(P - 3, xs), lambda: F.vec_scale(P - 3, a))
         self._check(lambda: F.vector_to_bytes(xs), lambda: F.vector_to_bytes(a))
 
     def test_kernels(self, rng):
@@ -419,7 +403,6 @@ class TestNoUint64Leaks:
             lambda: MultilinearPolynomial(F, xs).evaluate(point),
             lambda: MultilinearPolynomial(F, a).evaluate(point),
         )
-        self._check(lambda: hypercube_sum(F, xs), lambda: hypercube_sum(F, a))
         self._check(
             lambda: prove_multilinear(F, xs, randoms),
             lambda: prove_multilinear(F, a, randoms),
@@ -470,10 +453,6 @@ class TestNoUint64Leaks:
         m = _arr(msg)
         self._check(lambda: enc.encode(msg), lambda: enc.encode(m))
         self._check(lambda: enc.encode_recursive(msg), lambda: enc.encode_recursive(m))
-        self._check(
-            lambda: enc.encode_many([msg, msg[::-1]]),
-            lambda: enc.encode_many([m, m[::-1]]),
-        )
         codeword = enc.encode(msg)
         self._check(lambda: enc.is_codeword(codeword), lambda: enc.is_codeword(_arr(codeword)))
         assert isinstance(enc.encode(m), np.ndarray)  # arrays in, arrays out

@@ -1,194 +1,17 @@
-"""Baseline tests: NTT, curve/MSM, Groth-like pipeline, vendor models."""
+"""Baseline tests: the vendor and CPU-rate models behind Tables 7, 10 and 11."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines import (
     BELLPERSON_DEVICE_FACTOR,
-    EllipticCurve,
-    GOLDILOCKS_FIELD,
-    GrothLikeProver,
-    GrothWorkload,
-    NTT,
     OURS_ACCURACY_PERCENT,
-    SECP256K1,
     ZKML_BASELINES,
     bellperson_memory_gb,
     bellperson_times,
-    groth_memory_bytes,
     libsnark_times,
-    msm_naive,
-    msm_pippenger,
-    msm_work_units,
-    ntt_work_units,
     orion_arkworks_times,
-    polymul_ntt,
-    root_of_unity,
-    two_adicity,
 )
-from repro.errors import FieldError, SimulationError
-
-P = GOLDILOCKS_FIELD.modulus
-
-
-class TestNTT:
-    def test_two_adicity_goldilocks(self):
-        assert two_adicity(P) == 32
-
-    def test_root_of_unity_has_exact_order(self):
-        for k in (1, 2, 8, 16):
-            w = root_of_unity(GOLDILOCKS_FIELD, 1 << k, 7)
-            assert pow(w, 1 << k, P) == 1
-            assert pow(w, 1 << (k - 1), P) != 1
-
-    def test_root_of_unity_invalid_order(self):
-        with pytest.raises(FieldError):
-            root_of_unity(GOLDILOCKS_FIELD, 3, 7)
-
-    @pytest.mark.parametrize("size", [2, 4, 16, 64, 256])
-    def test_forward_inverse_roundtrip(self, size, rng):
-        ntt = NTT(size)
-        data = [rng.randrange(P) for _ in range(size)]
-        assert ntt.inverse(ntt.forward(data)) == data
-
-    def test_forward_is_evaluation(self):
-        """NTT of coefficients = evaluations at powers of omega."""
-        ntt = NTT(8)
-        coeffs = [3, 1, 4, 1, 5, 9, 2, 6]
-        evals = ntt.forward(coeffs)
-        for k in range(8):
-            x = pow(ntt.omega, k, P)
-            want = sum(c * pow(x, i, P) for i, c in enumerate(coeffs)) % P
-            assert evals[k] == want
-
-    def test_linearity(self, rng):
-        ntt = NTT(16)
-        a = [rng.randrange(P) for _ in range(16)]
-        b = [rng.randrange(P) for _ in range(16)]
-        s = [(x + y) % P for x, y in zip(a, b)]
-        want = [(x + y) % P for x, y in zip(ntt.forward(a), ntt.forward(b))]
-        assert ntt.forward(s) == want
-
-    @given(
-        a=st.lists(st.integers(0, P - 1), min_size=1, max_size=12),
-        b=st.lists(st.integers(0, P - 1), min_size=1, max_size=12),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_polymul_matches_schoolbook(self, a, b):
-        ref = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                ref[i + j] = (ref[i + j] + x * y) % P
-        assert polymul_ntt(a, b) == ref
-
-    def test_invalid_size(self):
-        with pytest.raises(FieldError):
-            NTT(3)
-
-    def test_work_units(self):
-        assert ntt_work_units(8) == 4 * 3
-
-
-class TestCurve:
-    @pytest.fixture(scope="class")
-    def curve(self):
-        return EllipticCurve(SECP256K1)
-
-    def test_generator_on_curve(self, curve):
-        assert curve.is_on_curve(curve.generator)
-
-    def test_identity_laws(self, curve):
-        g = curve.generator
-        assert curve.add(g, None) == g
-        assert curve.add(None, g) == g
-        assert curve.add(g, curve.neg(g)) is None
-
-    def test_add_commutes(self, curve):
-        g = curve.generator
-        g2 = curve.double(g)
-        assert curve.add(g, g2) == curve.add(g2, g)
-
-    def test_add_associates(self, curve):
-        g = curve.generator
-        g2, g3 = curve.double(g), curve.scalar_mul(3, g)
-        assert curve.add(curve.add(g, g2), g3) == curve.add(g, curve.add(g2, g3))
-
-    def test_scalar_mul_matches_repeated_add(self, curve):
-        g = curve.generator
-        acc = None
-        for k in range(1, 8):
-            acc = curve.add(acc, g)
-            assert curve.scalar_mul(k, g) == acc
-
-    def test_order_annihilates(self, curve):
-        assert curve.scalar_mul(curve.params.order, curve.generator) is None
-
-    def test_results_stay_on_curve(self, curve, rng):
-        pt = curve.scalar_mul(rng.randrange(1, 1 << 64), curve.generator)
-        assert curve.is_on_curve(pt)
-
-    def test_random_points_on_curve(self, curve):
-        for pt in curve.random_points(5, seed=3):
-            assert curve.is_on_curve(pt)
-
-    def test_random_points_deterministic(self, curve):
-        assert curve.random_points(3, seed=1) == curve.random_points(3, seed=1)
-
-
-class TestMSM:
-    @pytest.fixture(scope="class")
-    def curve(self):
-        return EllipticCurve(SECP256K1)
-
-    def test_pippenger_matches_naive(self, curve, rng):
-        pts = curve.random_points(15, seed=2)
-        scalars = [rng.randrange(1, curve.params.order) for _ in range(15)]
-        assert msm_pippenger(curve, scalars, pts) == msm_naive(curve, scalars, pts)
-
-    def test_small_window(self, curve, rng):
-        pts = curve.random_points(6, seed=4)
-        scalars = [rng.randrange(1, curve.params.order) for _ in range(6)]
-        assert msm_pippenger(curve, scalars, pts, window_bits=4) == msm_naive(
-            curve, scalars, pts
-        )
-
-    def test_zero_scalars(self, curve):
-        pts = curve.random_points(3, seed=5)
-        assert msm_pippenger(curve, [0, 0, 0], pts) is None
-
-    def test_empty(self, curve):
-        assert msm_pippenger(curve, [], []) is None
-
-    def test_length_mismatch(self, curve):
-        with pytest.raises(FieldError):
-            msm_pippenger(curve, [1], [])
-
-    def test_work_units_monotone(self):
-        assert msm_work_units(1 << 20) > msm_work_units(1 << 18)
-
-
-class TestGrothLike:
-    def test_pipeline_runs_and_reports(self):
-        prover = GrothLikeProver()
-        art = prover.prove(list(range(1, 33)))
-        assert art.pi_a is not None and art.pi_b is not None
-        assert art.total_seconds >= art.msm_seconds
-        assert art.workload.scale == 32
-
-    def test_workload_counts(self):
-        w = GrothWorkload(scale=1 << 10)
-        assert w.domain == 1 << 11
-        assert w.ntt_butterflies == 7 * ntt_work_units(1 << 11)
-        assert w.msm_group_adds > 0
-
-    def test_memory_model_far_above_ours(self):
-        """Table 10 driver: Groth keeps GBs resident at table scales."""
-        assert groth_memory_bytes(1 << 20) > (1 << 30) / 4
-
-    def test_tiny_witness_rejected(self):
-        with pytest.raises(Exception):
-            GrothLikeProver().prove([1])
+from repro.errors import SimulationError
 
 
 class TestVendorModels:

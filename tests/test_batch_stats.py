@@ -1,12 +1,9 @@
 """Regression tests for the BatchStats lifecycle (fresh per run, reset()).
 
-The original `prove_stream` accumulated into whatever ``self.stats``
-already held, so two stream runs — or a stream after ``prove_all`` —
-reported merged, wrong throughput; and ``prove_all`` rebound
-``self.stats``, so previously-held references went stale.  The contract
-now: one stable stats object per prover, reset in place at the start of
-every run, with ``prove_all`` returning an immutable-by-convention
-snapshot.
+``prove_all`` once rebound ``self.stats``, so previously-held references
+went stale, and runs could report merged throughput.  The contract: one
+stable stats object per prover, reset in place at the start of every
+run, with ``prove_all`` returning an immutable-by-convention snapshot.
 """
 
 import pytest
@@ -51,29 +48,6 @@ class TestReset:
         stats.reset()
         assert snap.proofs_generated == 2
         assert snap.per_proof_seconds == [0.5, 0.5]
-
-
-class TestStreamLifecycle:
-    def test_two_stream_runs_do_not_merge(self, batch):
-        prover, tasks = batch
-        list(prover.prove_stream(iter(tasks[:3])))
-        assert prover.stats.proofs_generated == 3
-
-        list(prover.prove_stream(iter(tasks[:2])))
-        # Regression: this used to report 5 proofs and summed seconds.
-        assert prover.stats.proofs_generated == 2
-        assert len(prover.stats.per_proof_seconds) == 2
-        assert prover.stats.total_seconds == pytest.approx(
-            sum(prover.stats.per_proof_seconds)
-        )
-
-    def test_stream_after_prove_all_is_fresh(self, batch):
-        prover, tasks = batch
-        prover.prove_all(tasks)
-        assert prover.stats.proofs_generated == len(tasks)
-        list(prover.prove_stream(iter(tasks[:1])))
-        assert prover.stats.proofs_generated == 1
-        assert len(prover.stats.per_proof_seconds) == 1
 
 
 class TestProveAllLifecycle:

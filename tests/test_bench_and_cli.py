@@ -135,6 +135,10 @@ class TestCli:
         (["prove", "--tasks", "-1"], "error: --tasks must be at least 1"),
         (["serve", "--requests", "0"], "error: --requests must be at least 1"),
         (["serve", "--requests", "-2"], "error: --requests must be at least 1"),
+        (["serve", "--verify-sample", "0"],
+         "error: --verify-sample must be at least 1"),
+        (["serve", "--verify-sample", "-1"],
+         "error: --verify-sample must be at least 1"),
     ])
     def test_bad_input_fails_typed(self, capsys, argv, error):
         assert cli_main(argv) == 1

@@ -17,6 +17,7 @@ from repro.cluster import (
     RemoteBackend,
 )
 from repro.cluster import coordinator, protocol
+from repro.cluster.autoscale import target_node_count
 from repro.core import ProofTask, SnarkProver, make_pcs, random_circuit
 from repro.core.serialize import serialize_proof
 from repro.errors import (
@@ -28,7 +29,7 @@ from repro.errors import (
 )
 from repro.execution import SerialBackend, resolve_backend
 from repro.field import DEFAULT_FIELD
-from repro.gpu.costs import proof_cost_seconds, target_node_count
+from repro.kernels.profile import proof_cost_seconds
 from repro.runtime import JsonlTraceSink, ProverSpec
 
 F = DEFAULT_FIELD
@@ -263,7 +264,6 @@ def test_remote_matches_serial_bytes(node, setup, serial_wire):
         assert _wire(proofs) == serial_wire
         assert stats.proofs_generated == len(tasks)
         assert stats.workers == 1
-        assert backend.ping() >= 0.0
     finally:
         backend.close()
 

@@ -1,4 +1,4 @@
-"""R1CS gadget tests: bit decomposition, comparisons, ReLU, mux."""
+"""R1CS gadget tests: bit decomposition, sign extraction, ReLU."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,15 +8,8 @@ from repro.core import (
     CircuitBuilder,
     SnarkProver,
     SnarkVerifier,
-    abs_value,
-    assert_in_range,
     compile_builder,
-    from_bits,
-    is_zero,
-    less_than,
     make_pcs,
-    max_gadget,
-    mux,
     relu,
     sign_bit,
     to_bits,
@@ -43,8 +36,6 @@ class TestBits:
         assert [cb.wire_value(b) for b in bits] == [
             (value >> i) & 1 for i in range(12)
         ]
-        back = from_bits(cb, bits)
-        cb.assert_equal(back, x)
         finalize_and_check(cb)
 
     def test_gate_cost(self):
@@ -61,38 +52,10 @@ class TestBits:
         with pytest.raises(CircuitError):
             to_bits(cb, x, 8)
 
-    def test_assert_in_range(self):
-        cb = CircuitBuilder(F)
-        assert_in_range(cb, cb.private_input(255), 8)
-        finalize_and_check(cb)
-
     def test_empty_bits_rejected(self):
         cb = CircuitBuilder(F)
         with pytest.raises(CircuitError):
-            from_bits(cb, [])
-
-
-class TestIsZeroAndMux:
-    @pytest.mark.parametrize("value,expected", [(0, 1), (1, 0), (12345, 0)])
-    def test_is_zero(self, value, expected):
-        cb = CircuitBuilder(F)
-        out = is_zero(cb, cb.private_input(value))
-        assert cb.wire_value(out) == expected
-        finalize_and_check(cb)
-
-    def test_mux_selects(self):
-        cb = CircuitBuilder(F)
-        a, b = cb.private_input(10), cb.private_input(20)
-        one, zero = cb.private_input(1), cb.private_input(0)
-        assert cb.wire_value(mux(cb, one, a, b)) == 10
-        assert cb.wire_value(mux(cb, zero, a, b)) == 20
-        finalize_and_check(cb)
-
-    def test_mux_nonboolean_rejected(self):
-        cb = CircuitBuilder(F)
-        a, b = cb.private_input(10), cb.private_input(20)
-        with pytest.raises(CircuitError):
-            mux(cb, cb.private_input(2), a, b)
+            to_bits(cb, cb.private_input(0), 0)
 
 
 class TestSignedGadgets:
@@ -104,14 +67,6 @@ class TestSignedGadgets:
         out = relu(cb, x, bits=12)
         want = max(value, 0) % F.modulus
         assert cb.wire_value(out) == want
-        finalize_and_check(cb)
-
-    @given(value=st.integers(min_value=-(1 << 10), max_value=(1 << 10) - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_abs(self, value):
-        cb = CircuitBuilder(F)
-        out = abs_value(cb, cb.private_input(value), bits=12)
-        assert cb.wire_value(out) == abs(value) % F.modulus
         finalize_and_check(cb)
 
     def test_sign_bit(self):
@@ -126,35 +81,6 @@ class TestSignedGadgets:
         cb = CircuitBuilder(F)
         with pytest.raises(CircuitError):
             relu(cb, cb.private_input(1 << 12), bits=12)
-
-
-class TestComparisons:
-    @given(
-        a=st.integers(min_value=0, max_value=255),
-        b=st.integers(min_value=0, max_value=255),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_less_than(self, a, b):
-        cb = CircuitBuilder(F)
-        out = less_than(cb, cb.private_input(a), cb.private_input(b), bits=8)
-        assert cb.wire_value(out) == int(a < b)
-        finalize_and_check(cb)
-
-    @given(
-        a=st.integers(min_value=0, max_value=255),
-        b=st.integers(min_value=0, max_value=255),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_max(self, a, b):
-        cb = CircuitBuilder(F)
-        out = max_gadget(cb, cb.private_input(a), cb.private_input(b), bits=8)
-        assert cb.wire_value(out) == max(a, b)
-        finalize_and_check(cb)
-
-    def test_operand_too_wide_rejected(self):
-        cb = CircuitBuilder(F)
-        with pytest.raises(CircuitError):
-            less_than(cb, cb.private_input(256), cb.private_input(0), bits=8)
 
 
 class TestGadgetsInProofs:
@@ -176,7 +102,7 @@ class TestGadgetsInProofs:
         """'This committed value fits 16 bits' — a pure range proof."""
         cb = CircuitBuilder(F)
         x = cb.private_input(40000)
-        assert_in_range(cb, x, 16)
+        to_bits(cb, x, 16)
         cb.expose_public(cb.mul(x, cb.constant(1)))
         cc = compile_builder(cb)
         pcs = make_pcs(F, cc.r1cs, num_col_checks=5)

@@ -202,15 +202,6 @@ class TestBatchApi:
         assert len(stats.per_proof_seconds) == 3
         assert verify_all(verifier, proofs, tasks)
 
-    def test_prove_stream(self, setup):
-        cc, prover, verifier, _ = setup
-        tasks = [ProofTask(i, cc.witness, cc.public_values) for i in range(2)]
-        batch = BatchProver(prover)
-        proofs = list(batch.prove_stream(iter(tasks)))
-        assert len(proofs) == 2
-        assert batch.stats.proofs_generated == 2
-        assert verify_all(verifier, proofs, tasks)
-
     def test_verify_all_count_mismatch(self, setup):
         cc, prover, verifier, proof = setup
         with pytest.raises(ProofError):

@@ -169,14 +169,6 @@ class TestSpielmanEncoder:
         with pytest.raises(EncodingError):
             enc.encode([1] * 63)
 
-    def test_stage_work_profile_structure(self):
-        enc = SpielmanEncoder(F, 512, seed=1)
-        profile = enc.stage_work_profile()
-        kinds = [p["pipeline"] for p in profile]
-        assert kinds.count("base") == 1
-        assert kinds.count("forward") == kinds.count("backward") == enc.num_stages
-        assert sum(p["nnz"] for p in profile) == enc.total_nnz()
-
     @given(n=st.integers(min_value=33, max_value=300), seed=st.integers(0, 50))
     @settings(max_examples=15, deadline=None)
     def test_property_systematic_and_length(self, n, seed):

@@ -24,7 +24,6 @@ class TestErrorHierarchy:
         errors.CommitmentError,
         errors.CircuitError,
         errors.ProofError,
-        errors.VerificationError,
         errors.SimulationError,
         errors.PipelineError,
         errors.ZkmlError,

@@ -87,14 +87,6 @@ class TestLargestRemainderShares:
         with pytest.raises(ExecutionError):
             largest_remainder_shares(5, [1.0, -2.0])
 
-    def test_matches_multigpu_shard(self):
-        """The farm simulator and the functional backend place identically."""
-        from repro.pipeline.multigpu import MultiGpuBatchSystem
-
-        farm = MultiGpuBatchSystem(["V100", "A100"], scale=1 << 12)
-        shares = farm.shard(33)
-        assert shares == largest_remainder_shares(33, farm.device_rates())
-
 
 # -- registry ------------------------------------------------------------------
 

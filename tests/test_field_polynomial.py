@@ -10,9 +10,7 @@ from repro.field import (
     Polynomial,
     barycentric_weights,
     evaluate_from_points,
-    interpolate_on_range,
     lagrange_interpolate,
-    vanishing_polynomial,
 )
 
 F = DEFAULT_FIELD
@@ -28,11 +26,6 @@ class TestPolynomialBasics:
     def test_zero_polynomial(self):
         z = Polynomial.zero(F)
         assert z.is_zero() and z.degree == 0
-
-    def test_monomial(self):
-        m = Polynomial.monomial(F, 3, 5)
-        assert m.coeffs == [0, 0, 0, 5]
-        assert m(2) == 40
 
     def test_horner_evaluation(self):
         poly = Polynomial(F, [1, 2, 3])  # 1 + 2x + 3x^2
@@ -66,22 +59,6 @@ class TestPolynomialArithmetic:
     def test_scale(self):
         assert Polynomial(F, [1, 2]).scale(3).coeffs == [3, 6]
 
-    def test_divmod_reconstructs(self, rng):
-        a = Polynomial.random(F, 7, rng)
-        b = Polynomial.random(F, 3, rng)
-        q, r = a.divmod(b)
-        assert (q * b + r).coeffs == a.coeffs
-        assert r.degree < b.degree
-
-    def test_divide_by_zero_raises(self):
-        with pytest.raises(FieldError):
-            Polynomial(F, [1]).divmod(Polynomial.zero(F))
-
-    def test_compose_affine(self, rng):
-        poly = Polynomial.random(F, 4, rng)
-        a, b, x = 3, 7, 11
-        assert poly.compose_affine(a, b)(x) == poly((a * x + b) % F.modulus)
-
     def test_shift(self):
         assert Polynomial(F, [1, 2]).shift(2).coeffs == [0, 0, 1, 2]
 
@@ -114,17 +91,6 @@ class TestLagrange:
         x = rng.randrange(F.modulus)
         poly = lagrange_interpolate(F, xs, ys)
         assert evaluate_from_points(F, xs, ys, x) == poly(x)
-
-    def test_interpolate_on_range(self, rng):
-        ys = F.rand_vector(5, rng)
-        poly = interpolate_on_range(F, ys)
-        assert [poly(i) for i in range(5)] == ys
-
-    def test_vanishing_polynomial_vanishes(self, rng):
-        xs = F.rand_vector(4, rng)
-        van = vanishing_polynomial(F, xs)
-        assert all(van(x) == 0 for x in xs)
-        assert van.degree == 4
 
     def test_barycentric_weights(self):
         xs = [0, 1, 2]

@@ -107,14 +107,6 @@ class TestVectorOps:
         with pytest.raises(FieldError):
             F.dot([1], [1, 2])
 
-    def test_vec_ops_roundtrip(self, rng):
-        xs = F.rand_vector(10, rng)
-        ys = F.rand_vector(10, rng)
-        assert F.vec_sub(F.vec_add(xs, ys), ys) == xs
-
-    def test_vec_scale(self):
-        assert F.vec_scale(3, [1, 2]) == [3, 6]
-
 
 class TestFieldElement:
     def test_operator_roundtrip(self, rng):

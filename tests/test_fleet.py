@@ -39,7 +39,6 @@ from repro.service import (
     ProofService,
     RuntimeProofBackend,
     ServiceStats,
-    find_cluster_backend,
     launch_fleet,
     spec_key,
 )
@@ -666,25 +665,16 @@ class TestFleetSupervisor:
             svc.close()
 
 
-# -- launch_fleet & backend discovery ------------------------------------------
+# -- launch_fleet ------------------------------------------------------------
 
 
 def test_launch_fleet_end_to_end(setup, serial_wire):
     _, spec, tasks = setup
     with launch_fleet("serial", initial_nodes=1) as fleet:
         assert fleet.pool.size == 1
-        assert find_cluster_backend(fleet.backend) is fleet.cluster
-        backend = RuntimeProofBackend({spec_key(spec): spec},
-                                      backend=fleet.backend)
-        assert find_cluster_backend(backend) is fleet.cluster
         proofs, _ = fleet.backend.prove_tasks(spec, tasks)
         assert _wire(proofs) == serial_wire
     assert fleet.pool.size == 0  # close() tore the node down
-
-
-def test_find_cluster_backend_negative():
-    assert find_cluster_backend(SerialBackend()) is None
-    assert find_cluster_backend(None) is None
 
 
 def test_prediction_backend_resolves_selector_once():

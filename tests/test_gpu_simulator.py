@@ -1,4 +1,4 @@
-"""GPU simulator tests: devices, kernels, memory, streams, schedulers."""
+"""GPU simulator tests: devices, kernels, streams, schedulers."""
 
 import pytest
 
@@ -8,14 +8,11 @@ from repro.gpu import (
     GPU_CATALOG,
     GpuCostModel,
     KernelStage,
-    MemoryTracker,
     ModuleGraph,
     TransferEngine,
     allocate_threads_proportional,
     allocate_threads_uniform,
-    dynamic_footprint_blocks,
     get_gpu,
-    preload_footprint_blocks,
     run_cpu,
     run_naive,
     run_pipelined,
@@ -137,42 +134,6 @@ class TestAllocator:
         beat_p = max(s.duration_cycles(a) for s, a in zip(g.stages, prop))
         beat_u = max(s.duration_cycles(a) for s, a in zip(g.stages, unif))
         assert beat_p < beat_u
-
-
-class TestMemoryTracker:
-    def test_high_water(self):
-        m = MemoryTracker(1000)
-        m.allocate("a", 400)
-        m.allocate("b", 500)
-        m.free("a")
-        m.allocate("c", 100)
-        assert m.high_water_bytes == 900
-        assert m.current_bytes == 600
-
-    def test_oom(self):
-        m = MemoryTracker(100)
-        with pytest.raises(SimulationError):
-            m.allocate("big", 101)
-
-    def test_double_alloc(self):
-        m = MemoryTracker(100)
-        m.allocate("a", 10)
-        with pytest.raises(SimulationError):
-            m.allocate("a", 10)
-
-    def test_free_unknown(self):
-        m = MemoryTracker(100)
-        with pytest.raises(SimulationError):
-            m.free("ghost")
-
-    def test_footprints_match_paper_closed_forms(self):
-        """§3.1: dynamic ≈ 2N blocks vs preload mN."""
-        assert dynamic_footprint_blocks(8) == 15  # 2N - 1
-        assert preload_footprint_blocks(8, 10) == 80
-        n = 1 << 14
-        assert dynamic_footprint_blocks(n) == 2 * n - 1
-        # Dynamic beats preloading once m >= 2.
-        assert dynamic_footprint_blocks(n) < preload_footprint_blocks(n, 3)
 
 
 class TestTransferEngine:

@@ -38,6 +38,7 @@ from repro.field import DEFAULT_FIELD, PrimeField, fast61
 from repro.field.primes import BN254_SCALAR, MERSENNE61
 from repro.hashing.hashers import get_hasher
 from repro.kernels import field_kernels, use_reference_kernels
+from repro.merkle import open_multi
 from repro.merkle.tree import MerkleTree, build_forest
 from repro.runtime import ProverSpec
 
@@ -264,7 +265,7 @@ class TestMerkleForest:
             alone = MerkleTree(leaves, hasher)
             assert tree.root == alone.root
             assert tree.layers == alone.layers
-            proof = tree.open(3)
+            proof = open_multi(tree, [3])
             assert proof.verify(alone.root, hasher)
 
     def test_single_lane_forest(self, rng):
@@ -573,9 +574,6 @@ class TestDefaultBatchPath:
         del calls[:]
         batch.prove_all(tasks[:3], backend="serial")
         assert calls == [1] * 3
-        del calls[:]
-        list(batch.prove_stream(tasks[:2]))
-        assert calls == [1] * 2
 
     def test_default_under_reference_kernels(self):
         spec, tasks = _make_spec_and_tasks(F, 24, 4)

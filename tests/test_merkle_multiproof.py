@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import MerkleError
 from repro.hashing import get_hasher
-from repro.merkle import (
-    MerkleMultiProof,
-    MerkleTree,
-    individual_paths_size,
-    open_multi,
-)
+from repro.merkle import MerkleMultiProof, MerkleTree, open_multi
 
 HASHER = get_hasher("sha256-hw")
 
@@ -70,22 +65,25 @@ class TestCorrectness:
         assert len(proof.nodes) == 3
 
 
+def _path_nodes(tree, indices):
+    """Sibling digests that one authentication path per leaf would carry."""
+    return len(set(indices)) * tree.depth
+
+
 class TestSavings:
     def test_smaller_than_individual_paths(self):
         tree = make_tree(64)
         rng = random.Random(1)
         indices = rng.sample(range(64), 16)
         proof = open_multi(tree, indices)
-        assert proof.size_bytes() < individual_paths_size(tree, indices)
+        assert len(proof.nodes) < _path_nodes(tree, indices)
 
     def test_savings_grow_with_batch(self):
         tree = make_tree(64)
         small = open_multi(tree, [0, 1])
         large = open_multi(tree, list(range(16)))
-        ratio_small = small.size_bytes() / individual_paths_size(tree, [0, 1])
-        ratio_large = large.size_bytes() / individual_paths_size(
-            tree, list(range(16))
-        )
+        ratio_small = len(small.nodes) / _path_nodes(tree, [0, 1])
+        ratio_large = len(large.nodes) / _path_nodes(tree, range(16))
         assert ratio_large < ratio_small
 
 

@@ -133,9 +133,8 @@ class TestResultCache:
         follower = Ticket(1)
         cache.claim(self.KEY, Ticket(0))
         assert cache.claim(self.KEY, follower) == ("joined", None)
-        assert cache.inflight_count() == 1
         assert cache.fulfill(self.KEY, "proof") == [follower]
-        assert cache.inflight_count() == 0
+        assert cache.claim(self.KEY, Ticket(2)) == ("hit", "proof")
 
     def test_abandon_releases_claim(self):
         cache = ResultCache(capacity=4)
@@ -154,8 +153,8 @@ class TestResultCache:
             cache.fulfill(key, i)
         assert len(cache) == 2
         assert cache.evictions == 1
-        assert cache.peek((b"c", b"\x00")) is None  # oldest evicted
-        assert cache.peek((b"c", b"\x02")) == 2
+        assert cache.claim((b"c", b"\x02"), Ticket(7)) == ("hit", 2)
+        assert cache.claim((b"c", b"\x00"), Ticket(8)) == ("lead", None)  # evicted
 
     def test_zero_capacity_keeps_single_flight_only(self):
         cache = ResultCache(capacity=0)

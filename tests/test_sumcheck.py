@@ -11,7 +11,6 @@ from repro.sumcheck import (
     ProductSumcheckProver,
     RoundCheckFailure,
     evaluation_point,
-    hypercube_sum,
     prove_multilinear,
     verify_multilinear,
     verify_multilinear_rounds,
@@ -214,6 +213,3 @@ class TestVerifierEdgeCases:
     def test_wrong_eval_count_in_product(self):
         with pytest.raises(SumcheckError):
             verify_product_rounds(F, 0, [[0, 0, 0]], [1], degree=3)
-
-    def test_hypercube_sum_helper(self):
-        assert hypercube_sum(F, [1, 2, 3]) == 6

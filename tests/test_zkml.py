@@ -18,7 +18,6 @@ from repro.zkml import (
     Square,
     circuitize,
     forward_exact,
-    quantization_error,
     random_input,
     simulate_vgg16_service,
     tiny_cnn,
@@ -32,7 +31,8 @@ class TestQuantizedTensor:
     def test_roundtrip_error_bounded(self):
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, (4, 4))
-        assert quantization_error(x, frac_bits=8) <= 1 / 512 + 1e-12
+        q = QuantizedTensor.from_float(x, frac_bits=8)
+        assert np.max(np.abs(q.to_float() - x)) <= 1 / 512 + 1e-12
 
     def test_to_field_handles_negatives(self):
         q = QuantizedTensor(np.array([-1, 2, -3]), frac_bits=0)

@@ -1,6 +1,5 @@
-"""LeNet model, weight persistence, and proof-bundle tests."""
+"""Proof-bundle tests: the parser of outside bundle bytes."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -14,94 +13,10 @@ from repro.core import (
     serialize_proof_bundle,
     verify_all,
 )
-from repro.errors import ProofError, ZkmlError
+from repro.errors import ProofError
 from repro.field import DEFAULT_FIELD
-from repro.zkml import (
-    lenet_cifar10,
-    load_weights,
-    random_input,
-    save_weights,
-    tiny_cnn,
-    vgg16_cifar10,
-)
 
 F = DEFAULT_FIELD
-
-
-class TestLenet:
-    def test_structure(self):
-        m = lenet_cifar10()
-        assert m.input_shape == (3, 32, 32)
-        assert m._shapes[-1] == (10,)
-
-    def test_forward_runs(self):
-        m = lenet_cifar10()
-        m.init_params(0)
-        out = m.forward(random_input(m.input_shape, seed=1))
-        assert out.shape == (10,)
-
-    def test_gate_count_between_tiny_and_vgg(self):
-        tiny = tiny_cnn().gate_count()
-        lenet = lenet_cifar10().gate_count()
-        vgg = vgg16_cifar10().gate_count()
-        assert tiny < lenet < vgg
-
-    def test_gate_accounting_dominated_by_rescale(self):
-        """The RESCALE_BITS range proofs dominate, as in VGG-16."""
-        m = lenet_cifar10()
-        per_layer = dict(m.per_layer_gates())
-        assert per_layer["conv1"] > per_layer["fc3"]
-
-
-class TestWeightPersistence:
-    def test_roundtrip(self, tmp_path):
-        m = tiny_cnn()
-        m.init_params(3)
-        x = random_input(m.input_shape, seed=4)
-        before = m.forward(x).values.copy()
-        path = str(tmp_path / "weights.npz")
-        save_weights(m, path)
-
-        fresh = tiny_cnn()
-        fresh.init_params(99)  # different weights
-        assert not np.array_equal(fresh.forward(x).values, before)
-        load_weights(fresh, path)
-        assert np.array_equal(fresh.forward(x).values, before)
-
-    def test_commitment_root_restored(self, tmp_path):
-        from repro.zkml import MlaasService
-
-        m = tiny_cnn()
-        m.init_params(5)
-        root = MlaasService(m).model_root
-        path = str(tmp_path / "w.npz")
-        save_weights(m, path)
-        clone = tiny_cnn()
-        clone.init_params(6)
-        load_weights(clone, path)
-        assert MlaasService(clone).model_root == root
-
-    def test_frac_bits_preserved(self, tmp_path):
-        from repro.zkml import QuantizedTensor
-
-        m = tiny_cnn()
-        m.init_params(0)
-        m.layers[0].weights = QuantizedTensor.from_float(
-            m.layers[0].weights.to_float(), frac_bits=12
-        )
-        path = str(tmp_path / "w.npz")
-        save_weights(m, path)
-        clone = tiny_cnn()
-        clone.init_params(1)
-        load_weights(clone, path)
-        assert clone.layers[0].weights.frac_bits == 12
-
-    def test_unparameterized_model_rejected(self, tmp_path):
-        from repro.zkml import Flatten, SequentialModel
-
-        m = SequentialModel([Flatten()], input_shape=(1, 2, 2))
-        with pytest.raises(ZkmlError):
-            save_weights(m, str(tmp_path / "x.npz"))
 
 
 class TestProofBundle:
