@@ -3,13 +3,14 @@
 
 A proving farm earns trust by rehearsing failure, not by avoiding it.
 This drill runs one batch through the S25 resilience stack —
-`resilient:sharded:serial,serial` — under a deterministic fault plan
+`resilient:cluster:serial,serial` — under a deterministic fault plan
 that schedules
 
 * a 15% per-attempt worker crash rate,
 * a 5% proof-corruption rate (caught by verify-on-return, re-proved),
-* one forced outage of child 0 on its first call (fails over), and
-* one poison task that crashes on every child (quarantined, typed),
+* one forced outage of cluster member 0 on its first call (the cluster
+  fails its tasks over to member 1), and
+* one poison task that crashes on every attempt (quarantined, typed),
 
 then shows that every non-quarantined proof is byte-identical to a
 fault-free run, and finishes with a crash-safe journal demo: kill a run
@@ -61,7 +62,7 @@ def main() -> None:
 
     # The drill: same batch, full fault plan, resilient substrate.
     backend = ResilientBackend(
-        resolve_backend("sharded:serial,serial"),
+        resolve_backend("cluster:serial,serial"),
         verify_on_return=True,  # corruption plan => check every proof
     )
     injector = FaultInjector.from_plan(PLAN)
@@ -84,8 +85,8 @@ def main() -> None:
         assert isinstance(verdict, QuarantinedTaskError)
         print(f"quarantine : {verdict}")
     print("\n" + backend.last_resilience_stats.report())
-    for tracker in backend.health:
-        print(f"health     : {tracker.summary()}")
+    for member in backend.child.members:
+        print(f"health     : {member.health.summary()}")
 
     # The journal: kill a run after 4 tasks, then resume it.  The
     # journal is content-addressed (circuit + witness + publics), so the

@@ -2,14 +2,14 @@
 """Execution backends: one proving batch, three interchangeable substrates.
 
 BatchZK's system half treats execution resources as interchangeable: the
-same task stream can fill one device, a pool of them, or a sharded farm.
+same task stream can fill one device, a pool of them, or a cluster.
 The functional counterpart is `repro.execution`: every proving entry
 point runs behind one `ProvingBackend` seam, and operators pick the
 substrate with a selector string.  This example proves one batch on
 
 1. `serial`                 — in-process, the reference oracle,
 2. `pool:N`                 — the retrying process-pool runtime,
-3. `sharded:pool:N,serial`  — two concurrent children, tasks split
+3. `cluster:pool:N,serial`  — two concurrent members, tasks split
                               proportionally to their parallelism,
 
 shows the proofs are byte-identical across all three, and then replays
@@ -46,7 +46,7 @@ def main() -> None:
     verifier = spec.build_verifier()
     tasks = [ProofTask(i, cc.witness, cc.public_values) for i in range(TASKS)]
 
-    selectors = ["serial", f"pool:{workers}", f"sharded:pool:{workers},serial"]
+    selectors = ["serial", f"pool:{workers}", f"cluster:pool:{workers},serial"]
     wire_by_selector = {}
     for selector in selectors:
         backend = resolve_backend(selector)
@@ -65,11 +65,11 @@ def main() -> None:
     identical = all(wire == reference for wire in wire_by_selector.values())
     print(f"\nbyte-identical proofs across all backends: {identical}")
 
-    print("\n=== Correlated trace (sharded run) ===")
+    print("\n=== Correlated trace (cluster run) ===")
     buffer = io.StringIO()
     sink = JsonlTraceSink(buffer)
-    sharded = resolve_backend(f"sharded:pool:{workers},serial")
-    sharded.prove_tasks(spec, tasks, trace=sink)
+    cluster = resolve_backend(f"cluster:pool:{workers},serial")
+    cluster.prove_tasks(spec, tasks, trace=sink)
     events = load_trace(buffer.getvalue().splitlines())
     nodes = span_index(events)
     roots = [n for n in nodes.values() if n.parent not in nodes]

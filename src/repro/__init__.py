@@ -20,7 +20,7 @@ Subpackages (see DESIGN.md for the full inventory):
 ``gpu``         device catalog, cost models, the cycle simulator
 ``pipeline``    module stage graphs, the Figure 7 system
 ``runtime``     process-pool parallel proving with retries + metrics
-``execution``   unified proving backends (serial/pool/sharded), traces
+``execution``   unified proving backends (serial/pool/lanes), traces
 ``cluster``     multi-node proving: wire protocol, ring routing,
                 autoscaling (``remote:``/``cluster:`` selectors)
 ``baselines``   vendor and CPU-rate models of the paper's baselines

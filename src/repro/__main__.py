@@ -8,13 +8,13 @@ Usage::
     python -m repro all                   # everything
     python -m repro breakdown             # §6.3 speedup decomposition
     python -m repro prove --backend pool:4   # real proofs on a process pool
-    python -m repro prove --backend sharded:pool:2,pool:2
+    python -m repro prove --backend cluster:pool:2,pool:2
     python -m repro prove --backend pipelined:4   # stage-pipelined threads
     python -m repro serve --requests 60   # streaming service on a synthetic trace
 
 Resilience drills (S25)::
 
-    python -m repro prove --backend resilient:sharded:pool:2,pool:2 \\
+    python -m repro prove --backend resilient:cluster:pool:2,pool:2 \\
         --fault-plan crash:0.1,corrupt:0.02,down=0@1x1,seed=7
     python -m repro prove --journal out.jsonl            # crash-safe WAL
     python -m repro prove --journal out.jsonl --resume   # skip proven tasks
@@ -507,7 +507,7 @@ def main(argv=None) -> int:
         metavar="SELECTOR",
         help="execution backend for `prove` / `serve` / `node`, e.g. "
         "'serial', 'pool:4', 'lanes:auto', 'lanes:16:pool:4', "
-        "'pipelined:4', 'sharded:pool:2,pool:2' (default: serial)",
+        "'pipelined:4', 'cluster:pool:2,pool:2' (default: serial)",
     )
     parser.add_argument(
         "--tasks",

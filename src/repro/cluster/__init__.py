@@ -16,6 +16,9 @@ client into a coordinator:
   :class:`~repro.kernels.SpecCache` stays hot) and a dead node's arc
   fails over to its ring successors behind the S25 circuit breakers —
   ``resilient:cluster:...`` composes for task-level quarantine on top.
+  The cluster is the only backend with children: ``cluster:serial,serial``
+  splits a batch over in-process members, one call per member at a
+  time.
 * :class:`LoadModel` / :class:`Autoscaler` / :class:`NodePool` — sizes
   the fleet from measured per-proof cost × live arrival rate
   (:func:`~repro.kernels.profile.proof_cost_seconds`), actuating local
@@ -58,8 +61,9 @@ breaker; the coordinator covers that gap with hedging.  Every shard's
 client-observed latency feeds a sliding `LatencyTracker`; once a shard
 outlives `HEDGE_DELAY_FACTOR` (1.5) × the window's p95 (floored at
 `min_hedge_delay_seconds`, default 50 ms), the same task indices are
-re-issued to the shard's ring successor and the first successful result
-wins — safe because both attempts produce byte-identical proofs.  A
+re-issued to the first idle member in ring order (a member runs one
+call at a time, so a hedge waits until one is idle) and the first successful
+result wins — safe because both attempts produce byte-identical proofs.  A
 global `TokenBucket` (`hedge_budget_per_second`/`hedge_budget_burst`)
 caps hedge issues so fleet-wide slowness cannot amplify into a retry
 storm; hedges are budget-gated, failover retries never are.  `hedge` /
@@ -78,10 +82,14 @@ terminates all children concurrently against one
 wedged subprocess cannot hang shutdown.
 
 **Failure model.** Transport loss anywhere becomes
-`BackendUnavailableError` — the same blameless-outage type the S25
-layer speaks — so per-node `CircuitBreaker`s open on a dead peer, the
-orphaned share re-runs on ring successors (`ring_rebalance` events),
-and `resilient:cluster:...` adds task-level quarantine above.  Version
+`BackendUnavailableError`, so per-node `CircuitBreaker`s open on a dead
+peer, the orphaned share re-runs on ring successors (`ring_rebalance`
+events name the tasks and the nodes they moved to), and a batch with no
+admissible node for `MAX_UNAVAILABLE_SECONDS` (5 s) fails typed.  This
+is the one failover loop (DESIGN decision 28): `resilient:cluster:...`
+adds task-level quarantine above it and lets an unavailable cluster's
+error propagate.  A fault plan's `outage:` and `down=C@FxN` faults fire
+here, before each attempt on member `C` (join order).  Version
 skew and digest disagreement are *not* retried: they are configuration
 errors, and the fleet fails loudly.
 

@@ -238,9 +238,7 @@ class NodeServer:
                 kind, payload = protocol.recv_frame(sock)
                 if kind == protocol.BYE:
                     return
-                if kind == protocol.PING:
-                    protocol.send_frame(sock, protocol.PONG, {"t": time.time()})
-                elif kind == protocol.STATS:
+                if kind == protocol.STATS:
                     protocol.send_frame(sock, protocol.STATS_OK, self.stats())
                 elif kind == protocol.DRAIN:
                     self._handle_drain(sock, payload)

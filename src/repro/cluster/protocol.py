@@ -27,7 +27,7 @@ Frame kinds (client → node unless noted): ``HELLO`` (both directions,
 handshake), ``PROVE`` (a task batch), ``RESULT`` (node → client, one
 streamed chunk of finished proofs), ``DONE`` (node → client, end of a
 batch with the run report), ``STATS``/``STATS_OK`` (cache and
-throughput gauges), ``PING``/``PONG`` (liveness), ``ERROR`` (node →
+throughput gauges), ``ERROR`` (node →
 client, typed failure), ``BYE`` (orderly close), ``DRAIN`` /
 ``DRAIN_OK`` (graceful shutdown: the node stops accepting new batches,
 finishes what is in flight, then acknowledges — the handshake behind
@@ -62,8 +62,7 @@ RESULT = 3
 DONE = 4
 STATS = 5
 STATS_OK = 6
-PING = 7
-PONG = 8
+# 7 and 8 were PING/PONG, which nothing sent; numbers are never reused.
 ERROR = 9
 BYE = 10
 DRAIN = 11
@@ -76,8 +75,6 @@ KIND_NAMES: Dict[int, str] = {
     DONE: "DONE",
     STATS: "STATS",
     STATS_OK: "STATS_OK",
-    PING: "PING",
-    PONG: "PONG",
     ERROR: "ERROR",
     BYE: "BYE",
     DRAIN: "DRAIN",

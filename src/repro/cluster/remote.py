@@ -11,11 +11,10 @@ process-wide :class:`~repro.kernels.SpecCache`), which is why a remote
 proof is *byte-identical* to a local serial one: the node never ships
 parameters, only prover messages.
 
-Failure translation is the seam the resilience layer composes on: any
+Failure translation is the seam the cluster composes on: any
 transport-level loss (connection refused, reset, EOF mid-frame) raises
-:class:`~repro.errors.BackendUnavailableError` — the blameless
-child-level outage :class:`~repro.resilience.ResilientBackend` and
-:class:`~repro.cluster.ClusterBackend` already know how to fail over —
+:class:`~repro.errors.BackendUnavailableError` — the blameless node
+outage :class:`~repro.cluster.ClusterBackend` fails over —
 while a version skew raises the typed
 :class:`~repro.errors.ProtocolMismatchError` (an operator error no
 amount of retrying fixes), and a node-side proving failure re-raises as

@@ -18,7 +18,7 @@ runs do not touch.
 Execution is delegated to the unified backend layer
 (:mod:`repro.execution`), chosen by one ``backend`` argument: a
 :class:`~repro.execution.ProvingBackend` or a selector string
-(``"serial"``, ``"pool:4"``, ``"sharded:pool:4,pool:4"``).  The default,
+(``"serial"``, ``"pool:4"``, ``"cluster:pool:4,pool:4"``).  The default,
 ``"lanes:auto"``, proves same-circuit tasks in lockstep lane groups
 sized by working set, byte-identical to one-at-a-time proving.
 The per-run report (percentile latencies, retries, utilization) lands in
@@ -98,7 +98,7 @@ class BatchProver:
         prover:  The fixed-instance SNARK prover.
         backend: Default execution backend for :meth:`prove_all` — a
                  selector string (``"lanes:auto"``, ``"serial"``,
-                 ``"pool:8"``, ``"sharded:pool:4,pool:4"``) or a
+                 ``"pool:8"``, ``"cluster:pool:4,pool:4"``) or a
                  :class:`~repro.execution.ProvingBackend` instance.
     """
 

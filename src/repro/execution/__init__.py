@@ -4,25 +4,25 @@ BatchZK's system half is a scheduling discipline: proof tasks flow
 through interchangeable execution resources.  This package is that seam
 for the functional half — one :class:`ProvingBackend` abstraction
 (``prove_tasks(spec, tasks) -> (proofs, RuntimeStats)``) behind which
-every proving entry point in the repository runs, with three stock
+every proving entry point in the repository runs, with stock
 substrates (:class:`SerialBackend`, the process-pool
-:class:`PoolBackend`, the composable :class:`ShardedBackend`), a string
-registry (:func:`resolve_backend` understands ``"serial"``,
-``"pool:8"``, ``"sharded:pool:4,pool:4"``) so CLIs, benches, and
-services select substrates by name, and the replay side of the
+:class:`PoolBackend`, the lane-vectorized :class:`LanedBackend`, the
+stage-pipelined :class:`PipelinedBackend`), a string registry
+(:func:`resolve_backend` understands ``"serial"``, ``"pool:8"``,
+``"cluster:pool:4,pool:4"``) so CLIs, benches, and services select
+substrates by name, and the replay side of the
 correlated trace schema (:func:`request_lineage` rebuilds a request's
 service → batch → backend → task span tree from one JSONL file).
 
 One rate-proportional shard arithmetic
-(:func:`largest_remainder_shares`) places tasks for the sharded,
-resilient, pipelined and cluster layers.
+(:func:`largest_remainder_shares`) places tasks for the pipelined and
+cluster layers.
 """
 
 from .backend import (
     PoolBackend,
     ProvingBackend,
     SerialBackend,
-    ShardedBackend,
 )
 from .laned import (
     AUTO_LANE_BUDGET,
@@ -65,8 +65,9 @@ proof service inherit the service's sink and batch span automatically.
 lane groups (S31; `"lanes:16:pool:4"` / `"lanes:16:pipelined:4"` give a
 parallel substrate lane-group-sized dispatch units, and a composed
 `"lanes:auto:pool:4"` hardens `auto` to `AUTO_LANE_CAP`);
-`"sharded:pool:4,pool:4"` splits each batch across concurrent children
-proportionally to their parallelism (largest-remainder rounding).  Instances
+`"cluster:pool:4,pool:4"` splits each batch across concurrent members
+proportionally to their parallelism (largest-remainder rounding) and
+fails over from a dead member (`repro.cluster`).  Instances
 pass through unchanged, and `register_backend("gpu", factory)` adds new
 selector heads.
 
@@ -88,7 +89,6 @@ __all__ = [
     "ProvingBackend",
     "RequestLineage",
     "SerialBackend",
-    "ShardedBackend",
     "SpanNode",
     "StageGroup",
     "available_backends",

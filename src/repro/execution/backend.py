@@ -1,7 +1,7 @@
 """The unified proving-backend abstraction (S24).
 
 Every proving entry point in the repository — ``BatchProver``, the MLaaS
-service, the zkBridge prover, the streaming ``ProofService``, the CLI —
+service, the streaming ``ProofService``, the CLI —
 reduces a workload to the same shape: *a picklable prover recipe plus a
 list of independent tasks*.  A :class:`ProvingBackend` is anything that
 executes that shape::
@@ -9,7 +9,7 @@ executes that shape::
     proofs, stats = backend.prove_tasks(spec, tasks)
 
 with proofs in task order and a :class:`~repro.runtime.RuntimeStats`
-report.  Three concrete substrates ship here:
+report.  Two concrete substrates ship here:
 
 * :class:`SerialBackend` — in-process, one cached prover per spec; the
   zero-overhead floor every other backend must beat.  It is
@@ -17,10 +17,11 @@ report.  Three concrete substrates ship here:
 * :class:`PoolBackend` — the process-pool
   :class:`~repro.runtime.ParallelProvingRuntime` (chunked dispatch,
   retries, timeouts), one cached runtime per spec.
-* :class:`ShardedBackend` — splits a batch across child backends by
-  rate-proportional largest-remainder arithmetic, runs the shards
-  concurrently, and merges their reports.  Backends compose: a shard's
-  child may itself be sharded.
+
+One backend has children: :class:`~repro.cluster.ClusterBackend`
+(``cluster:pool:4,serial``) splits a batch across member backends by
+rate-proportional largest-remainder arithmetic, runs the shards
+concurrently, fails over from dead members, and merges their reports.
 
 The reference oracle is :meth:`~repro.core.prover.SnarkProver.prove`:
 every backend's proofs are byte-identical to it, task for task.  Every
@@ -35,8 +36,6 @@ one JSONL file.
 from __future__ import annotations
 
 import os
-import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import (
     List,
     Optional,
@@ -51,8 +50,8 @@ from ..core.proof import SnarkProof
 from ..errors import ExecutionError
 from ..runtime.pool import ParallelProvingRuntime
 from ..runtime.spec import ProverSpec, _PerSpecCache
-from ..runtime.stats import RuntimeStats, merge_runtime_stats
-from ..runtime.trace import JsonlTraceSink, backend_span
+from ..runtime.stats import RuntimeStats
+from ..runtime.trace import JsonlTraceSink
 from .laned import LanedBackend
 
 
@@ -61,8 +60,8 @@ class ProvingBackend(Protocol):
     """Structural interface of an execution substrate for proof batches.
 
     ``name`` is the registry spelling (``"serial"``, ``"pool:8"``, …);
-    ``parallelism`` is the nominal concurrent capacity, used as the
-    default sharding weight when backends compose.
+    ``parallelism`` is the nominal concurrent capacity, used as a
+    cluster member's sharding weight.
     """
 
     name: str
@@ -165,99 +164,3 @@ class PoolBackend:
                 for proof, task in zip(proofs, tasks)
             ]
         return proofs, stats
-
-
-class ShardedBackend:
-    """Composite execution: split one batch across child backends.
-
-    The shard sizes are proportional to each child's ``parallelism`` via
-    largest-remainder rounding
-    (:func:`~repro.execution.sharding.largest_remainder_shares`), so a
-    ``sharded:pool:4,pool:4`` backend splits a batch evenly.  Shards run
-    concurrently on threads (each child does its own
-    process-level parallelism; the threads only wait), proofs come back
-    in input order, and the merged :class:`RuntimeStats` reports the
-    combined worker count against the sharded wall-clock envelope.
-    """
-
-    def __init__(self, children: Sequence[ProvingBackend]):
-        children = list(children)
-        if not children:
-            raise ExecutionError("ShardedBackend needs at least one child")
-        self.children = children
-        self.weights = [
-            float(max(1, getattr(child, "parallelism", 1)))
-            for child in children
-        ]
-        self.parallelism = int(sum(self.weights))
-        self.name = "sharded:" + ",".join(child.name for child in children)
-
-    def shard(self, n_tasks: int) -> List[int]:
-        """Per-child task counts for a batch of ``n_tasks``."""
-        from .sharding import largest_remainder_shares
-
-        if n_tasks == 0:
-            return [0] * len(self.children)
-        return largest_remainder_shares(n_tasks, self.weights)
-
-    def prove_tasks(
-        self,
-        spec: ProverSpec,
-        tasks: Sequence[ProofTask],
-        *,
-        trace: Optional[JsonlTraceSink] = None,
-        parent: Optional[str] = None,
-    ) -> Tuple[List[SnarkProof], RuntimeStats]:
-        tasks = list(tasks)
-        ctx = backend_span(trace, parent)
-        shares = self.shard(len(tasks))
-        bounds: List[Tuple[int, int]] = []
-        lo = 0
-        for share in shares:
-            bounds.append((lo, lo + share))
-            lo += share
-        start = time.perf_counter()
-        ctx.emit(
-            "shard_start", backend=self.name, tasks=len(tasks), shares=shares,
-        )
-        proofs: List[Optional[SnarkProof]] = [None] * len(tasks)
-        part_stats: List[RuntimeStats] = []
-        active = [
-            (index, self.children[index], span)
-            for index, span in enumerate(bounds)
-            if span[1] > span[0]
-        ]
-
-        def run_shard(child: ProvingBackend, lo: int, hi: int):
-            # Children receive the sink and parent explicitly — ambient
-            # context is thread-local and does not cross into the pool.
-            return child.prove_tasks(
-                spec, tasks[lo:hi], trace=ctx.sink, parent=ctx.span
-            )
-
-        if not active:
-            outcomes: List[Tuple[List[SnarkProof], RuntimeStats]] = []
-        elif len(active) == 1:
-            _, child, (s_lo, s_hi) = active[0]
-            outcomes = [run_shard(child, s_lo, s_hi)]
-        else:
-            with ThreadPoolExecutor(max_workers=len(active)) as pool:
-                futures = [
-                    pool.submit(run_shard, child, s_lo, s_hi)
-                    for _, child, (s_lo, s_hi) in active
-                ]
-                outcomes = [future.result() for future in futures]
-        for (_, _, (s_lo, s_hi)), (shard_proofs, shard_stats) in zip(
-            active, outcomes
-        ):
-            proofs[s_lo:s_hi] = shard_proofs
-            part_stats.append(shard_stats)
-        stats = merge_runtime_stats(
-            part_stats, total_seconds=time.perf_counter() - start
-        )
-        ctx.emit(
-            "shard_end", proofs=len(tasks), seconds=stats.total_seconds,
-        )
-        if ctx.sink is not None:
-            ctx.sink.flush()
-        return proofs, stats  # type: ignore[return-value]

@@ -18,17 +18,20 @@ code::
     lanes:auto:pipelined:4      lanes:16:pipelined:4, likewise
     pipelined:4                 stage-pipelined threads, 4 workers
     pipelined:auto              stage-pipelined, sized from the host
-    sharded:pool:4,pool:4       two concurrent 4-worker pools
-    sharded:pool:4,serial       heterogeneous children (weighted by
-                                each child's parallelism)
-    resilient:sharded:pool:2,pool:2
-                                the same two pools behind per-child
-                                circuit breakers with failover and
-                                poison-task quarantine (S25)
-    remote:127.0.0.1:9100       one proving node over TCP (S28)
+    cluster:pool:4,pool:4       two concurrent 4-worker pools behind
+                                per-member breakers with failover (S28)
+    cluster:pool:4,serial       heterogeneous members (weighted by
+                                each member's parallelism)
     cluster:remote:h1:9100,remote:h2:9100
                                 digest-routed fleet of nodes with
                                 cache-affinity consistent hashing (S28)
+    remote:127.0.0.1:9100       one proving node over TCP (S28)
+    resilient:pool:4            singleton attribution, poison-task
+                                quarantine and verify-and-re-prove
+                                around one child (S25)
+    resilient:cluster:pool:2,pool:2
+                                both: node failover inside the
+                                cluster, task discipline outside it
 
 :func:`resolve_backend` also passes through an already-constructed
 :class:`~repro.execution.ProvingBackend` unchanged, so programmatic
@@ -43,7 +46,7 @@ import difflib
 from typing import Callable, Dict, List, Union
 
 from ..errors import ExecutionError
-from .backend import PoolBackend, ProvingBackend, SerialBackend, ShardedBackend
+from .backend import PoolBackend, ProvingBackend, SerialBackend
 from .laned import AUTO_LANE_CAP, LanedBackend
 
 #: Factories keyed by selector head; each receives the text after the
@@ -77,7 +80,7 @@ def resolve_backend(selector: BackendSelector) -> ProvingBackend:
 
     >>> resolve_backend("pool:2").name
     'pool:2'
-    >>> resolve_backend("sharded:pool:2,serial").parallelism
+    >>> resolve_backend("cluster:pool:2,serial").parallelism
     3
     """
     if not isinstance(selector, str):
@@ -141,23 +144,6 @@ def _make_pool(rest: str) -> PoolBackend:
             f"'pool' wants an integer worker count, got {rest!r}"
         ) from None
     return PoolBackend(workers)
-
-
-def _make_sharded(rest: str) -> ShardedBackend:
-    if not rest:
-        raise ExecutionError(
-            "'sharded' needs comma-separated children, e.g. "
-            "'sharded:pool:4,pool:4'"
-        )
-    parts = [part.strip() for part in rest.split(",")]
-    if any(not part for part in parts):
-        raise ExecutionError(f"empty child in sharded selector {rest!r}")
-    if any(part.split(":", 1)[0].lower() == "sharded" for part in parts):
-        raise ExecutionError(
-            "nested 'sharded' selectors are not expressible in the flat "
-            "string form; compose ShardedBackend instances directly"
-        )
-    return ShardedBackend([resolve_backend(part) for part in parts])
 
 
 def _make_pipelined(rest: str) -> ProvingBackend:
@@ -229,7 +215,7 @@ def _make_resilient(rest: str) -> ProvingBackend:
     if not rest:
         raise ExecutionError(
             "'resilient' wraps an inner selector, e.g. "
-            "'resilient:sharded:pool:2,pool:2' or 'resilient:pool:4'"
+            "'resilient:cluster:pool:2,pool:2' or 'resilient:pool:4'"
         )
     return ResilientBackend(resolve_backend(rest))
 
@@ -272,7 +258,6 @@ register_backend("serial", _make_serial)
 register_backend("pool", _make_pool)
 register_backend("pipelined", _make_pipelined)
 register_backend("lanes", _make_lanes)
-register_backend("sharded", _make_sharded)
 register_backend("resilient", _make_resilient)
 register_backend("remote", _make_remote)
 register_backend("cluster", _make_cluster)

@@ -1,11 +1,10 @@
 """Rate-proportional work splitting.
 
-:class:`~repro.execution.ShardedBackend` splits a task list across child
-backends by parallelism; :class:`~repro.resilience.ResilientBackend`
-and the cluster coordinator re-split it across the members still
-healthy, and the ``pipelined:`` planner gives spare workers to the
-heaviest stages.  All of them place work with
-:func:`largest_remainder_shares`.
+The cluster coordinator (:class:`~repro.cluster.ClusterBackend`) splits
+a task list across its admitted members by parallelism, and re-splits
+the orphaned tasks across the members still healthy; the ``pipelined:``
+planner gives spare workers to the heaviest stages.  Both place work
+with :func:`largest_remainder_shares`.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ The emitting side (:mod:`repro.runtime.trace`) stamps every event with
 from those stamps.  :func:`request_lineage` answers the operator's
 question — "what happened to request N?" — by walking one file from the
 request's submission through the batch it rode, the backend run (or
-runs, under a sharded backend) that proved it, down to the per-task
+runs, under a cluster) that proved it, down to the per-task
 span, without any other data source.
 """
 

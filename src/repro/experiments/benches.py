@@ -590,7 +590,7 @@ def run_degradation_curve(
     verifier = spec.build_verifier()
     rows = []
     for rate in rates:
-        backend = resolve_backend("resilient:sharded:serial,serial")
+        backend = resolve_backend("resilient:cluster:serial,serial")
         injector = FaultInjector.from_plan(f"crash:{rate},seed=7")
         apply_fault_plan(backend, injector, min_retries=4)
         start = time.perf_counter()
@@ -605,28 +605,27 @@ def run_degradation_curve(
             "seconds": seconds,
             "throughput": len(proofs) / seconds,
             "faults": rstats.total_faults_injected,
-            "failovers": rstats.failovers,
             "rounds": rstats.rounds,
         })
     return rows
 
 
 def run_wrapper_overhead(tasks: int = 32, gates: int = 256) -> dict:
-    """Fault-free resilient wrapper vs its bare sharded core."""
+    """Fault-free resilient wrapper vs its bare cluster core."""
     from ..execution import resolve_backend
 
     _, _, spec, task_list = _setup_tasks(gates, tasks)
     timings = {}
     for selector in (
-        "sharded:serial,serial",
-        "resilient:sharded:serial,serial",
+        "cluster:serial,serial",
+        "resilient:cluster:serial,serial",
     ):
         backend = resolve_backend(selector)
         start = time.perf_counter()
         backend.prove_tasks(spec, task_list)
         timings[selector] = time.perf_counter() - start
-    bare = timings["sharded:serial,serial"]
-    wrapped = timings["resilient:sharded:serial,serial"]
+    bare = timings["cluster:serial,serial"]
+    wrapped = timings["resilient:cluster:serial,serial"]
     return {
         "bare_seconds": bare,
         "wrapped_seconds": wrapped,
@@ -818,14 +817,14 @@ def run_seam_overhead(tasks: int = 48, gates: int = 384) -> dict:
 def run_composition(
     tasks: int = 48, workers: int = 2, gates: int = 384
 ) -> dict:
-    """One pool vs two concurrent pools behind the sharded backend."""
+    """One pool vs two concurrent pools behind one cluster."""
     from ..execution import resolve_backend
 
     _, _, spec, task_list = _setup_tasks(gates, tasks)
     rows = {}
     for selector in (
         f"pool:{workers}",
-        f"sharded:pool:{workers},pool:{workers}",
+        f"cluster:pool:{workers},pool:{workers}",
     ):
         backend = resolve_backend(selector)
         start = time.perf_counter()
@@ -843,13 +842,13 @@ def run_composition(
 def run_backend_suite(
     tasks: int = 48, workers: Optional[int] = None, gates: int = 384
 ) -> dict:
-    """Seam overhead plus sharded composition as one payload."""
+    """Seam overhead plus cluster composition as one payload."""
     cores = os.cpu_count() or 1
     workers = min(4 if workers is None else max(1, workers), cores)
     seam = run_seam_overhead(tasks=tasks, gates=gates)
     composition = run_composition(tasks=tasks, workers=workers, gates=gates)
     pool_key = f"pool:{workers}"
-    sharded_key = f"sharded:pool:{workers},pool:{workers}"
+    cluster_key = f"cluster:pool:{workers},pool:{workers}"
     return {
         "tasks": tasks,
         "workers": workers,
@@ -858,7 +857,7 @@ def run_backend_suite(
         "composition": composition,
         "seam_overhead_pct": seam["overhead_pct"],
         "pool_throughput": composition[pool_key]["throughput"],
-        "sharded_throughput": composition[sharded_key]["throughput"],
+        "cluster_throughput": composition[cluster_key]["throughput"],
     }
 
 

@@ -603,7 +603,7 @@ _EXTENSION_SPECS = [
     ),
     ExperimentSpec(
         name="bench_backends",
-        description="S24 backend seam overhead + sharded composition",
+        description="S24 backend seam overhead + cluster composition",
         runner=lambda params: benches.run_backend_suite(**params),
         tags=("extension", "ci"),
         full_params={"tasks": 48, "workers": None, "gates": 384},

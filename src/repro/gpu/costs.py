@@ -50,8 +50,6 @@ class GpuCostModel:
     hash_cycles: float = 2300.0
     sumcheck_entry_cycles: float = 2700.0
     encoder_mac_cycles: float = 2700.0
-    #: Raw 256-bit field multiply (used by the MSM/NTT baseline models).
-    field_mul_cycles: float = 120.0
     #: Launch + sync cost of one non-persistent kernel (naive scheduler).
     kernel_launch_seconds: float = 12e-6
     #: Extra launch cost of the naive encoder's irregular sparse kernels.

@@ -15,7 +15,7 @@ True
 When no collector is active the :func:`stage` context manager is a no-op
 (one ContextVar read), so the instrumentation stays in production code.
 The collector is a ContextVar, so concurrent proofs in different threads
-(the sharded backend) each see their own profile.
+(a cluster's in-process members) each see their own profile.
 
 Stages may nest: ``encode`` and ``merkle`` run inside ``commit``, and
 every stage accumulates its own wall time independently — so ``commit``

@@ -6,7 +6,7 @@ parameters.  SZKP (arXiv:2408.05890) makes the same observation for
 hardware provers — precompute the per-circuit structure once, stream the
 witnesses.  Our pooled runtime previously paid the whole derivation
 (``ProverSpec.build_prover()``: expander sampling, matrix shaping) once
-per *worker initialization*, and the serial/sharded paths once per
+per *worker initialization*, and the serial/cluster paths once per
 *backend construction*, keyed by spec object identity — so logically
 identical specs (same circuit, new object) re-derived everything.
 
@@ -67,7 +67,8 @@ def spec_cache_key(spec: "ProverSpec") -> Tuple:
 class SpecCache:
     """An LRU memo of built provers/PCS instances, keyed by spec *value*.
 
-    Thread-safe (the sharded backend builds shards from threads).  Cached
+    Thread-safe (a cluster runs its in-process members' shards on
+    threads).  Cached
     provers are reused across tasks — safe because ``SnarkProver.prove``
     keeps no mutable per-proof state on the instance.
     """

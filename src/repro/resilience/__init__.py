@@ -11,12 +11,14 @@ This package makes failure a first-class, *testable* input:
   the seed and the event identity — the same plan replays the same
   faults, even across worker processes).
 * :class:`ResilientBackend` — a :class:`~repro.execution.ProvingBackend`
-  that wraps child backends with per-child :class:`HealthTracker` +
-  :class:`CircuitBreaker`, fails tasks over from dead children to
-  healthy siblings, quarantines poison tasks as typed
+  that wraps exactly one child, splits a failed group into singletons,
+  quarantines poison tasks as typed
   :class:`~repro.errors.QuarantinedTaskError` results instead of sinking
   the batch, and can verify-and-re-prove corrupted proofs before
-  returning them.  Selector: ``resilient:sharded:pool:2,pool:2``.
+  returning them.  Selector: ``resilient:cluster:pool:2,pool:2``, where
+  the cluster (:mod:`repro.cluster`) owns node failover behind
+  per-member :class:`CircuitBreaker` + :class:`HealthTracker`
+  (DESIGN decision 28).
 * :class:`ProofJournal` / :func:`journaled_prove` — a crash-safe JSONL
   write-ahead journal so ``prove --journal out.jsonl --resume`` after a
   mid-batch kill re-proves zero completed tasks.
@@ -48,28 +50,31 @@ __apidoc__ = """\
 builds a seeded plan; `FaultInjector(plan)` turns it into hooks:
 a worker-side callable (crashes, slowdowns, pool deaths, per-task
 poison), `maybe_corrupt` (flips a commitment byte in returned proofs),
-`check_outage` (child-level `BackendUnavailableError` windows, including
-a forced `down=CHILD@CALL×N` window), and `on_batch_dispatch` (service
-batch faults).  Every decision is a pure hash of `(seed, kind,
+`check_outage` (cluster-member `BackendUnavailableError` windows,
+including a forced `down=MEMBER@CALL×N` window, fired by
+`ClusterBackend` before each member attempt), and `on_batch_dispatch`
+(service batch faults).  Every decision is a pure hash of `(seed, kind,
 identity)` — rerunning the same plan injects the same faults, and
 retries with a new attempt number roll fresh.  `apply_fault_plan(
 backend, injector)` walks a backend tree and installs the hooks on
 every layer that accepts them.
 
-**The failover substrate.** `ResilientBackend` implements
-`prove_tasks` over child backends.  Each child sits behind a
-`CircuitBreaker` (closed → open on `BREAKER_FAILURE_THRESHOLD` (2)
-consecutive failures → half-open probe after `BREAKER_COOLDOWN_SECONDS`
-(0.25 s)) and a
-`HealthTracker` ledger.  Failed children's tasks fail over to healthy
-siblings; group failures are re-dispatched as singletons for exact
-attribution; a task failing attributably on `QUARANTINE_THRESHOLD` (2)
-distinct children comes back as a `QuarantinedTaskError` result slot —
-the other tasks' proofs still arrive.  `split_results(results)`
-partitions the mixed result list.  With `verify_on_return=True` each
-proof is verified (and re-proved up to `MAX_REPROVES` times) before return.
-A per-run `ResilienceStats` (`last_resilience_stats`) counts faults,
-failovers, quarantines, re-proves, and breaker transitions.
+**Task discipline.** `ResilientBackend(child)` implements
+`prove_tasks` over exactly one child backend.  A failed group is
+re-dispatched as singletons for exact attribution; a task whose
+singleton calls fail `QUARANTINE_THRESHOLD` (2) times comes back as a
+`QuarantinedTaskError` result slot — the other tasks' proofs still
+arrive.  `split_results(results)` partitions the mixed result list.
+With `verify_on_return=True` each proof is verified (and re-proved up
+to `MAX_REPROVES` times) before return.  A `BackendUnavailableError`
+from the child propagates: node failover, breakers and the wait for an
+admissible node are `ClusterBackend`'s (`resilient:cluster:...`).  A
+per-run `ResilienceStats` (`last_resilience_stats`) counts faults,
+child failures, quarantines and re-proves.
+
+**Breakers.** `CircuitBreaker` (closed → open after a failure streak →
+half-open probe after a cooldown) and the `HealthTracker` ledger are
+the state machines the cluster keeps per member.
 
 **The journal.** `journaled_prove(backend, spec, tasks, path,
 resume=True)` write-ahead-logs each completed proof (fsync per entry,

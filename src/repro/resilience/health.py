@@ -15,10 +15,11 @@ child's membership.  That is the classic circuit breaker:
 
 :class:`CircuitBreaker` is clock-injected and lock-protected (shard
 threads call it concurrently); every transition is recorded and
-optionally reported through a callback so the resilience layer can trace
-and count them.  :class:`HealthTracker` is the companion ledger of raw
-outcomes per child — successes, failures, consecutive-failure streak,
-last error — the operator-facing "which device is sick" view.
+optionally reported through a callback so the cluster coordinator, which
+keeps one breaker per member (DESIGN decision 28), can trace them.
+:class:`HealthTracker` is the companion ledger of raw outcomes per
+member — successes, failures, consecutive-failure streak, last error —
+the operator-facing "which device is sick" view.
 """
 
 from __future__ import annotations

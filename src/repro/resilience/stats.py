@@ -4,8 +4,10 @@
 :class:`ResilienceStats` reports how *rough* it was and how the layer
 absorbed it: faults injected (from the local
 :class:`~repro.resilience.FaultInjector` counters), child-call failures,
-breaker transitions, failovers, quarantines, and verify-and-re-prove
-corrections.  One instance is produced per
+quarantines, and verify-and-re-prove corrections.  Node failovers and
+breaker transitions are the cluster's to report
+(:meth:`~repro.cluster.ClusterBackend.cluster_stats` and its
+``ring_rebalance``/``breaker`` trace events).  One instance is produced per
 :meth:`~repro.resilience.ResilientBackend.prove_tasks` run (exposed as
 ``last_resilience_stats``) and accumulated into the backend's lifetime
 ``resilience_stats``, mirroring how runtime stats ride alongside proofs.
@@ -14,10 +16,7 @@ corrections.  One instance is produced per
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Tuple
-
-#: One breaker transition: (child name, from_state, to_state).
-BreakerTransition = Tuple[str, str, str]
+from typing import Dict
 
 
 @dataclass
@@ -27,18 +26,12 @@ class ResilienceStats:
     #: Faults injected by this process's injector copy, by kind (worker
     #: processes keep their own counters; see FaultInjector docs).
     faults_injected: Dict[str, int] = dc_field(default_factory=dict)
-    #: Child dispatch calls that failed (outage, crash-through, anything).
+    #: Child calls that failed (a crash-through, a poisoned task, ...).
     child_failures: int = 0
-    #: Tasks re-routed from a failed child to a healthy sibling.
-    failovers: int = 0
     #: Tasks surfaced as QuarantinedTaskError instead of proofs.
     quarantined: int = 0
     #: Proofs that failed verify_on_return and were proved again.
     re_proves: int = 0
-    #: Every breaker transition, in order: (child, from, to).
-    breaker_transitions: List[BreakerTransition] = dc_field(
-        default_factory=list
-    )
     #: Dispatch rounds the run needed (1 = no failures anywhere).
     rounds: int = 0
 
@@ -49,18 +42,13 @@ class ResilienceStats:
             self.faults_injected.get(kind, 0) + count
         )
 
-    def record_transition(self, child: str, src: str, dst: str) -> None:
-        self.breaker_transitions.append((child, src, dst))
-
     def merge(self, other: "ResilienceStats") -> None:
         """Fold another report into this one (lifetime accumulation)."""
         for kind, count in other.faults_injected.items():
             self.record_fault(kind, count)
         self.child_failures += other.child_failures
-        self.failovers += other.failovers
         self.quarantined += other.quarantined
         self.re_proves += other.re_proves
-        self.breaker_transitions.extend(other.breaker_transitions)
         self.rounds += other.rounds
 
     # -- aggregates ------------------------------------------------------------
@@ -68,21 +56,6 @@ class ResilienceStats:
     @property
     def total_faults_injected(self) -> int:
         return sum(self.faults_injected.values())
-
-    @property
-    def breaker_opens(self) -> int:
-        return sum(
-            1 for _, _, dst in self.breaker_transitions if dst == "open"
-        )
-
-    @property
-    def breaker_recoveries(self) -> int:
-        """Half-open probes that closed the breaker (child recovered)."""
-        return sum(
-            1
-            for _, src, dst in self.breaker_transitions
-            if src == "half_open" and dst == "closed"
-        )
 
     # -- presentation ----------------------------------------------------------
 
@@ -99,11 +72,7 @@ class ResilienceStats:
             f"faults injected : {injected}",
             f"child failures  : {self.child_failures} "
             f"(over {self.rounds} dispatch rounds)",
-            f"failovers       : {self.failovers}",
             f"quarantined     : {self.quarantined}",
             f"re-proves       : {self.re_proves}",
-            f"breaker         : {self.breaker_opens} opens, "
-            f"{self.breaker_recoveries} recoveries "
-            f"({len(self.breaker_transitions)} transitions)",
         ]
         return "\n".join(lines)

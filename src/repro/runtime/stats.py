@@ -169,9 +169,11 @@ def merge_runtime_stats(
 ) -> RuntimeStats:
     """Combine per-shard reports into one aggregate run report.
 
-    Used by :class:`~repro.execution.ShardedBackend` when a batch is
-    split across child backends: records, retries, and busy time are
-    summed; ``workers`` is the combined worker count of every shard; the
+    Used by :class:`~repro.cluster.ClusterBackend` when a batch is
+    split across members, and by
+    :class:`~repro.resilience.ResilientBackend` over its child calls:
+    records, retries, and busy time are summed; ``workers`` is the
+    combined worker count of every shard; the
     wall time is the caller-measured envelope (shards run concurrently,
     so summing shard wall times would overcount) and defaults to the
     slowest shard when not given.

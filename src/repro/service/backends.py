@@ -39,7 +39,7 @@ class RuntimeProofBackend:
                  backend can serve.  The natural key is
                  ``spec.r1cs.digest()`` (see :func:`spec_key`).
         backend: Execution substrate — a selector string (``"serial"``,
-                 ``"pool:8"``, ``"sharded:pool:4,pool:4"``) or a
+                 ``"pool:8"``, ``"cluster:pool:4,pool:4"``) or a
                  :class:`~repro.execution.ProvingBackend` instance.
                  The default proves inline on the batcher thread.
     """

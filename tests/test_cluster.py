@@ -4,6 +4,9 @@ parity, coordinator failover, chaos drills, and the autoscaler."""
 import json
 import pickle
 import socket
+import sys
+import threading
+import time
 
 import pytest
 
@@ -188,7 +191,7 @@ def test_frame_rejects_unknown_kind_and_nondict_payload():
         body = pickle.dumps([1, 2])
         left.sendall(protocol.HEADER.pack(
             protocol.MAGIC, protocol.PROTOCOL_VERSION,
-            protocol.PING, len(body)) + body)
+            protocol.STATS, len(body)) + body)
         with pytest.raises(ClusterError, match="dict"):
             protocol.recv_frame(right)
     finally:
@@ -200,7 +203,7 @@ def test_truncated_frame_is_a_connection_error():
     left, right = socket.socketpair()
     try:
         left.sendall(protocol.HEADER.pack(
-            protocol.MAGIC, protocol.PROTOCOL_VERSION, protocol.PING, 100))
+            protocol.MAGIC, protocol.PROTOCOL_VERSION, protocol.STATS, 100))
         left.sendall(b"short")
         left.close()
         with pytest.raises(NodeConnectionError, match="closed"):
@@ -442,6 +445,58 @@ def test_cluster_with_all_nodes_down_fails_typed(setup, monkeypatch):
     backend = ClusterBackend([_DeadChild(), _DeadChild()])
     with pytest.raises(BackendUnavailableError, match="no admissible node"):
         backend.prove_tasks(spec, tasks)
+
+
+class _SlowMember:
+    """An in-process member that records how many calls overlap on it."""
+
+    parallelism = 1
+
+    def __init__(self, name):
+        self.name = name
+        self.inner = SerialBackend()
+        self.active = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def prove_tasks(self, spec, tasks, *, trace=None, parent=None):
+        with self._lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(0.05)
+            return self.inner.prove_tasks(
+                spec, tasks, trace=trace, parent=parent
+            )
+        finally:
+            with self._lock:
+                self.active -= 1
+
+
+def test_members_run_one_call_at_a_time(setup, serial_wire):
+    """Every shard is overdue for a hedge at once, but a hedge goes only
+    to an idle member, so no in-process member is ever entered twice —
+    not by a hedge, and not by the next batch while a hedge loser runs.
+    More members than cores and a short switch interval stress the
+    claim."""
+    spec, tasks = setup
+    members = [_SlowMember(f"slow-{i}") for i in range(4)]
+    backend = ClusterBackend(
+        members, min_hedge_delay_seconds=0.001,
+        hedge_budget_per_second=100.0, hedge_budget_burst=100.0,
+    )
+    for _ in range(8):
+        backend._latency.record(0.0001)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            proofs, _ = backend.prove_tasks(spec, tasks)
+            assert _wire(proofs) == serial_wire
+    finally:
+        sys.setswitchinterval(interval)
+    assert backend.hedges_issued >= 1
+    assert [m.peak for m in members] == [1, 1, 1, 1]
 
 
 def test_cluster_membership_changes(setup, serial_wire):

@@ -7,7 +7,6 @@ from repro.core import (
     R1CS,
     SnarkProver,
     SnarkVerifier,
-    compile_builder,
     make_pcs,
     next_power_of_two,
     random_circuit,

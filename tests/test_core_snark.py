@@ -16,9 +16,9 @@ from repro.core import (
     verify_all,
 )
 from repro.errors import ProofError
-from repro.field import DEFAULT_FIELD, MultilinearPolynomial, eq_table
+from repro.field import DEFAULT_FIELD, eq_table
 from repro.kernels import field_kernels
-from repro.sumcheck import evaluation_point, verify_product_rounds
+from repro.sumcheck import verify_product_rounds
 
 F = DEFAULT_FIELD
 

@@ -1,5 +1,5 @@
-"""Execution-layer tests (S24): backend parity, registry, sharding,
-entry-point routing, and correlated trace replay."""
+"""Execution-layer tests (S24): backend parity, registry, sharding over
+a cluster, entry-point routing, and correlated trace replay."""
 
 import io
 import json
@@ -14,13 +14,13 @@ from repro.core import (
     random_circuit,
     verify_all,
 )
+from repro.cluster import ClusterBackend
 from repro.core.serialize import serialize_proof
 from repro.errors import ExecutionError
 from repro.execution import (
     PoolBackend,
     ProvingBackend,
     SerialBackend,
-    ShardedBackend,
     available_backends,
     format_lineage,
     largest_remainder_shares,
@@ -92,15 +92,16 @@ class TestLargestRemainderShares:
 
 class TestRegistry:
     def test_stock_heads_registered(self):
-        assert {"serial", "pool", "sharded"} <= set(available_backends())
+        assert {"serial", "pool", "cluster"} <= set(available_backends())
+        assert "sharded" not in available_backends()
 
     def test_selector_parsing(self):
         assert resolve_backend("serial").name == "serial"
         assert resolve_backend("pool:3").parallelism == 3
-        sharded = resolve_backend("sharded:pool:2,serial")
-        assert sharded.name == "sharded:pool:2,serial"
-        assert sharded.parallelism == 3
-        assert [type(c) for c in sharded.children] == [
+        cluster = resolve_backend("cluster:pool:2,serial")
+        assert cluster.name == "cluster:pool:2,serial"
+        assert cluster.parallelism == 3
+        assert [type(m.backend) for m in cluster.members] == [
             PoolBackend, SerialBackend,
         ]
 
@@ -109,7 +110,7 @@ class TestRegistry:
         assert resolve_backend(backend) is backend
 
     def test_backends_satisfy_protocol(self):
-        for selector in ("serial", "pool:2", "sharded:serial,serial"):
+        for selector in ("serial", "pool:2", "cluster:serial,serial"):
             assert isinstance(resolve_backend(selector), ProvingBackend)
 
     def test_unknown_selector_lists_names_and_suggests(self):
@@ -127,8 +128,8 @@ class TestRegistry:
 
     def test_bad_selectors_raise_typed_errors(self):
         for bad in (
-            "", "warp", "serial:3", "pool:many", "sharded:",
-            "sharded:pool:2,,serial", "sharded:sharded:serial",
+            "", "warp", "serial:3", "pool:many", "sharded:serial,serial",
+            "cluster:", "cluster:pool:2,,serial", "cluster:cluster:serial",
         ):
             with pytest.raises(ExecutionError):
                 resolve_backend(bad)
@@ -149,31 +150,31 @@ class TestBackendParity:
     def test_sharded_proofs_byte_identical_to_serial(self, setup, serial_run):
         _, spec, tasks = setup
         serial_proofs, _ = serial_run
-        sharded = resolve_backend("sharded:pool:2,serial")
-        sharded_proofs, stats = sharded.prove_tasks(spec, tasks)
+        cluster = resolve_backend("cluster:pool:2,serial")
+        sharded_proofs, stats = cluster.prove_tasks(spec, tasks)
         assert _wire(sharded_proofs) == _wire(serial_proofs)
-        # Merged report covers every task and both children's workers.
+        # Merged report covers every task and both members' workers.
         assert len(stats.records) == len(tasks)
         assert stats.workers == 3
 
     def test_all_backends_verify(self, setup):
         _, spec, tasks = setup
         verifier = spec.build_verifier()
-        for selector in ("serial", "pool:2", "sharded:serial,serial"):
+        for selector in ("serial", "pool:2", "cluster:serial,serial"):
             proofs, _ = resolve_backend(selector).prove_tasks(spec, tasks)
             assert verify_all(verifier, proofs, tasks)
 
     def test_sharded_preserves_task_order(self, setup):
         _, spec, tasks = setup
-        sharded = ShardedBackend([SerialBackend(), SerialBackend()])
-        _, stats = sharded.prove_tasks(spec, tasks)
+        cluster = ClusterBackend([SerialBackend(), SerialBackend()])
+        _, stats = cluster.prove_tasks(spec, tasks)
         assert sorted(r.task_id for r in stats.records) == [
             t.task_id for t in tasks
         ]
 
     def test_empty_batch(self, setup):
         _, spec, _ = setup
-        for selector in ("serial", "sharded:serial,serial"):
+        for selector in ("serial", "cluster:serial,serial"):
             proofs, stats = resolve_backend(selector).prove_tasks(spec, [])
             assert proofs == []
             assert stats.records == []
@@ -185,7 +186,7 @@ class TestEntryPoints:
     def test_batch_prover_accepts_backend_selector(self, setup, serial_run):
         prover, _, tasks = setup
         serial_proofs, _ = serial_run
-        batch = BatchProver(prover, backend="sharded:serial,serial")
+        batch = BatchProver(prover, backend="cluster:serial,serial")
         proofs, stats = batch.prove_all(tasks)
         assert _wire(proofs) == _wire(serial_proofs)
         assert stats.proofs_generated == len(tasks)
@@ -205,7 +206,7 @@ class TestEntryPoints:
 
         _, spec, tasks = setup
         backend = RuntimeProofBackend.from_specs(
-            [spec], backend="sharded:serial,serial"
+            [spec], backend="cluster:serial,serial"
         )
         key = spec_key(spec)
         requests = [
@@ -441,7 +442,7 @@ class TestPipelinedBackend:
 
     def test_composes_under_sharded(self, setup, serial_run):
         _, spec, tasks = setup
-        backend = resolve_backend("sharded:pipelined:2,serial")
+        backend = resolve_backend("cluster:pipelined:2,serial")
         proofs, _ = backend.prove_tasks(spec, tasks)
         assert _wire(proofs) == _wire(serial_run[0])
 
@@ -451,7 +452,7 @@ class TestPipelinedBackend:
         backend = resolve_backend("resilient:pipelined:2")
         injector = FaultInjector(FaultPlan.parse("crash:0.1,seed=3"))
         apply_fault_plan(backend, injector, min_retries=2)
-        inner = backend.children[0]
+        inner = backend.child
         assert inner.fault_injector is injector
         assert inner.max_retries >= 2
 

@@ -1,13 +1,11 @@
 """Unit and property tests for repro.field.prime_field."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FieldError, FieldMismatchError, NonInvertibleError
-from repro.field import DEFAULT_FIELD, FieldElement, PrimeField
+from repro.field import DEFAULT_FIELD, PrimeField
 from repro.field.primes import MERSENNE61, is_probable_prime
 
 F = DEFAULT_FIELD

@@ -6,7 +6,6 @@ from repro.errors import SimulationError
 from repro.gpu import (
     CPU_C5A_8XLARGE,
     GPU_CATALOG,
-    GpuCostModel,
     KernelStage,
     ModuleGraph,
     TransferEngine,

@@ -579,7 +579,7 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize(
         "selector",
-        ["serial", "pool:2", "sharded:serial,serial", "resilient:serial"],
+        ["serial", "pool:2", "cluster:serial,serial", "resilient:serial"],
     )
     def test_backends_byte_identical_to_reference(self, selector):
         circ = random_circuit(F, 128, seed=8)

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import PipelineError
 from repro.gpu import get_gpu, run_pipelined
 from repro.pipeline import (
-    FrontierPoint,
     fuse_stages,
     latency_throughput_frontier,
     merkle_graph,

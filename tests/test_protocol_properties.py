@@ -7,7 +7,6 @@ repository claims.
 
 import random as _random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

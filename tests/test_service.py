@@ -18,7 +18,6 @@ from repro.execution import SerialBackend
 from repro.field import DEFAULT_FIELD
 from repro.runtime import JsonlTraceSink, ProverSpec
 from repro.service import (
-    ArrivalEvent,
     BatchPolicy,
     Priority,
     ProofRequest,
@@ -30,7 +29,6 @@ from repro.service import (
     poisson_trace,
     replay,
     spec_key,
-    task_witness_key,
 )
 
 F = DEFAULT_FIELD

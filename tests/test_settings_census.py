@@ -23,7 +23,6 @@ from repro.execution import (
     LanedBackend,
     PoolBackend,
     SerialBackend,
-    ShardedBackend,
 )
 from repro.execution.pipelined import PipelinedBackend
 from repro.resilience import ResilientBackend
@@ -46,12 +45,11 @@ CENSUS = [
     ]),
     (SerialBackend, ["max_retries", "fault_injector"]),
     (PoolBackend, ["workers", "fault_injector"]),
-    (ShardedBackend, ["children"]),
     (LanedBackend, ["lane_width", "max_retries", "fault_injector"]),
     (PipelinedBackend, [
         "workers", "max_retries", "fault_injector", "lane_width",
     ]),
-    (ResilientBackend, ["children", "verify_on_return", "fault_injector"]),
+    (ResilientBackend, ["child", "verify_on_return", "fault_injector"]),
     (ClusterBackend, [
         "children", "hedge", "min_hedge_delay_seconds", "hedge_min_samples",
         "hedge_budget_per_second", "hedge_budget_burst",

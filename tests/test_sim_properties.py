@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.gpu import (
-    GpuCostModel,
     KernelStage,
     ModuleGraph,
     allocate_threads_proportional,

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core import SnarkProver, SnarkVerifier, make_pcs, random_circuit
-from repro.errors import PipelineError, ProofError, SimulationError
+from repro.errors import PipelineError, ProofError
 from repro.field import DEFAULT_FIELD
 from repro.pipeline import BatchZkpSystem, DEFAULT_STAGE_CAPS, build_module_graphs
 

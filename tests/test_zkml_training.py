@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ZkmlError
 from repro.zkml import (
-    Dataset,
     FloatTrainer,
     MlaasService,
     QuantizedTensor,
@@ -13,7 +12,6 @@ from repro.zkml import (
     SequentialModel,
     Linear,
     Flatten,
-    quantized_accuracy,
     synthetic_blobs,
     tiny_cnn,
     train_verifiable_model,
